@@ -68,6 +68,5 @@ from .surface_audit import (
     doubled_surface_chain,
     euler_characteristic,
     gauss_bonnet_area,
-    horocusp_boundary_area_identity,
     punctured_sphere_feasible,
 )

@@ -15,7 +15,7 @@ import sys
 from datetime import datetime, timezone
 
 from . import __version__
-from .bound_calculus import ADAMS_AREA, CAO_MEYERHOFF_AREA, BoundQuery, slope_count_bound, verify_counting_lemma
+from .bound_calculus import ADAMS_AREA, CAO_MEYERHOFF_AREA, BoundQuery, slope_count_bound
 from .cusp_geometry import area
 from .diagram import DiagramSpec, emit_lattice_svg
 from .halfplane_geometry import (
@@ -27,9 +27,11 @@ from .halfplane_geometry import (
     wrapping_bound,
 )
 from .report_io import (
-    _dumps,
+    bound_to_dict,
     build_analysis_report,
     find_shape,
+    json_text,
+    lemma_to_dict,
     load_cusp_file,
     report_to_dict,
     report_to_json,
@@ -92,15 +94,15 @@ def _load_named_shape(args):
 
 
 def _print_json(data) -> None:
-    sys.stdout.write(_dumps(data) + "\n")
+    sys.stdout.write(json_text(data))
 
 
 def _cmd_slopes(args) -> int:
     shape = _load_named_shape(args)
-    report = enumerate_short_slopes(shape, args.threshold)
     if args.json:
         _print_json(report_to_dict(build_analysis_report(shape, args.threshold)))
         return 0
+    report = enumerate_short_slopes(shape, args.threshold)
     print(f"# cusp {shape.name}  threshold {args.threshold:.12g}  area {area(shape):.12g}")
     print(f"# {len(report)} slopes, max pairwise intersection {report.max_delta}")
     for i, entry in enumerate(report.entries, start=1):
@@ -112,16 +114,7 @@ def _cmd_slopes(args) -> int:
 def _cmd_bound(args) -> int:
     report = slope_count_bound(BoundQuery(args.length, args.area))
     if args.json:
-        _print_json(
-            {
-                "length_threshold": report.query.length_threshold,
-                "area_floor": report.query.area_floor,
-                "delta_max": report.delta_max,
-                "prime": report.prime,
-                "count_bound": report.count_bound,
-                "floor_guard_hit": report.floor_guard_hit,
-            }
-        )
+        _print_json(bound_to_dict(report))
         return 0
     ratio = report.query.length_threshold**2 / report.query.area_floor
     print(f"L^2/A = {ratio:.12g}")
@@ -131,33 +124,26 @@ def _cmd_bound(args) -> int:
 
 def _cmd_lemma_verify(args) -> int:
     shape = _load_named_shape(args)
-    short = enumerate_short_slopes(shape, args.threshold)
-    pipeline = slope_count_bound(BoundQuery(args.threshold, area(shape)))
-    prime = args.prime if args.prime is not None else pipeline.prime
-    verdict = verify_counting_lemma(short.slopes, prime)
+    report = build_analysis_report(shape, args.threshold, prime=args.prime)
+    count, verdict = len(report.entries), report.lemma
     if args.json:
         _print_json(
             {
                 "shape": shape.name,
                 "threshold": args.threshold,
-                "slope_count": len(short),
-                "max_delta": short.max_delta,
-                "prime": prime,
-                "injective": verdict.injective,
-                "collision": None
-                if verdict.collision is None
-                else [[s.a, s.b] for s in verdict.collision],
-                "delta": verdict.delta,
+                "slope_count": count,
+                "max_delta": report.max_delta,
+                **lemma_to_dict(verdict),
             }
         )
         return 0
-    print(f"# cusp {shape.name}: {len(short)} slopes of length <= {args.threshold:.12g}")
-    print(f"# max pairwise intersection {short.max_delta}, prime {prime}")
+    print(f"# cusp {shape.name}: {count} slopes of length <= {args.threshold:.12g}")
+    print(f"# max pairwise intersection {report.max_delta}, prime {verdict.prime}")
     if verdict.injective:
-        print(f"injective: all {len(short)} slopes map to distinct points of F_{prime}P^1")
+        print(f"injective: all {count} slopes map to distinct points of F_{verdict.prime}P^1")
     else:
         s1, s2 = verdict.collision
-        print(f"collision: {s1} and {s2} coincide mod {prime} (delta = {verdict.delta})")
+        print(f"collision: {s1} and {s2} coincide mod {verdict.prime} (delta = {verdict.delta})")
     return 0
 
 

@@ -15,11 +15,6 @@ from dataclasses import dataclass
 
 _LOG_1_PLUS_SQRT2 = math.log(1.0 + math.sqrt(2.0))
 
-# Ratio by which homotoping an arc to the boundary of a Euclidean cylinder
-# can stretch it (extremal case: the arc is a diameter).  Exposed as a
-# documented constant only; no operation depends on it.
-CYLINDER_COMPARISON_RATIO = math.pi / 2
-
 TANGENCY_REL_TOL = 1e-9
 
 

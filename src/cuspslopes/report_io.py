@@ -1,9 +1,13 @@
 """Cusp-shape files and serialized analysis reports (JSON, schema v1).
 
-Floats are written with 17 significant digits so every binary64 value
-round-trips exactly; key order is fixed, so identical data produces
-identical bytes.  Loading is strict: unknown versions, non-finite numbers
-and internally inconsistent reports are rejected rather than coerced.
+Every document is written by ``json_text``: compact one-line JSON whose
+floats are their shortest round-trip ``repr``, so every binary64 value reads
+back exactly; key order is fixed, so identical data produces identical bytes.
+Loading is strict: unknown versions and non-finite numbers are rejected, and
+a report is rebuilt from its slopes, threshold, area floor and lemma prime,
+then compared field by field with the file.  v1 does not store the cusp
+basis, so the slope list itself (which slopes, their lengths, their order)
+cannot be re-derived.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ from .bound_calculus import (
     slope_count_bound,
     verify_counting_lemma,
 )
-from .cusp_geometry import CuspShape, DegenerateBasisError, Slope, area, intersection_number
-from .slope_search import ShortSlopeReport, SlopeEntry, enumerate_short_slopes
+from .cusp_geometry import CuspShape, DegenerateBasisError, Slope, area
+from .slope_search import SlopeEntry, crossing_data, enumerate_short_slopes
 
 CUSP_FILE_FORMAT = "cusp-file"
 REPORT_FORMAT = "slope-analysis-report"
@@ -53,44 +57,12 @@ class RecordError:
 
 # ------------------------------ JSON plumbing ------------------------------
 
-def _format_float(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValueError(f"cannot serialize non-finite value {x!r}")
-    s = format(x, ".17g")
-    if "." not in s and "e" not in s and "E" not in s:
-        s += ".0"
-    return s
+def json_text(data) -> str:
+    """The one JSON writer: compact, one line, newline-terminated.
 
-
-def _dumps(value, indent: int = 0) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return _format_float(value)
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [
-            f"{inner}{json.dumps(str(k))}: {_dumps(v, indent + 1)}"
-            for k, v in value.items()
-        ]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        rendered = [_dumps(v, indent + 1) for v in value]
-        if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
-            return "[" + ", ".join(rendered) + "]"
-        return "[\n" + ",\n".join(inner + r for r in rendered) + f"\n{pad}]"
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+    Non-finite floats raise ``ValueError`` instead of writing NaN/Infinity.
+    """
+    return json.dumps(data, allow_nan=False) + "\n"
 
 
 def _reject_constant(token: str):
@@ -203,7 +175,7 @@ def save_cusp_file(shapes, path, *, sources: dict[str, str] | None = None) -> No
             rec["source"] = sources[name]
         records.append(rec)
     data = {"format": CUSP_FILE_FORMAT, "version": SCHEMA_VERSION, "cusps": records}
-    _write_text(path, _dumps(data) + "\n")
+    _write_text(path, json_text(data))
 
 
 def find_shape(shapes, name: str) -> CuspShape:
@@ -260,6 +232,30 @@ def build_analysis_report(
     )
 
 
+def bound_to_dict(bound: BoundReport) -> dict:
+    """The ``bound`` section of a report (also ``cuspslopes bound --json``)."""
+    return {
+        "length_threshold": bound.query.length_threshold,
+        "area_floor": bound.query.area_floor,
+        "delta_max": bound.delta_max,
+        "prime": bound.prime,
+        "count_bound": bound.count_bound,
+        "floor_guard_hit": bound.floor_guard_hit,
+    }
+
+
+def lemma_to_dict(lemma: LemmaVerdict) -> dict:
+    """The ``lemma`` section of a report (also ``lemma-verify --json``)."""
+    return {
+        "prime": lemma.prime,
+        "injective": lemma.injective,
+        "collision": (
+            None if lemma.collision is None else [[s.a, s.b] for s in lemma.collision]
+        ),
+        "delta": lemma.delta,
+    }
+
+
 def report_to_dict(report: AnalysisReport) -> dict:
     return {
         "format": REPORT_FORMAT,
@@ -274,29 +270,13 @@ def report_to_dict(report: AnalysisReport) -> dict:
         ],
         "delta_matrix": [list(row) for row in report.delta_matrix],
         "max_delta": report.max_delta,
-        "bound": {
-            "length_threshold": report.bound.query.length_threshold,
-            "area_floor": report.bound.query.area_floor,
-            "delta_max": report.bound.delta_max,
-            "prime": report.bound.prime,
-            "count_bound": report.bound.count_bound,
-            "floor_guard_hit": report.bound.floor_guard_hit,
-        },
-        "lemma": {
-            "prime": report.lemma.prime,
-            "injective": report.lemma.injective,
-            "collision": (
-                None
-                if report.lemma.collision is None
-                else [[s.a, s.b] for s in report.lemma.collision]
-            ),
-            "delta": report.lemma.delta,
-        },
+        "bound": bound_to_dict(report.bound),
+        "lemma": lemma_to_dict(report.lemma),
     }
 
 
 def report_to_json(report: AnalysisReport) -> str:
-    return _dumps(report_to_dict(report)) + "\n"
+    return json_text(report_to_dict(report))
 
 
 def save_report(report: AnalysisReport, path) -> None:
@@ -309,7 +289,11 @@ def _require(condition: bool, message: str) -> None:
 
 
 def report_from_dict(data: dict) -> AnalysisReport:
-    """Reconstruct and cross-check a report; inconsistent data is rejected."""
+    """Rebuild a report from its inputs and require the data to match it.
+
+    The inputs are the slope records, ``threshold``, ``bound.area_floor``
+    and ``lemma.prime``; every other field must equal its recomputation.
+    """
     _check_header(data, REPORT_FORMAT, ReportFormatError)
     _require(isinstance(data.get("shape_name"), str), "missing shape_name")
     threshold = _finite_number(data.get("threshold"), "threshold", ReportFormatError)
@@ -328,7 +312,6 @@ def report_from_dict(data: dict) -> AnalysisReport:
         _require(isinstance(boundary, bool), "boundary flag must be a boolean")
         entries.append(SlopeEntry(Slope(rec["a"], rec["b"]), length, boundary))
 
-    slopes = [e.slope for e in entries]
     matrix = data.get("delta_matrix")
     _require(
         isinstance(matrix, list)
@@ -339,43 +322,16 @@ def report_from_dict(data: dict) -> AnalysisReport:
         ),
         "delta_matrix must be a matrix of integers",
     )
-    expected = [
-        [intersection_number(s1, s2) for s2 in slopes] for s1 in slopes
-    ]
-    _require(matrix == expected, "delta_matrix does not match the slope list")
-    max_delta = max((d for row in expected for d in row), default=0)
-    _require(data.get("max_delta") == max_delta, "max_delta does not match delta_matrix")
 
     raw_bound = data.get("bound")
     _require(isinstance(raw_bound, dict), "missing bound section")
-    query = BoundQuery(
-        _finite_number(raw_bound.get("length_threshold"), "bound length", ReportFormatError),
-        _finite_number(raw_bound.get("area_floor"), "bound area", ReportFormatError),
-    )
-    recomputed = slope_count_bound(query)
-    bound = BoundReport(
-        query,
-        recomputed.delta_max,
-        recomputed.prime,
-        recomputed.count_bound,
-        recomputed.floor_guard_hit,
-    )
-    for key in ("delta_max", "prime", "count_bound"):
-        _require(
-            raw_bound.get(key) == getattr(bound, key),
-            f"bound section is inconsistent at {key!r}",
-        )
+    area_floor = _finite_number(raw_bound.get("area_floor"), "bound area", ReportFormatError)
 
     raw_lemma = data.get("lemma")
     _require(isinstance(raw_lemma, dict), "missing lemma section")
     prime = raw_lemma.get("prime")
     _require(isinstance(prime, int) and not isinstance(prime, bool), "lemma prime must be an integer")
     _require(is_prime(prime), f"lemma modulus {prime} is not prime")
-    lemma = verify_counting_lemma(slopes, prime)
-    _require(
-        raw_lemma.get("injective") == lemma.injective,
-        "lemma verdict does not match recomputation",
-    )
 
     timestamp = data.get("timestamp")
     _require(
@@ -384,17 +340,22 @@ def report_from_dict(data: dict) -> AnalysisReport:
     tool_version = data.get("tool_version")
     _require(isinstance(tool_version, str), "missing tool_version")
 
-    return AnalysisReport(
+    slopes = [e.slope for e in entries]
+    delta_matrix, max_delta = crossing_data(slopes)
+    report = AnalysisReport(
         shape_name=data["shape_name"],
         threshold=threshold,
         entries=tuple(entries),
-        delta_matrix=tuple(tuple(row) for row in expected),
+        delta_matrix=delta_matrix,
         max_delta=max_delta,
-        bound=bound,
-        lemma=lemma,
+        bound=slope_count_bound(BoundQuery(threshold, area_floor)),
+        lemma=verify_counting_lemma(slopes, prime),
         tool_version=tool_version,
         timestamp=timestamp,
     )
+    for key, value in report_to_dict(report).items():
+        _require(data.get(key) == value, f"{key!r} does not match the rebuilt report")
+    return report
 
 
 def load_report(path) -> AnalysisReport:

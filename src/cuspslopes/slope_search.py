@@ -94,16 +94,17 @@ def enumerate_short_slopes(shape: CuspShape, threshold: float) -> ShortSlopeRepo
                 found.append(SlopeEntry(s, length, boundary))
 
     found.sort(key=lambda e: (e.length, (e.slope.a, e.slope.b)))
-    slopes = [e.slope for e in found]
+    matrix, max_delta = crossing_data([e.slope for e in found])
+    return ShortSlopeReport(shape, threshold, tuple(found), matrix, max_delta)
+
+
+def crossing_data(slopes) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Pairwise intersection matrix of the slopes, in their order, and its
+    largest entry (0 when fewer than two slopes are given)."""
     matrix = tuple(
         tuple(intersection_number(s1, s2) for s2 in slopes) for s1 in slopes
     )
-    max_delta = 0
-    for i in range(len(slopes)):
-        for j in range(i + 1, len(slopes)):
-            if matrix[i][j] > max_delta:
-                max_delta = matrix[i][j]
-    return ShortSlopeReport(shape, threshold, tuple(found), matrix, max_delta)
+    return matrix, max((max(row) for row in matrix), default=0)
 
 
 def classify_slope(

@@ -116,18 +116,6 @@ def gauss_bonnet_area(s: SurfaceType) -> float:
     return 2.0 * math.pi * abs(chi)
 
 
-def horocusp_boundary_area_identity(boundary_length: float) -> float:
-    """Area of a surface horocusp region equals its boundary length.
-
-    In the half-plane, the region y >= y0 modulo a horizontal translation of
-    length t has hyperbolic area t/y0 and horocycle boundary length t/y0.
-    Returns the input; exists so audits can cite the identity explicitly.
-    """
-    if not (boundary_length > 0.0 and math.isfinite(boundary_length)):
-        raise ValueError(f"boundary length must be positive, got {boundary_length}")
-    return boundary_length
-
-
 def punctured_sphere_feasible(n: int, slope_length: float) -> bool:
     """Whether an essential n-punctured sphere with n-1 punctures on the
     filling slope is consistent with the 6|chi| budget: 6(n-2) >= (n-1)*len.

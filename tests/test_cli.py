@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from cuspslopes import slope_search
 from cuspslopes.bound_calculus import BoundQuery, slope_count_bound
 from cuspslopes.cli import main
 from cuspslopes.cusp_geometry import CuspShape
@@ -47,6 +48,20 @@ def test_slopes_json_matches_library(capsys, hex2_shape):
     assert [(r["a"], r["b"]) for r in data["slopes"]] == [
         (e.slope.a, e.slope.b) for e in report.entries
     ]
+
+
+def test_slopes_json_enumerates_once(capsys, monkeypatch):
+    calls = []
+    real_search_box = slope_search.search_box
+
+    def counting_search_box(*args):
+        calls.append(args)
+        return real_search_box(*args)
+
+    monkeypatch.setattr(slope_search, "search_box", counting_search_box)
+    code, _, _ = run_cli(capsys, "slopes", "--cusp", HEX2, "--name", "hex2", "--json")
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_slopes_2pi_sugar(capsys, hex2_shape):

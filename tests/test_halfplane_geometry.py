@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuspslopes.halfplane_geometry import (
-    CYLINDER_COMPARISON_RATIO,
     HorodiskPair,
     WrappingQuery,
     boundary_length_lower_bound,
@@ -158,7 +157,3 @@ def test_wrapping_bound_linear_in_length():
         assert wrapping_bound(WrappingQuery(eps, 2.0 * l)) == pytest.approx(
             2.0 * wrapping_bound(WrappingQuery(eps, l)), rel=1e-12
         )
-
-
-def test_cylinder_comparison_constant_documented():
-    assert CYLINDER_COMPARISON_RATIO == pytest.approx(math.pi / 2.0)

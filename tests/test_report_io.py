@@ -14,6 +14,7 @@ from cuspslopes.report_io import (
     ReportFormatError,
     build_analysis_report,
     find_shape,
+    json_text,
     load_cusp_file,
     load_report,
     parse_cusp_records,
@@ -176,32 +177,54 @@ def test_report_recomputation_agrees(hex2_report):
     assert loaded.lemma.injective
 
 
-def test_tampered_delta_matrix_rejected(hex2_report):
+def _edit(*path, to):
+    """A mutation replacing the value at ``path`` with ``to(old value)``."""
+
+    def mutate(data):
+        *head, last = path
+        for key in head:
+            data = data[key]
+        data[last] = to(data[last])
+
+    return mutate
+
+
+# (id, mutation of hex2's report dict, fragment of the expected error)
+TAMPERS = [
+    ("delta_matrix", _edit("delta_matrix", 0, 1, to=lambda d: d + 1), "delta_matrix"),
+    ("max_delta", _edit("max_delta", to=lambda _: 9), "max_delta"),
+    ("bound", _edit("bound", "prime", to=lambda _: 13), "bound"),
+    ("lemma", _edit("lemma", "injective", to=lambda _: False), "lemma"),
+    ("non_integer_matrix", _edit("delta_matrix", 0, 1, to=float), "integers"),
+    ("threshold", _edit("threshold", to=lambda _: 7.0), "bound"),
+    ("lemma_delta", _edit("lemma", "delta", to=lambda _: 11), "lemma"),
+    ("lemma_collision", _edit("lemma", "collision", to=lambda _: [[1, 0], [0, 1]]), "lemma"),
+    ("floor_guard_hit", _edit("bound", "floor_guard_hit", to=lambda v: not v), "bound"),
+    ("slope_sign", _edit("slopes", 0, to=lambda r: {**r, "a": -r["a"], "b": -r["b"]}), "slopes"),
+    (
+        "missing_boundary",
+        _edit("slopes", 0, to=lambda r: {k: v for k, v in r.items() if k != "boundary"}),
+        "slopes",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "mutate, match", [pytest.param(m, match, id=name) for name, m, match in TAMPERS]
+)
+def test_tampered_report_rejected(hex2_report, mutate, match):
     data = report_to_dict(hex2_report)
-    data["delta_matrix"][0][1] += 1
-    with pytest.raises(ReportFormatError, match="delta_matrix"):
+    mutate(data)
+    with pytest.raises(ReportFormatError, match=match):
         report_from_dict(data)
 
 
-def test_tampered_max_delta_rejected(hex2_report):
-    data = report_to_dict(hex2_report)
-    data["max_delta"] = 9
-    with pytest.raises(ReportFormatError, match="max_delta"):
-        report_from_dict(data)
-
-
-def test_tampered_bound_rejected(hex2_report):
-    data = report_to_dict(hex2_report)
-    data["bound"]["prime"] = 13
-    with pytest.raises(ReportFormatError, match="bound"):
-        report_from_dict(data)
-
-
-def test_tampered_lemma_rejected(hex2_report):
-    data = report_to_dict(hex2_report)
-    data["lemma"]["injective"] = False
-    with pytest.raises(ReportFormatError, match="lemma"):
-        report_from_dict(data)
+def test_json_text_one_line_and_finite_only():
+    assert json_text({"x": [0.1, 2.0], "y": None}) == '{"x": [0.1, 2.0], "y": null}\n'
+    with pytest.raises(ValueError):
+        json_text({"x": math.nan})
+    with pytest.raises(ValueError):
+        json_text([math.inf])
 
 
 def test_version_mismatch_is_explicit(hex2_report):
@@ -223,13 +246,6 @@ def test_boundary_flag_must_be_boolean(hex2_report):
     data = report_to_dict(hex2_report)
     data["slopes"][0]["boundary"] = "false"
     with pytest.raises(ReportFormatError, match="boundary"):
-        report_from_dict(data)
-
-
-def test_non_integer_matrix_rejected(hex2_report):
-    data = report_to_dict(hex2_report)
-    data["delta_matrix"][0][1] = float(data["delta_matrix"][0][1])
-    with pytest.raises(ReportFormatError, match="integers"):
         report_from_dict(data)
 
 

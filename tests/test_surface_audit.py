@@ -1,5 +1,4 @@
-"""Surface-side inequality audits, with a quadrature oracle for the
-horocusp area = boundary length identity."""
+"""Surface-side inequality audits."""
 
 from __future__ import annotations
 
@@ -9,7 +8,6 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 
 from cuspslopes.surface_audit import (
     CUSP_LENGTH_BUDGET_PER_CHI,
@@ -21,7 +19,6 @@ from cuspslopes.surface_audit import (
     doubled_surface_chain,
     euler_characteristic,
     gauss_bonnet_area,
-    horocusp_boundary_area_identity,
     punctured_sphere_feasible,
 )
 
@@ -138,31 +135,6 @@ def test_gauss_bonnet_examples():
     assert gauss_bonnet_area(SurfaceType(2, 0)) == pytest.approx(4.0 * math.pi)
     with pytest.raises(ValueError):
         gauss_bonnet_area(SurfaceType(0, 0, 2))
-
-
-def test_identity_examples():
-    assert horocusp_boundary_area_identity(6.0) == 6.0
-    assert horocusp_boundary_area_identity(1.0) == 1.0
-    with pytest.raises(ValueError):
-        horocusp_boundary_area_identity(0.0)
-    with pytest.raises(ValueError):
-        horocusp_boundary_area_identity(-3.0)
-
-
-def test_identity_quadrature_oracle():
-    # region y >= y0 modulo a horizontal translation of length t, with the
-    # hyperbolic area element dx dy / y^2: area = t/y0 = boundary length
-    rng = random.Random(53)
-    for _ in range(20):
-        y0 = rng.uniform(0.2, 5.0)
-        t = rng.uniform(0.5, 10.0)
-        area_integral, err = quad(lambda y: t / (y * y), y0, math.inf)
-        assert err < 1e-6  # quad's error estimate is conservative
-        boundary_length = t / y0
-        assert area_integral == pytest.approx(boundary_length, rel=1e-9)
-        assert horocusp_boundary_area_identity(boundary_length) == pytest.approx(
-            area_integral, rel=1e-9
-        )
 
 
 def test_budget_constant_from_packing_chain():
