@@ -335,7 +335,7 @@ def main(argv=None) -> int:
         return e.code if isinstance(e.code, int) else 2
     try:
         return args.func(args)
-    except (ValueError, OSError) as e:
+    except (ValueError, OverflowError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

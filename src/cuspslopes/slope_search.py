@@ -2,9 +2,14 @@
 
 A slope is short when its geodesic length is at most a threshold (default 6,
 the six-theorem cutoff below which a filling can fail to be hyperbolike).
-The search box is derived from the lattice heights orthogonal to each basis
-vector, which makes completeness provable and easy to check against brute
-force.
+The marked basis is first reduced with the 2-D Lagrange-Gauss algorithm
+(Nguyen-Stehle, "Low-dimensional lattice basis reduction revisited", ANTS
+2004), and the search box comes from the lattice heights orthogonal to each
+reduced vector.  That box depends only on the lattice, so its size does not
+grow with the skew of the marking, and completeness stays provable and easy
+to check against brute force.  The reduced basis only chooses which
+candidates are checked: every length, and the inclusion decision, is
+computed in the marked basis.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .cusp_geometry import CuspShape, Slope, area, intersection_number, slope_length
+from .cusp_geometry import CuspShape, Slope, Vec2, area, intersection_number, slope_length
 
 # Slopes strictly longer than this have hyperbolike fillings.
 SIX_THEOREM_LENGTH = 6.0
@@ -21,6 +26,14 @@ SIX_THEOREM_LENGTH = 6.0
 # Lengths within this of the threshold are included and flagged, so census
 # noise cannot silently drop an equality case.
 BOUNDARY_TOL = 1e-12
+
+# Relative widening of the threshold for the reduced-basis box.  A length is
+# computed in the marked basis as hypot(a*mx + b*lx, a*my + b*ly), whose
+# error is a few ulps of |a||m| + |b||l|.  On a marking skewed to
+# longitude + k*meridian that is about 4|k|*eps of the length (eps = 2.2e-16),
+# so every slope the length test includes lies inside the widened circle
+# while |k| stays below about 10^6.
+_REDUCED_BOX_MARGIN = 1e-9
 
 
 class SlopeClass(enum.Enum):
@@ -72,26 +85,61 @@ def search_box(shape: CuspShape, threshold: float) -> tuple[int, int]:
     return amax, bmax
 
 
+def _reduced_basis(shape: CuspShape) -> tuple[Vec2, Vec2, tuple[int, int], tuple[int, int]]:
+    """Lagrange-Gauss reduced basis u, v of the cusp lattice (u shortest,
+    det(u, v) > 0) and the exact integer coordinates U, V of u and v in the
+    marked basis.  Each vector is recomputed from its integer coordinates, so
+    float error does not build up over the steps.
+    """
+    (mx, my), (lx, ly) = shape.meridian, shape.longitude
+
+    def vec(c):
+        return (c[0] * mx + c[1] * lx, c[0] * my + c[1] * ly)
+
+    def norm2(w):
+        return w[0] * w[0] + w[1] * w[1]
+
+    U, V = (1, 0), (0, 1)
+    u, v = shape.meridian, shape.longitude
+    if norm2(v) < norm2(u):
+        U, V, u, v = V, U, v, u
+    while True:
+        q = round((u[0] * v[0] + u[1] * v[1]) / norm2(u))
+        V = (V[0] - q * U[0], V[1] - q * U[1])
+        v = vec(V)
+        if norm2(v) >= norm2(u):
+            break
+        U, V, u, v = V, U, v, u
+    # The marked basis has det > 0, so det(u, v) has the sign of det(U, V).
+    if U[0] * V[1] - U[1] * V[0] < 0:
+        U, u = (-U[0], -U[1]), (-u[0], -u[1])
+    return u, v, U, V
+
+
 def enumerate_short_slopes(shape: CuspShape, threshold: float) -> ShortSlopeReport:
-    """All primitive slope classes with length <= threshold (+ boundary tol)."""
+    """All primitive slope classes with length <= threshold (+ boundary tol).
+
+    Included slopes longer than threshold - BOUNDARY_TOL are flagged boundary.
+    """
     if not (isinstance(threshold, (int, float)) and math.isfinite(threshold)):
         raise ValueError(f"threshold must be finite, got {threshold!r}")
     threshold = float(threshold)
     if threshold <= 0.0:
         raise ValueError(f"threshold must be positive, got {threshold}")
 
-    amax, bmax = search_box(shape, threshold)
+    u, v, U, V = _reduced_basis(shape)
+    imax, jmax = search_box(CuspShape(u, v), threshold * (1.0 + _REDUCED_BOX_MARGIN))
     found: list[SlopeEntry] = []
-    for b in range(0, bmax + 1):
-        a_range = (1,) if b == 0 else range(-amax, amax + 1)
-        for a in a_range:
-            if math.gcd(a, b) != 1:
+    for j in range(0, jmax + 1):
+        i_range = (1,) if j == 0 else range(-imax, imax + 1)
+        for i in i_range:
+            # (i, j) -> (a, b) is unimodular, so it preserves gcd = 1.
+            if math.gcd(i, j) != 1:
                 continue
-            s = Slope(a, b)
+            s = Slope(i * U[0] + j * V[0], i * U[1] + j * V[1])
             length = slope_length(shape, s)
             if length <= threshold + BOUNDARY_TOL:
-                boundary = abs(length - threshold) <= BOUNDARY_TOL
-                found.append(SlopeEntry(s, length, boundary))
+                found.append(SlopeEntry(s, length, length >= threshold - BOUNDARY_TOL))
 
     found.sort(key=lambda e: (e.length, (e.slope.a, e.slope.b)))
     matrix, max_delta = crossing_data([e.slope for e in found])

@@ -105,6 +105,13 @@ def test_bound_defaults(capsys):
     assert "slopes ≤ 12" in out
 
 
+def test_bound_overflow_is_domain_error(capsys):
+    code, out, err = run_cli(capsys, "bound", "--length", "1e200")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 # ---------------------------------------------------------------- lemma
 
 
@@ -155,6 +162,15 @@ def test_audit_json(capsys):
     data = json.loads(out)
     assert data["passed"] is True and data["sharp"] is True
     assert data["euler_characteristic"] == -1
+
+
+def test_audit_overflow_is_domain_error(capsys):
+    code, out, err = run_cli(
+        capsys, "audit", "--surface", "0,3,0", "--lengths", "1e308,1e308,1e308"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_audit_bad_surface_is_usage_error(capsys):

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cuspslopes import slope_search
 from cuspslopes.cusp_geometry import CuspShape, Slope, slope_length
 from cuspslopes.slope_search import (
+    BOUNDARY_TOL,
     SIX_THEOREM_LENGTH,
     SlopeClass,
     classify_slope,
@@ -103,6 +105,15 @@ def test_boundary_flag_at_exact_threshold():
     assert all(e.boundary for e in report.entries)
 
 
+def test_boundary_flag_follows_inclusion():
+    # 6.000000000001 - 6 rounds to just over BOUNDARY_TOL, yet the slope is
+    # included; every included slope that long must be flagged
+    shape = CuspShape((6.000000000001, 0.0), (0.0, 100.0))
+    report = enumerate_short_slopes(shape, 6.0)
+    assert report.slopes == (Slope(1, 0),)
+    assert report.entries[0].boundary
+
+
 def test_threshold_validation(square_shape):
     for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError):
@@ -177,3 +188,83 @@ def test_classify_threshold_is_strict():
 
 def test_default_threshold_constant():
     assert SIX_THEOREM_LENGTH == 6.0
+
+
+# ---------------------------------------------------------------- skewed markings
+
+
+def marked_box_scan(shape: CuspShape, threshold: float) -> list[tuple[Slope, float, bool]]:
+    """The unreduced enumeration: scan the marked-basis search box, with the
+    library's inclusion and boundary rule and its order."""
+    amax, bmax = search_box(shape, threshold)
+    found = []
+    for b in range(0, bmax + 1):
+        for a in (1,) if b == 0 else range(-amax, amax + 1):
+            if math.gcd(a, b) != 1:
+                continue
+            s = Slope(a, b)
+            length = slope_length(shape, s)
+            if length <= threshold + BOUNDARY_TOL:
+                found.append((s, length, length >= threshold - BOUNDARY_TOL))
+    found.sort(key=lambda e: (e[1], (e[0].a, e[0].b)))
+    return found
+
+
+def skewed(shape: CuspShape, k: int) -> tuple[CuspShape, tuple[tuple[int, int], tuple[int, int]]]:
+    """The same torus marked by meridian and longitude + k * meridian."""
+    m = ((1, 0), (k, 1))
+    return change_basis(shape, m), m
+
+
+def reduced_shape(rng: random.Random) -> CuspShape:
+    """A turned torus of area in [1, 4] in a reduced marking: the shape
+    x + iy lies in the fundamental domain (|x| <= 1/2, |x + iy| >= 1, y <= 2)."""
+    x = rng.uniform(-0.5, 0.5)
+    y = rng.uniform(math.sqrt(1.0 - x * x), 2.0)
+    r = math.sqrt(rng.uniform(1.0, 4.0) / y)
+    phi = rng.uniform(0.0, 2.0 * math.pi)
+    c, s = math.cos(phi), math.sin(phi)
+    return CuspShape((r * c, r * s), (r * (x * c - y * s), r * (x * s + y * c)))
+
+
+def test_skewed_markings_match_marked_box_scan():
+    rng = random.Random(4001)
+    for k in (1, 10, 100, 1000, 3000):
+        for sign in (1, -1):
+            for _ in range(4):
+                shape = skewed(reduced_shape(rng), sign * k)[0]
+                if rng.random() < 0.5:
+                    shape = CuspShape(shape.longitude, shape.meridian)
+                threshold = rng.uniform(0.5, 4.0)
+                report = enumerate_short_slopes(shape, threshold)
+                got = [(e.slope, e.length, e.boundary) for e in report.entries]
+                assert got == marked_box_scan(shape, threshold)
+
+
+@pytest.mark.parametrize("k", [10**3, 5 * 10**4, 10**5])
+def test_large_skew_gives_hex2_slopes(hex2_shape, k):
+    base = enumerate_short_slopes(hex2_shape, 6.0)
+    shape, m = skewed(hex2_shape, k)
+    report = enumerate_short_slopes(shape, 6.0)
+    assert [e.length for e in report.entries] == pytest.approx(
+        [e.length for e in base.entries], rel=1e-9
+    )
+    assert set(report.slopes) == {transform_slope(s, m) for s in HEX2_EXPECTED}
+
+
+def test_enumeration_cost_flat_in_skew(hex2_shape, monkeypatch):
+    calls = []
+    real_slope_length = slope_search.slope_length
+
+    def counting_slope_length(*args):
+        calls.append(args)
+        return real_slope_length(*args)
+
+    monkeypatch.setattr(slope_search, "slope_length", counting_slope_length)
+    counts = []
+    # no skew, a shear by 10^5, and shears of both vectors (several steps)
+    for m in (((1, 0), (0, 1)), ((1, 0), (10**5, 1)), ((10**6 + 1, 10**3), (10**3, 1))):
+        calls.clear()
+        assert len(enumerate_short_slopes(change_basis(hex2_shape, m), 6.0)) == 12
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == counts[2]
