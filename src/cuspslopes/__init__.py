@@ -13,8 +13,6 @@ from .bound_calculus import (
     BoundQuery,
     BoundReport,
     LemmaVerdict,
-    ProjectivePoint,
-    delta_bound,
     project_to_fp,
     slope_count_bound,
     smallest_prime_greater,

@@ -6,6 +6,10 @@ pairwise crossings <= R injects into the projective line over F_p for any
 prime p > R, so it has at most p + 1 members.  With L = 6 and the
 Cao-Meyerhoff area floor 3.35 this gives the headline count bound 12; the
 older 2*pi / sqrt(3) regime gives 24 through the same pipeline.
+
+``slope_count_bound(q).delta_max`` is the crossing ceiling.  ``project_to_fp``
+sends (a, b) to the residue pair (1, b/a mod p), or (0, 1) when p | a; two
+primitive slopes share a pair exactly when p divides ad - bc.
 """
 
 from __future__ import annotations
@@ -51,6 +55,8 @@ class BoundQuery:
             raise ValueError("length threshold and area floor must be finite")
         if L <= 0.0 or A <= 0.0:
             raise ValueError("length threshold and area floor must be positive")
+        if not math.isfinite(L * L / A):
+            raise ValueError(f"L^2/A overflows for length threshold {L!r} and area floor {A!r}")
 
 
 @dataclass(frozen=True)
@@ -60,12 +66,6 @@ class BoundReport:
     prime: int
     count_bound: int
     floor_guard_hit: bool = False
-
-
-def delta_bound(q: BoundQuery) -> int:
-    """Crossing-number ceiling floor(L^2 / A) between slopes of length <= L."""
-    value, _ = guarded_floor(q.length_threshold**2 / q.area_floor)
-    return value
 
 
 def is_prime(n: int) -> bool:
@@ -99,50 +99,15 @@ def slope_count_bound(q: BoundQuery) -> BoundReport:
     return BoundReport(q, delta_max, p, p + 1, guard_hit)
 
 
-@dataclass(frozen=True)
-class ProjectivePoint:
-    """Point of the projective line over F_p, first nonzero coordinate 1."""
-
-    modulus: int
-    coords: tuple[int, int]
-
-    def __post_init__(self) -> None:
-        p = self.modulus
-        if not is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
-        x, y = self.coords
-        if not (0 <= x < p and 0 <= y < p):
-            raise ValueError(f"coordinates {self.coords} not reduced mod {p}")
-        if (x, y) == (0, 0):
-            raise ValueError("(0, 0) does not define a projective point")
-        if not (x == 1 or (x == 0 and y == 1)):
-            raise ValueError(f"coordinates {self.coords} not normalized")
-
-    @classmethod
-    def normalize(cls, modulus: int, x: int, y: int) -> "ProjectivePoint":
-        if not is_prime(modulus):
-            raise ValueError(f"modulus {modulus} is not prime")
-        x %= modulus
-        y %= modulus
-        if (x, y) == (0, 0):
-            raise ValueError("(0, 0) does not define a projective point")
-        # Scale by the inverse of the first nonzero coordinate.
-        if x != 0:
-            inv = pow(x, -1, modulus)
-        else:
-            inv = pow(y, -1, modulus)
-        return cls(modulus, ((x * inv) % modulus, (y * inv) % modulus))
-
-    def __str__(self) -> str:
-        return f"[{self.coords[0]}:{self.coords[1]}]"
-
-
-def project_to_fp(s: Slope, p: int) -> ProjectivePoint:
-    """Reduce a primitive slope (a, b) to (a mod p, b mod p) in F_p P^1.
-
-    Well defined for prime p: gcd(a, b) = 1 rules out (0, 0).
-    """
-    return ProjectivePoint.normalize(p, s.a, s.b)
+def project_to_fp(s: Slope, p: int) -> tuple[int, int]:
+    """The point of F_p P^1 of a primitive slope (a, b) for prime p, as
+    (1, b/a mod p), or (0, 1) when p | a; gcd(a, b) = 1 rules out (0, 0)."""
+    if not is_prime(p):
+        raise ValueError(f"modulus {p} is not prime")
+    a = s.a % p
+    if a == 0:
+        return (0, 1)
+    return (1, s.b * pow(a, -1, p) % p)
 
 
 @dataclass(frozen=True)
@@ -164,7 +129,7 @@ def verify_counting_lemma(slopes, p: int) -> LemmaVerdict:
     """
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
-    seen: dict[ProjectivePoint, Slope] = {}
+    seen: dict[tuple[int, int], Slope] = {}
     for s in sorted(set(slopes)):
         point = project_to_fp(s, p)
         if point in seen:

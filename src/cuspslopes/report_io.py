@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -27,7 +28,7 @@ from .bound_calculus import (
     verify_counting_lemma,
 )
 from .cusp_geometry import CuspShape, DegenerateBasisError, Slope, area
-from .slope_search import SlopeEntry, crossing_data, enumerate_short_slopes
+from .slope_search import SlopeEntry, _entry_key, crossing_data, enumerate_short_slopes
 
 CUSP_FILE_FORMAT = "cusp-file"
 REPORT_FORMAT = "slope-analysis-report"
@@ -288,11 +289,23 @@ def _require(condition: bool, message: str) -> None:
         raise ReportFormatError(message)
 
 
+def _same(x, y) -> bool:
+    """x == y with equal JSON types throughout: 8.0 is not 8, 1 is not true."""
+    if type(x) is not type(y):
+        return False
+    if isinstance(x, dict):
+        return x.keys() == y.keys() and all(_same(x[k], y[k]) for k in x)
+    if isinstance(x, list):
+        return len(x) == len(y) and all(map(_same, x, y))
+    return x == y
+
+
 def report_from_dict(data: dict) -> AnalysisReport:
     """Rebuild a report from its inputs and require the data to match it.
 
-    The inputs are the slope records, ``threshold``, ``bound.area_floor``
-    and ``lemma.prime``; every other field must equal its recomputation.
+    The inputs are the slope records, which must be strictly increasing in
+    the enumeration's order, ``threshold``, ``bound.area_floor`` and
+    ``lemma.prime``; every other field must equal its recomputation.
     """
     _check_header(data, REPORT_FORMAT, ReportFormatError)
     _require(isinstance(data.get("shape_name"), str), "missing shape_name")
@@ -311,6 +324,9 @@ def report_from_dict(data: dict) -> AnalysisReport:
         boundary = rec.get("boundary", False)
         _require(isinstance(boundary, bool), "boundary flag must be a boolean")
         entries.append(SlopeEntry(Slope(rec["a"], rec["b"]), length, boundary))
+    keys = [_entry_key(e) for e in entries]
+    ordered = all(map(operator.lt, keys, keys[1:]))
+    _require(ordered, "slopes must be distinct and sorted by (length, (a, b))")
 
     matrix = data.get("delta_matrix")
     _require(
@@ -353,8 +369,10 @@ def report_from_dict(data: dict) -> AnalysisReport:
         tool_version=tool_version,
         timestamp=timestamp,
     )
+    # The small derived fields must also match in JSON type.
     for key, value in report_to_dict(report).items():
-        _require(data.get(key) == value, f"{key!r} does not match the rebuilt report")
+        same = _same if key in ("max_delta", "bound", "lemma") else operator.eq
+        _require(same(data.get(key), value), f"{key!r} does not match the rebuilt report")
     return report
 
 

@@ -36,6 +36,11 @@ BOUNDARY_TOL = 1e-12
 _REDUCED_BOX_MARGIN = 1e-9
 
 
+def _is_short(length: float, threshold: float) -> bool:
+    """The inclusion test, shared by enumeration and classification."""
+    return length <= threshold + BOUNDARY_TOL
+
+
 class SlopeClass(enum.Enum):
     CANDIDATE_EXCEPTIONAL = "candidate_exceptional"
     HYPERBOLIKE_GUARANTEED = "hyperbolike_guaranteed"
@@ -46,6 +51,11 @@ class SlopeEntry:
     slope: Slope
     length: float
     boundary: bool = False
+
+
+def _entry_key(e: SlopeEntry) -> tuple[float, tuple[int, int]]:
+    """Enumeration order (length, then (a, b)); saved reports strictly increase in it."""
+    return (e.length, (e.slope.a, e.slope.b))
 
 
 @dataclass(frozen=True)
@@ -138,10 +148,10 @@ def enumerate_short_slopes(shape: CuspShape, threshold: float) -> ShortSlopeRepo
                 continue
             s = Slope(i * U[0] + j * V[0], i * U[1] + j * V[1])
             length = slope_length(shape, s)
-            if length <= threshold + BOUNDARY_TOL:
+            if _is_short(length, threshold):
                 found.append(SlopeEntry(s, length, length >= threshold - BOUNDARY_TOL))
 
-    found.sort(key=lambda e: (e.length, (e.slope.a, e.slope.b)))
+    found.sort(key=_entry_key)
     matrix, max_delta = crossing_data([e.slope for e in found])
     return ShortSlopeReport(shape, threshold, tuple(found), matrix, max_delta)
 
@@ -158,7 +168,8 @@ def crossing_data(slopes) -> tuple[tuple[tuple[int, ...], ...], int]:
 def classify_slope(
     shape: CuspShape, s: Slope, threshold: float = SIX_THEOREM_LENGTH
 ) -> SlopeClass:
-    """Strictly longer than the threshold guarantees a hyperbolike filling."""
-    if slope_length(shape, s) > threshold:
-        return SlopeClass.HYPERBOLIKE_GUARANTEED
-    return SlopeClass.CANDIDATE_EXCEPTIONAL
+    """Slopes the enumeration leaves out (longer than threshold + BOUNDARY_TOL)
+    have hyperbolike fillings; every slope it lists is a candidate."""
+    if _is_short(slope_length(shape, s), threshold):
+        return SlopeClass.CANDIDATE_EXCEPTIONAL
+    return SlopeClass.HYPERBOLIKE_GUARANTEED

@@ -56,6 +56,10 @@ class SurfaceAudit:
         lengths = tuple(float(x) for x in self.cusp_slope_lengths)
         if any(not math.isfinite(x) or x <= 0.0 for x in lengths):
             raise ValueError("cusp slope lengths must be positive and finite")
+        try:
+            math.fsum(lengths)
+        except OverflowError:
+            raise ValueError(f"cusp slope lengths {lengths} sum past the float range") from None
         if len(lengths) > self.surface.punctures:
             raise ValueError(
                 f"{len(lengths)} lengths listed for a surface with "

@@ -13,8 +13,6 @@ from cuspslopes.bound_calculus import (
     ADAMS_AREA,
     CAO_MEYERHOFF_AREA,
     BoundQuery,
-    ProjectivePoint,
-    delta_bound,
     guarded_floor,
     is_prime,
     project_to_fp,
@@ -28,19 +26,19 @@ from cuspslopes.slope_search import enumerate_short_slopes
 from conftest import random_shape, random_slope
 
 
-# ---------------------------------------------------------------- delta_bound
+# ---------------------------------------------------------------- crossing ceiling
 
 
 def test_delta_bound_headline():
-    assert delta_bound(BoundQuery(6.0, 3.35)) == 10
+    assert slope_count_bound(BoundQuery(6.0, 3.35)).delta_max == 10
 
 
 def test_delta_bound_two_pi_regime():
-    assert delta_bound(BoundQuery(2.0 * math.pi, math.sqrt(3.0))) == 22
+    assert slope_count_bound(BoundQuery(2.0 * math.pi, math.sqrt(3.0))).delta_max == 22
 
 
 def test_delta_bound_exact_ratio():
-    assert delta_bound(BoundQuery(6.0, 36.0)) == 1
+    assert slope_count_bound(BoundQuery(6.0, 36.0)).delta_max == 1
 
 
 def test_named_area_constants():
@@ -49,7 +47,9 @@ def test_named_area_constants():
 
 
 def test_query_validation():
-    for L, A in ((0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (math.inf, 1.0), (1.0, math.nan)):
+    # the last two are finite and positive, but L^2 / A leaves the float range
+    for L, A in ((0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (math.inf, 1.0), (1.0, math.nan),
+                 (1e200, 1.0), (1e150, 1e-100)):
         with pytest.raises(ValueError):
             BoundQuery(L, A)
 
@@ -124,8 +124,8 @@ def test_pipeline_guard_flag_surfaces():
 
 
 def test_projective_basis_points():
-    assert str(project_to_fp(Slope(1, 0), 11)) == "[1:0]"
-    assert str(project_to_fp(Slope(11, 1), 11)) == "[0:1]"
+    assert project_to_fp(Slope(1, 0), 11) == (1, 0)
+    assert project_to_fp(Slope(11, 1), 11) == (0, 1)
 
 
 def test_projective_distinct_points():
@@ -133,30 +133,33 @@ def test_projective_distinct_points():
 
 
 def test_projective_normalization_canonical():
-    # scalar multiples of the same residue pair normalize identically
-    assert ProjectivePoint.normalize(11, 7, 5) == ProjectivePoint.normalize(11, 14, 10)
-    assert ProjectivePoint.normalize(11, 0, 5) == ProjectivePoint.normalize(11, 0, 1)
+    # 2 * (7, 5) = (14, 10) = (3, 10) mod 11 is the same point as (7, 5)
+    assert project_to_fp(Slope(3, 10), 11) == project_to_fp(Slope(7, 5), 11) == (1, 7)
+    # (0, 5) is the point (0, 1)
+    assert project_to_fp(Slope(11, 5), 11) == (0, 1)
 
 
 def test_projective_point_count():
-    # F_p P^1 has exactly p + 1 points
+    # a window of primitive slopes covers F_p P^1, which has exactly p + 1 points
     for p in (2, 3, 5, 7, 11):
-        points = {ProjectivePoint.normalize(p, x, y) for x in range(p) for y in range(p) if x or y}
+        window = [Slope(a, b) for a in range(-p, p + 1) for b in range(0, p + 1)
+                  if (b > 0 or a == 1) and math.gcd(a, b) == 1]
+        points = {project_to_fp(s, p) for s in window}
         assert len(points) == p + 1
+        assert all(x == 1 or (x, y) == (0, 1) for x, y in points)
+        assert all(0 <= y < p for _x, y in points)
 
 
 def test_projective_requires_prime():
-    with pytest.raises(ValueError):
-        project_to_fp(Slope(1, 0), 10)
-    with pytest.raises(ValueError):
-        ProjectivePoint.normalize(9, 1, 1)
+    for p in (0, 1, 9, 10):
+        with pytest.raises(ValueError, match="not prime"):
+            project_to_fp(Slope(1, 0), p)
 
 
 def test_projective_never_zero():
     rng = random.Random(3)
     for _ in range(300):
-        pt = project_to_fp(random_slope(rng, 50), 13)
-        assert pt.coords != (0, 0)
+        assert project_to_fp(random_slope(rng, 50), 13) != (0, 0)
 
 
 # ---------------------------------------------------------------- lemma
@@ -183,6 +186,9 @@ def test_lemma_singleton():
 def test_lemma_requires_prime():
     with pytest.raises(ValueError):
         verify_counting_lemma([Slope(1, 0)], 12)
+    # checked up front, not only when a slope is reduced
+    with pytest.raises(ValueError):
+        verify_counting_lemma([], 12)
 
 
 def test_collision_soundness_random():
@@ -197,6 +203,30 @@ def test_collision_soundness_random():
             assert verdict.delta == intersection_number(s1, s2)
             assert verdict.delta > 0
             assert verdict.delta % p == 0
+
+
+def test_lemma_matches_divisibility_oracle():
+    # two primitive slopes share a point of F_p P^1 iff p | (ad - bc); the
+    # collision is the first such pair, scanning the sorted slopes in order
+    rng = random.Random(31)
+    collisions = 0
+    for _ in range(400):
+        p = rng.choice((2, 3, 5, 11, 13))
+        slopes = sorted({random_slope(rng, 30) for _ in range(rng.randint(0, 10))})
+        first = next(
+            (
+                (slopes[i], slopes[j])
+                for j in range(len(slopes))
+                for i in range(j)
+                if (slopes[i].a * slopes[j].b - slopes[i].b * slopes[j].a) % p == 0
+            ),
+            None,
+        )
+        verdict = verify_counting_lemma(slopes, p)
+        assert verdict.injective == (first is None)
+        assert verdict.collision == first
+        collisions += first is not None
+    assert 100 < collisions < 300
 
 
 def test_farey_window_saturates_bound():
@@ -221,7 +251,7 @@ def test_delta_bound_dominates_geometry():
         report = enumerate_short_slopes(shape, threshold)
         if len(report) < 2:
             continue
-        ceiling = delta_bound(BoundQuery(threshold, area(shape)))
+        ceiling = slope_count_bound(BoundQuery(threshold, area(shape))).delta_max
         assert report.max_delta <= ceiling
 
 

@@ -189,6 +189,25 @@ def _edit(*path, to):
     return mutate
 
 
+def _repeat_first_slope(data):
+    """Append slope 0 again, with its matrix row and column."""
+    data["slopes"].append(dict(data["slopes"][0]))
+    matrix = data["delta_matrix"]
+    for row in matrix:
+        row.append(row[0])
+    matrix.append(list(matrix[0]))
+
+
+def _swap_first_and_last_slopes(data):
+    """Swap slopes 0 and n - 1, permuting the matrix to match."""
+    slopes = data["slopes"]
+    slopes[0], slopes[-1] = slopes[-1], slopes[0]
+    order = list(range(len(slopes)))
+    order[0], order[-1] = order[-1], order[0]
+    matrix = data["delta_matrix"]
+    data["delta_matrix"] = [[matrix[i][j] for j in order] for i in order]
+
+
 # (id, mutation of hex2's report dict, fragment of the expected error)
 TAMPERS = [
     ("delta_matrix", _edit("delta_matrix", 0, 1, to=lambda d: d + 1), "delta_matrix"),
@@ -206,6 +225,16 @@ TAMPERS = [
         _edit("slopes", 0, to=lambda r: {k: v for k, v in r.items() if k != "boundary"}),
         "slopes",
     ),
+    ("duplicate_slope", _repeat_first_slope, "slopes"),
+    ("slope_order", _swap_first_and_last_slopes, "slopes"),
+    # derived fields retyped to equal values of another JSON type
+    ("max_delta_float", _edit("max_delta", to=float), "max_delta"),
+    ("injective_int", _edit("lemma", "injective", to=int), "lemma"),
+    ("floor_guard_hit_int", _edit("bound", "floor_guard_hit", to=int), "bound"),
+    ("prime_float", _edit("bound", "prime", to=float), "bound"),
+    ("count_bound_float", _edit("bound", "count_bound", to=float), "bound"),
+    ("delta_max_float", _edit("bound", "delta_max", to=float), "bound"),
+    ("lemma_prime_float", _edit("lemma", "prime", to=float), "lemma prime"),
 ]
 
 

@@ -186,6 +186,25 @@ def test_classify_threshold_is_strict():
     assert classify_slope(shape, Slope(1, 0), threshold=5.9) is SlopeClass.HYPERBOLIKE_GUARANTEED
 
 
+def test_classify_agrees_with_enumeration():
+    # (1, 0) is 6.000000000001 long: just past T = 6, inside the boundary band
+    shape = CuspShape((6.000000000001, 0.0), (0.0, 100.0))
+    assert enumerate_short_slopes(shape, 6.0).slopes == (Slope(1, 0),)
+    assert classify_slope(shape, Slope(1, 0)) is SlopeClass.CANDIDATE_EXCEPTIONAL
+    rng = random.Random(37)
+    for _ in range(40):
+        shape = random_shape(rng)
+        threshold = rng.uniform(0.5, 5.0)
+        listed = set(enumerate_short_slopes(shape, threshold).slopes)
+        for s in listed | brute_force_short_slopes(shape, threshold + 1.0, 8):
+            expected = (
+                SlopeClass.CANDIDATE_EXCEPTIONAL
+                if s in listed
+                else SlopeClass.HYPERBOLIKE_GUARANTEED
+            )
+            assert classify_slope(shape, s, threshold) is expected
+
+
 def test_default_threshold_constant():
     assert SIX_THEOREM_LENGTH == 6.0
 

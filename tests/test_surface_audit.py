@@ -80,6 +80,9 @@ def test_audit_validation():
     with pytest.raises(ValueError):
         # more lengths than punctures mapped into the cusp
         SurfaceAudit(SurfaceType(1, 1), (1.0, 1.0))
+    with pytest.raises(ValueError):
+        # each length is finite, but their sum is not
+        SurfaceAudit(SurfaceType(0, 3), (1e308, 1e308))
 
 
 def test_unlisted_punctures_contribute_zero():
