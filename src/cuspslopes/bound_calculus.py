@@ -9,7 +9,10 @@ older 2*pi / sqrt(3) regime gives 24 through the same pipeline.
 
 ``slope_count_bound(q).delta_max`` is the crossing ceiling.  ``project_to_fp``
 sends (a, b) to the residue pair (1, b/a mod p), or (0, 1) when p | a; two
-primitive slopes share a pair exactly when p divides ad - bc.
+primitive slopes share a pair exactly when p divides ad - bc.  Work stays
+bounded on hostile inputs: ``BoundQuery`` rejects L^2/A >= 2^53, and
+``is_prime`` is deterministic Miller-Rabin, a domain error past its exact
+range.
 """
 
 from __future__ import annotations
@@ -30,6 +33,24 @@ ADAMS_AREA = math.sqrt(3.0)
 # flooring; ingested constants may be perturbed at the 1e-15 level.
 FLOOR_GUARD_REL_TOL = 1e-9
 
+# From 2^53 on, binary64 no longer resolves every integer, so floor(L^2/A)
+# would mean nothing.
+MAX_CROSSING_RATIO = 2.0**53
+
+# Deterministic Miller-Rabin: an odd n > 1 that is a strong probable prime to
+# the first k prime bases is prime when n < psi_k (OEIS A014233).  The last
+# value, about 3.3e24, is psi_13 (Sorenson-Webster, "Strong pseudoprimes to
+# twelve prime bases", Math. Comp. 2017); the first twelve bases alone stop
+# at psi_12, about 3.2e23.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051,
+    3825123056546413051, 3825123056546413051, 318665857834031151167461,
+    3317044064679887385961981,
+)
+_MR_LIMIT = _MR_PSI[-1]
+
 
 def guarded_floor(x: float) -> tuple[int, bool]:
     """floor(x), except values within the relative guard of an integer snap
@@ -44,7 +65,7 @@ def guarded_floor(x: float) -> tuple[int, bool]:
 
 @dataclass(frozen=True)
 class BoundQuery:
-    """Length threshold L and area floor A feeding the pipeline."""
+    """Length threshold L and area floor A feeding the pipeline, as floats."""
 
     length_threshold: float
     area_floor: float
@@ -53,10 +74,20 @@ class BoundQuery:
         L, A = self.length_threshold, self.area_floor
         if not (math.isfinite(L) and math.isfinite(A)):
             raise ValueError("length threshold and area floor must be finite")
+        if type(L) is not float or type(A) is not float:  # e.g. ints
+            L, A = float(L), float(A)
+            object.__setattr__(self, "length_threshold", L)
+            object.__setattr__(self, "area_floor", A)
         if L <= 0.0 or A <= 0.0:
             raise ValueError("length threshold and area floor must be positive")
-        if not math.isfinite(L * L / A):
+        ratio = L * L / A
+        if not math.isfinite(ratio):
             raise ValueError(f"L^2/A overflows for length threshold {L!r} and area floor {A!r}")
+        if ratio >= MAX_CROSSING_RATIO:
+            raise ValueError(
+                f"L^2/A = {ratio!r} reaches 2**53 for length threshold {L!r} and area "
+                f"floor {A!r}; its floor is not exact in binary64"
+            )
 
 
 @dataclass(frozen=True)
@@ -69,16 +100,37 @@ class BoundReport:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic trial division; inputs here are tiny."""
+    """Trial division by 2 and the odd numbers up to 41, then deterministic
+    Miller-Rabin to the first thirteen prime bases, stopping after the first
+    k once n < psi_k.  Exact below about 3.3e24; larger n raise
+    ``ValueError``."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"primality of {n} is only decided below {_MR_LIMIT}")
     if n < 2:
         return False
     if n % 2 == 0:
         return n == 2
     f = 3
-    while f * f <= n:
+    while f <= 41:
+        if f * f > n:
+            return True
         if n % f == 0:
-            return False
+            return n == f
         f += 2
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a, psi in zip(_MR_BASES, _MR_PSI):
+        x = pow(a, d, n)
+        if x != 1 and x != n - 1:
+            for _ in range(r - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < psi:
+            break
     return True
 
 

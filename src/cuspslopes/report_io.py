@@ -5,9 +5,15 @@ floats are their shortest round-trip ``repr``, so every binary64 value reads
 back exactly; key order is fixed, so identical data produces identical bytes.
 Loading is strict: unknown versions and non-finite numbers are rejected, and
 a report is rebuilt from its slopes, threshold, area floor and lemma prime,
-then compared field by field with the file.  v1 does not store the cusp
-basis, so the slope list itself (which slopes, their lengths, their order)
-cannot be re-derived.
+then compared field by field with the file.  The Delta matrix is checked
+row by row (``slope_search.crossing_matches``): each stored row must be a
+list of ints, and for sets of packed size its unsigned-array bytes must equal
+the packed kernel's row, so a value that does not fit the lane (a negative
+entry, 2^64) is a mismatch.  The loaded report takes its matrix and
+``max_delta`` from those verified rows, and slopes too large for a 64-bit
+lane are a ``ReportFormatError``.  v1 does not store the cusp basis, so the
+slope list itself (which slopes, their lengths, their order) cannot be
+re-derived.
 """
 
 from __future__ import annotations
@@ -27,8 +33,8 @@ from .bound_calculus import (
     slope_count_bound,
     verify_counting_lemma,
 )
-from .cusp_geometry import CuspShape, DegenerateBasisError, Slope, area
-from .slope_search import SlopeEntry, _entry_key, crossing_data, enumerate_short_slopes
+from .cusp_geometry import CuspShape, DegenerateBasisError, NonPrimitiveSlopeError, Slope, area
+from .slope_search import SlopeEntry, _entry_key, crossing_matches, enumerate_short_slopes
 
 CUSP_FILE_FORMAT = "cusp-file"
 REPORT_FORMAT = "slope-analysis-report"
@@ -258,6 +264,11 @@ def lemma_to_dict(lemma: LemmaVerdict) -> dict:
 
 
 def report_to_dict(report: AnalysisReport) -> dict:
+    return _report_dict(report, [list(row) for row in report.delta_matrix])
+
+
+def _report_dict(report: AnalysisReport, matrix: list) -> dict:
+    """``report_to_dict`` with the ``delta_matrix`` rows given as lists."""
     return {
         "format": REPORT_FORMAT,
         "version": SCHEMA_VERSION,
@@ -269,7 +280,7 @@ def report_to_dict(report: AnalysisReport) -> dict:
             {"a": e.slope.a, "b": e.slope.b, "length": e.length, "boundary": e.boundary}
             for e in report.entries
         ],
-        "delta_matrix": [list(row) for row in report.delta_matrix],
+        "delta_matrix": matrix,
         "max_delta": report.max_delta,
         "bound": bound_to_dict(report.bound),
         "lemma": lemma_to_dict(report.lemma),
@@ -317,13 +328,17 @@ def report_from_dict(data: dict) -> AnalysisReport:
     for rec in raw_slopes:
         _require(isinstance(rec, dict), "slope records must be objects")
         _require(
-            isinstance(rec.get("a"), int) and isinstance(rec.get("b"), int),
+            type(rec.get("a")) is int and type(rec.get("b")) is int,
             "slope coordinates must be integers",
         )
         length = _finite_number(rec.get("length"), "slope length", ReportFormatError)
         boundary = rec.get("boundary", False)
         _require(isinstance(boundary, bool), "boundary flag must be a boolean")
-        entries.append(SlopeEntry(Slope(rec["a"], rec["b"]), length, boundary))
+        try:
+            slope = Slope(rec["a"], rec["b"])
+        except NonPrimitiveSlopeError as e:
+            raise ReportFormatError(f"slope record: {e}") from None
+        entries.append(SlopeEntry(slope, length, boundary))
     keys = [_entry_key(e) for e in entries]
     ordered = all(map(operator.lt, keys, keys[1:]))
     _require(ordered, "slopes must be distinct and sorted by (length, (a, b))")
@@ -331,23 +346,27 @@ def report_from_dict(data: dict) -> AnalysisReport:
     matrix = data.get("delta_matrix")
     _require(
         isinstance(matrix, list)
-        and all(
-            isinstance(row, list)
-            and all(isinstance(d, int) and not isinstance(d, bool) for d in row)
-            for row in matrix
-        ),
+        and all(type(row) is list and set(map(type, row)) <= {int} for row in matrix),
         "delta_matrix must be a matrix of integers",
     )
 
     raw_bound = data.get("bound")
     _require(isinstance(raw_bound, dict), "missing bound section")
     area_floor = _finite_number(raw_bound.get("area_floor"), "bound area", ReportFormatError)
+    try:
+        query = BoundQuery(threshold, area_floor)
+    except ValueError as e:
+        raise ReportFormatError(f"bound: {e}") from None
 
     raw_lemma = data.get("lemma")
     _require(isinstance(raw_lemma, dict), "missing lemma section")
     prime = raw_lemma.get("prime")
-    _require(isinstance(prime, int) and not isinstance(prime, bool), "lemma prime must be an integer")
-    _require(is_prime(prime), f"lemma modulus {prime} is not prime")
+    _require(type(prime) is int, "lemma prime must be an integer")
+    try:
+        prime_ok = is_prime(prime)
+    except ValueError as e:
+        raise ReportFormatError(f"lemma prime: {e}") from None
+    _require(prime_ok, f"lemma modulus {prime} is not prime")
 
     timestamp = data.get("timestamp")
     _require(
@@ -357,20 +376,26 @@ def report_from_dict(data: dict) -> AnalysisReport:
     _require(isinstance(tool_version, str), "missing tool_version")
 
     slopes = [e.slope for e in entries]
-    delta_matrix, max_delta = crossing_data(slopes)
+    delta_matrix = tuple(map(tuple, matrix))
+    try:
+        same = crossing_matches(slopes, delta_matrix)
+    except OverflowError as e:
+        raise ReportFormatError(f"slopes: {e}") from None
+    _require(same, "'delta_matrix' does not match the rebuilt report")
     report = AnalysisReport(
         shape_name=data["shape_name"],
         threshold=threshold,
         entries=tuple(entries),
         delta_matrix=delta_matrix,
-        max_delta=max_delta,
-        bound=slope_count_bound(BoundQuery(threshold, area_floor)),
+        max_delta=max(map(max, delta_matrix), default=0),
+        bound=slope_count_bound(query),
         lemma=verify_counting_lemma(slopes, prime),
         tool_version=tool_version,
         timestamp=timestamp,
     )
-    # The small derived fields must also match in JSON type.
-    for key, value in report_to_dict(report).items():
+    # The verified rows stand for the matrix; the small derived fields must
+    # also match in JSON type.
+    for key, value in _report_dict(report, matrix).items():
         same = _same if key in ("max_delta", "bound", "lemma") else operator.eq
         _require(same(data.get(key), value), f"{key!r} does not match the rebuilt report")
     return report

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -101,6 +103,20 @@ def transform_slope(s: Slope, m: Mat2) -> Slope:
     """Coordinates of the same curve in the changed basis: (a' b') = (a b) m^-1."""
     (p, q), (r, s_) = m
     return Slope(s.a * s_ - s.b * r, -s.a * q + s.b * p)
+
+
+def run_timed(body: str, *argv: str, kill_after: float = 30.0):
+    """Run ``body`` in a fresh interpreter (``sys`` imported, ``argv`` as
+    ``sys.argv[1:]``) and return the seconds the body took, timed in the
+    child so interpreter start-up is left out, with the finished process.
+    The child is killed after ``kill_after`` seconds, so a hang fails."""
+    timed = ("import sys, time\nt0 = time.perf_counter()\n"
+             + body + "\nsys.stderr.write(f'\\nseconds {time.perf_counter() - t0}\\n')\n")
+    proc = subprocess.run([sys.executable, "-c", timed, *argv], capture_output=True,
+                          text=True, timeout=kill_after)
+    last = proc.stderr.rstrip().rsplit("\n", 1)[-1]
+    seconds = float(last.split()[1]) if last.startswith("seconds ") else math.inf
+    return seconds, proc
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuspslopes.bound_calculus import (
+    _MR_PSI,
     ADAMS_AREA,
     CAO_MEYERHOFF_AREA,
     BoundQuery,
@@ -54,6 +55,23 @@ def test_query_validation():
             BoundQuery(L, A)
 
 
+def test_query_inputs_become_floats():
+    q = BoundQuery(6, 3)
+    assert (q.length_threshold, q.area_floor) == (6.0, 3.0)
+    assert type(q.length_threshold) is float and type(q.area_floor) is float
+    assert slope_count_bound(q) == slope_count_bound(BoundQuery(6.0, 3.0))
+
+
+def test_query_rejects_unresolvable_ratio():
+    # L^2/A >= 2^53: binary64 no longer resolves the floor
+    message = r"reaches 2\*\*53 for length threshold 1000000000.0 and area floor 3.35"
+    with pytest.raises(ValueError, match=message):
+        BoundQuery(1e9, 3.35)
+    with pytest.raises(ValueError, match=r"2\*\*53"):
+        BoundQuery(2.0**26.5, 1.0)
+    assert slope_count_bound(BoundQuery(1e8, 3.35)).delta_max == 2985074626865672
+
+
 def test_guarded_floor_snaps_up():
     value, hit = guarded_floor(12.0 - 1e-12)
     assert (value, hit) == (12, True)
@@ -86,6 +104,32 @@ def test_is_prime_small_table():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31}
     for n in range(-2, 32):
         assert is_prime(n) == (n in primes)
+
+
+def test_is_prime_matches_sieve():
+    n = 10**6
+    sieve = bytearray([1]) * (n + 1)
+    sieve[0] = sieve[1] = 0
+    for i in range(2, math.isqrt(n) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, n + 1, i)))
+    assert [k for k in range(n + 1) if is_prime(k)] == [k for k in range(n + 1) if sieve[k]]
+
+
+def test_is_prime_large_values():
+    # each psi_k is a strong pseudoprime to the first k prime bases
+    assert not any(is_prime(psi) for psi in _MR_PSI[:-1])
+    assert all(is_prime(p) for p in (2**31 - 1, 2**61 - 1, 1000000000000037))
+    assert not is_prime((2**31 - 1) * 1000000000000037)
+    assert not is_prime(1000003 * 1000000000000037)
+
+
+def test_is_prime_domain_limit():
+    assert not is_prime(_MR_PSI[-1] - 1)  # even
+    with pytest.raises(ValueError, match="only decided below"):
+        is_prime(_MR_PSI[-1])
+    with pytest.raises(ValueError, match="only decided below"):
+        is_prime(2**89 - 1)
 
 
 @given(st.integers(0, 5000))

@@ -18,7 +18,7 @@ from cuspslopes.halfplane_geometry import extremal_ratio
 from cuspslopes.report_io import build_analysis_report, load_report, report_to_json
 from cuspslopes.slope_search import enumerate_short_slopes
 
-from conftest import FIXTURES
+from conftest import FIXTURES, run_timed
 
 HEX2 = str(FIXTURES / "hex2.json")
 
@@ -112,6 +112,18 @@ def test_bound_overflow_is_domain_error(capsys):
     assert err == (
         "error: L^2/A overflows for length threshold 1e+200 and area floor 3.35\n"
     )
+
+
+@pytest.mark.parametrize("length, code", [("1e8", 0), ("1e9", 1)])
+def test_bound_huge_length_is_fast(length, code):
+    seconds, proc = run_timed(
+        "from cuspslopes.cli import main\nstatus = main(sys.argv[1:])\nprint('exit', status)",
+        "bound", "--length", length,
+    )
+    assert proc.stdout.splitlines()[-1] == f"exit {code}"
+    if code:
+        assert "error: L^2/A = 2.985074626865672e+17 reaches 2**53" in proc.stderr
+    assert seconds < 1.0
 
 
 # ---------------------------------------------------------------- lemma

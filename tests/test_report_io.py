@@ -8,6 +8,7 @@ import math
 
 import pytest
 
+from cuspslopes import bound_calculus, cusp_geometry, report_io, slope_search
 from cuspslopes.cusp_geometry import CuspShape, Slope
 from cuspslopes.report_io import (
     CuspFileError,
@@ -24,8 +25,9 @@ from cuspslopes.report_io import (
     save_cusp_file,
     save_report,
 )
+from cuspslopes.slope_search import enumerate_short_slopes
 
-from conftest import FIXTURES
+from conftest import FIXTURES, run_timed
 
 
 # ---------------------------------------------------------------- cusp files
@@ -216,6 +218,8 @@ TAMPERS = [
     ("lemma", _edit("lemma", "injective", to=lambda _: False), "lemma"),
     ("non_integer_matrix", _edit("delta_matrix", 0, 1, to=float), "integers"),
     ("threshold", _edit("threshold", to=lambda _: 7.0), "bound"),
+    ("threshold_past_2_53", _edit("threshold", to=lambda _: 1e9), "bound"),
+    ("negative_area_floor", _edit("bound", "area_floor", to=lambda _: -1.0), "bound"),
     ("lemma_delta", _edit("lemma", "delta", to=lambda _: 11), "lemma"),
     ("lemma_collision", _edit("lemma", "collision", to=lambda _: [[1, 0], [0, 1]]), "lemma"),
     ("floor_guard_hit", _edit("bound", "floor_guard_hit", to=lambda v: not v), "bound"),
@@ -235,6 +239,23 @@ TAMPERS = [
     ("count_bound_float", _edit("bound", "count_bound", to=float), "bound"),
     ("delta_max_float", _edit("bound", "delta_max", to=float), "bound"),
     ("lemma_prime_float", _edit("lemma", "prime", to=float), "lemma prime"),
+    # slope records the Slope constructor refuses
+    ("non_primitive_slope", _edit("slopes", 0, to=lambda r: {**r, "a": 2, "b": 4}), "primitive"),
+    (
+        "bool_slope_coordinate",
+        _edit("slopes", 0, to=lambda r: {**r, "a": True, "b": 1}),
+        "integers",
+    ),
+    # matrix rows that the packed row compare must reject
+    ("negated_entry", _edit("delta_matrix", 0, 1, to=lambda d: -d), "delta_matrix"),
+    ("entry_2_64", _edit("delta_matrix", 0, 1, to=lambda _: 2**64), "delta_matrix"),
+    ("row_one_short", _edit("delta_matrix", 0, to=lambda row: row[:-1]), "delta_matrix"),
+    ("row_one_long", _edit("delta_matrix", 0, to=lambda row: row + [0]), "delta_matrix"),
+    (
+        "true_for_one",
+        _edit("delta_matrix", 0, to=lambda row: [True if d == 1 else d for d in row]),
+        "integers",
+    ),
 ]
 
 
@@ -246,6 +267,87 @@ def test_tampered_report_rejected(hex2_report, mutate, match):
     mutate(data)
     with pytest.raises(ReportFormatError, match=match):
         report_from_dict(data)
+
+
+# hex2 at T = 4 has 6 slopes, fewer than _PACKED_MIN_SLOPES, so its matrix is
+# checked pair by pair; the TAMPERS rows above check 12 slopes through the
+# packed rows.
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        _edit("delta_matrix", 0, 1, to=lambda d: d + 1),
+        _edit("delta_matrix", 0, 1, to=lambda d: -d),
+        _edit("delta_matrix", 0, to=lambda row: row[:-1]),
+        _edit("delta_matrix", 0, to=lambda row: [True if d == 1 else d for d in row]),
+    ],
+    ids=["entry", "negated_entry", "row_one_short", "true_for_one"],
+)
+def test_tampered_small_report_rejected(hex2_shape, mutate):
+    data = report_to_dict(build_analysis_report(hex2_shape, 4.0))
+    assert len(data["slopes"]) < slope_search._PACKED_MIN_SLOPES
+    mutate(data)
+    with pytest.raises(ReportFormatError, match="delta_matrix"):
+        report_from_dict(data)
+
+
+def test_slopes_past_lane_range_rejected(hex2_report):
+    data = report_to_dict(hex2_report)
+    data["slopes"] = [
+        {"a": 1, "b": 2**31, "length": 1.0, "boundary": False},
+        {"a": 2**31, "b": 1, "length": 2.0, "boundary": False},
+    ]
+    data["delta_matrix"] = [[0, 1], [1, 0]]
+    with pytest.raises(ReportFormatError, match=r"2\*\*63"):
+        report_from_dict(data)
+
+
+def test_huge_lemma_prime_rejected(hex2_report):
+    data = report_to_dict(hex2_report)
+    data["lemma"]["prime"] = 2**89 - 1  # past the exact Miller-Rabin range
+    with pytest.raises(ReportFormatError, match="lemma prime"):
+        report_from_dict(data)
+
+
+def test_mersenne_lemma_prime_loads_fast(hex2_report, tmp_path):
+    # 2^61 - 1 is prime; trial division would take minutes
+    data = report_to_dict(hex2_report)
+    data["lemma"]["prime"] = 2**61 - 1
+    path = tmp_path / "mersenne.json"
+    path.write_text(json_text(data))
+    seconds, proc = run_timed(
+        "from cuspslopes.report_io import load_report\n"
+        "assert load_report(sys.argv[1]).lemma.prime == 2**61 - 1",
+        str(path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert seconds < 1.0
+
+
+def test_matrix_built_without_pairwise_calls(hex2_shape, monkeypatch):
+    calls = []
+    real = cusp_geometry.intersection_number
+
+    def counting_intersection_number(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (cusp_geometry, bound_calculus, slope_search, report_io):
+        if hasattr(module, "intersection_number"):
+            monkeypatch.setattr(module, "intersection_number", counting_intersection_number)
+    short = enumerate_short_slopes(hex2_shape, 20.0)
+    report = build_analysis_report(hex2_shape, 20.0)
+    assert report_from_dict(report_to_dict(report)) == report
+    assert len(short) > 100 and calls == []
+
+
+@pytest.mark.parametrize("threshold, area_floor", [(6, None), (6.0, 3), (6, 3)])
+def test_int_inputs_round_trip(hex2_shape, tmp_path, threshold, area_floor):
+    report = build_analysis_report(hex2_shape, threshold, area_floor=area_floor)
+    assert type(report.bound.query.length_threshold) is float
+    assert type(report.bound.query.area_floor) is float
+    path = tmp_path / "ints.json"
+    save_report(report, path)
+    assert load_report(path) == report
 
 
 def test_json_text_one_line_and_finite_only():

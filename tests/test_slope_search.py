@@ -4,18 +4,22 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuspslopes import slope_search
-from cuspslopes.cusp_geometry import CuspShape, Slope, slope_length
+from cuspslopes.cusp_geometry import CuspShape, Slope, intersection_number, slope_length
 from cuspslopes.slope_search import (
     BOUNDARY_TOL,
     SIX_THEOREM_LENGTH,
     SlopeClass,
     classify_slope,
+    crossing_data,
+    crossing_matches,
+    crossing_rows,
     enumerate_short_slopes,
     search_box,
 )
@@ -89,6 +93,78 @@ def test_delta_matrix_shape_and_symmetry(hex2_shape):
     assert report.max_delta == max(
         report.delta_matrix[i][j] for i in range(n) for j in range(i + 1, n)
     )
+
+
+def _lane_set(rng: random.Random, amax: int, bmax: int, extremes) -> list[Slope]:
+    """The extreme slopes plus up to 40 seeded primitive slopes with
+    |a| <= amax and 0 <= b <= bmax, in random order."""
+    slopes = {Slope(a, b) for a, b in extremes}
+    for _ in range(40):
+        a, b = rng.randint(-amax, amax), rng.randint(0, bmax)
+        if math.gcd(a, b) == 1:
+            slopes.add(Slope(a, b))
+    slopes = sorted(slopes)
+    rng.shuffle(slopes)
+    return slopes
+
+
+# 2 * max|a| * max|b| just below 2^(w-1) keeps w-bit lanes (the extreme pair
+# (A, B), (-A, B) crosses exactly 2AB times); reaching it needs wider lanes.
+@pytest.mark.parametrize("k, bits", [(3, 8), (7, 16), (15, 32), (31, 64)])
+@pytest.mark.parametrize("seed", range(5))
+def test_crossing_rows_match_pairwise_just_below_lane_bound(k, bits, seed):
+    amax, bmax = 2**k - 1, 2**k + 1  # 2 * amax * bmax = 2^(2k+1) - 2
+    slopes = _lane_set(random.Random(seed), amax, bmax, [(amax, bmax), (-amax, bmax)])
+    code, _rows = crossing_rows(slopes)
+    assert array(code).itemsize * 8 == bits
+    matrix, max_delta = crossing_data(slopes)
+    assert matrix == tuple(tuple(intersection_number(s, t) for t in slopes) for s in slopes)
+    assert max_delta == 2 * amax * bmax
+
+
+@pytest.mark.parametrize("k, bits", [(3, 16), (7, 32), (15, 64)])
+@pytest.mark.parametrize("seed", range(5))
+def test_crossing_rows_match_pairwise_at_lane_bound(k, bits, seed):
+    top = 2**k  # 2 * max|a| * max|b| = 2^(2k+1)
+    slopes = _lane_set(random.Random(seed), top, top, [(top, 1), (-top, 1), (1, top), (-1, top)])
+    code, _rows = crossing_rows(slopes)
+    assert array(code).itemsize * 8 == bits
+    matrix, max_delta = crossing_data(slopes)
+    assert matrix == tuple(tuple(intersection_number(s, t) for t in slopes) for s in slopes)
+    assert max_delta == max(intersection_number(s, t) for s in slopes for t in slopes)
+
+
+@pytest.mark.parametrize("filler", [0, 20])  # below and past _PACKED_MIN_SLOPES
+def test_crossing_overflow_names_the_bound(filler):
+    top = 2**31  # 2 * max|a| * max|b| = 2^63
+    slopes = [Slope(top, 1), Slope(1, top)] + [Slope(k, 1) for k in range(filler)]
+    message = r"2\*max\|a\|\*max\|b\| < 2\*\*63, got 9223372036854775808"
+    for compute in (crossing_data, crossing_rows, lambda s: crossing_matches(s, ())):
+        with pytest.raises(OverflowError, match=message):
+            compute(slopes)
+
+
+def test_crossing_paths_agree_across_sizes():
+    # set sizes on both sides of _PACKED_MIN_SLOPES, against the pairwise oracle
+    rng = random.Random(7)
+    pool = [Slope(a, b) for a in range(-50, 51) for b in range(1, 51) if math.gcd(a, b) == 1]
+    for n in range(0, 2 * slope_search._PACKED_MIN_SLOPES + 2):
+        slopes = rng.sample(pool, n)
+        oracle = tuple(tuple(intersection_number(s, t) for t in slopes) for s in slopes)
+        matrix, max_delta = crossing_data(slopes)
+        assert matrix == oracle
+        assert max_delta == max((max(row) for row in oracle), default=0)
+        assert crossing_matches(slopes, oracle)
+        if n >= 2:
+            edited = [list(row) for row in oracle]
+            edited[0][1] += 1
+            assert not crossing_matches(slopes, tuple(map(tuple, edited)))
+            assert not crossing_matches(slopes, oracle[:-1])
+
+
+def test_crossing_data_empty_and_single():
+    assert crossing_data([]) == ((), 0)
+    assert crossing_data([Slope(-3, 7)]) == (((0,),), 0)
 
 
 def test_lengths_match_geometry(hex2_shape):
