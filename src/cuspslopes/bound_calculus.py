@@ -151,15 +151,20 @@ def slope_count_bound(q: BoundQuery) -> BoundReport:
     return BoundReport(q, delta_max, p, p + 1, guard_hit)
 
 
+def _residue(a: int, b: int, p: int) -> tuple[int, int]:
+    """(1, b/a mod p), or (0, 1) when p | a, for a prime p checked by the caller."""
+    a %= p
+    if a == 0:
+        return (0, 1)
+    return (1, b * pow(a, -1, p) % p)
+
+
 def project_to_fp(s: Slope, p: int) -> tuple[int, int]:
     """The point of F_p P^1 of a primitive slope (a, b) for prime p, as
     (1, b/a mod p), or (0, 1) when p | a; gcd(a, b) = 1 rules out (0, 0)."""
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
-    a = s.a % p
-    if a == 0:
-        return (0, 1)
-    return (1, s.b * pow(a, -1, p) % p)
+    return _residue(s.a, s.b, p)
 
 
 @dataclass(frozen=True)
@@ -177,13 +182,16 @@ def verify_counting_lemma(slopes, p: int) -> LemmaVerdict:
 
     If pairwise crossings are <= R < p this always holds; otherwise the
     first colliding pair (in canonical order) is reported, and its crossing
-    number is a positive multiple of p.
+    number is a positive multiple of p.  The modulus is checked once; slopes
+    are sorted and deduplicated by their (a, b) pairs.
     """
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
+    by_pair = {(s.a, s.b): s for s in slopes}
     seen: dict[tuple[int, int], Slope] = {}
-    for s in sorted(set(slopes)):
-        point = project_to_fp(s, p)
+    for pair in sorted(by_pair):
+        s = by_pair[pair]
+        point = _residue(*pair, p)
         if point in seen:
             other = seen[point]
             return LemmaVerdict(

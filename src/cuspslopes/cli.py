@@ -27,6 +27,7 @@ from .halfplane_geometry import (
     wrapping_bound,
 )
 from .report_io import (
+    _write_text,
     bound_to_dict,
     build_analysis_report,
     find_shape,
@@ -34,7 +35,6 @@ from .report_io import (
     lemma_to_dict,
     load_cusp_file,
     report_to_dict,
-    report_to_json,
     save_report,
 )
 from .slope_search import SIX_THEOREM_LENGTH, enumerate_short_slopes
@@ -227,10 +227,9 @@ def _cmd_diagram(args) -> int:
         width=args.width,
         height=args.height,
     )
-    svg = emit_lattice_svg(spec)
-    with open(args.out, "w", encoding="utf-8") as f:
-        f.write(svg)
-    print(f"wrote {args.out}: {len(report)} slopes, {2 * len(report)} highlighted markers")
+    _write_text(args.out, emit_lattice_svg(spec))
+    if args.out != "-":
+        print(f"wrote {args.out}: {len(report)} slopes, {2 * len(report)} highlighted markers")
     return 0
 
 
@@ -244,11 +243,10 @@ def _cmd_report(args) -> int:
         prime=args.prime,
         timestamp=stamp,
     )
-    if args.out:
-        save_report(report, args.out)
-        print(f"wrote {args.out}: {len(report.entries)} slopes, count bound {report.bound.count_bound}")
-    else:
-        sys.stdout.write(report_to_json(report))
+    out = args.out or "-"
+    save_report(report, out)
+    if out != "-":
+        print(f"wrote {out}: {len(report.entries)} slopes, count bound {report.bound.count_bound}")
     return 0
 
 
@@ -308,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diagram", help="write an SVG lattice diagram")
     add_cusp_args(p)
-    p.add_argument("--out", required=True, help="output SVG path")
+    p.add_argument("--out", required=True, help="output SVG path ('-' for stdout)")
     p.add_argument("--extent", type=int, default=4, help="lattice translates per axis")
     p.add_argument("--labels", action="store_true", help="label slope points")
     p.add_argument("--no-circle", action="store_true", help="omit the threshold circle")
@@ -318,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="full analysis report for a cusp")
     add_cusp_args(p)
-    p.add_argument("--out", help="output path (default: stdout)")
+    p.add_argument("--out", help="output path ('-' or default: stdout)")
     p.add_argument("--area", type=_parse_area, help="area floor (default: shape area)")
     p.add_argument("--prime", type=int, help="override the pipeline prime")
     p.add_argument("--stamp", action="store_true", help="include a UTC timestamp")

@@ -16,8 +16,10 @@ from dataclasses import dataclass
 
 Vec2 = tuple[float, float]
 
-# Basis determinants at or below this magnitude are treated as degenerate.
-# Census data carries roundoff on the order of 1e-15.
+# A basis is degenerate when |det| <= DEGENERACY_TOL * |meridian| * |longitude|,
+# that is when the sine of the angle between its vectors is at most this.  The
+# test is relative, so it does not change when the shape is rescaled.  Census
+# data carries roundoff on the order of 1e-15.
 DEGENERACY_TOL = 1e-12
 
 
@@ -51,7 +53,8 @@ class CuspShape:
         if not all(math.isfinite(c) for c in (*mer, *lon)):
             raise DegenerateBasisError("cusp basis must be finite")
         det = _det(mer, lon)
-        if abs(det) <= DEGENERACY_TOL:
+        # written with `not >` so that a NaN det (inf - inf) is rejected too
+        if not abs(det) > DEGENERACY_TOL * math.hypot(*mer) * math.hypot(*lon):
             raise DegenerateBasisError(
                 f"cusp basis is degenerate (det = {det!r})"
             )

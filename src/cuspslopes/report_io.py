@@ -3,17 +3,20 @@
 Every document is written by ``json_text``: compact one-line JSON whose
 floats are their shortest round-trip ``repr``, so every binary64 value reads
 back exactly; key order is fixed, so identical data produces identical bytes.
-Loading is strict: unknown versions and non-finite numbers are rejected, and
-a report is rebuilt from its slopes, threshold, area floor and lemma prime,
-then compared field by field with the file.  The Delta matrix is checked
-row by row (``slope_search.crossing_matches``): each stored row must be a
-list of ints, and for sets of packed size its unsigned-array bytes must equal
-the packed kernel's row, so a value that does not fit the lane (a negative
-entry, 2^64) is a mismatch.  The loaded report takes its matrix and
-``max_delta`` from those verified rows, and slopes too large for a 64-bit
-lane are a ``ReportFormatError``.  v1 does not store the cusp basis, so the
-slope list itself (which slopes, their lengths, their order) cannot be
-re-derived.
+A report's Delta matrix stays packed (``slope_search.CrossingMatrix``, one
+unsigned array per row) in memory; the writer hands it to ``json.dumps`` one
+row at a time, so the whole matrix is never built as Python ints.  A path of
+``-`` reads standard input and writes standard output.  Loading is strict:
+unknown versions and non-finite numbers are rejected, and a report is
+rebuilt from its slopes, threshold, area floor and lemma prime, then compared
+field by field with the file.  The Delta matrix is checked row by row
+(``slope_search.crossing_matches``): each stored row must be a list of ints,
+and its unsigned array must equal the computed row, so a value that does not
+fit the lane (a negative entry, 2^64) is a mismatch.  The loaded report
+keeps the packed rows and takes ``max_delta`` from them, and slopes too
+large for a 64-bit lane are a ``ReportFormatError``.  v1 does not store the
+cusp basis, so the slope list itself (which slopes, their lengths, their
+order) cannot be re-derived.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import json
 import math
 import operator
 import sys
+from array import array
 from dataclasses import dataclass
 
 from . import __version__
@@ -34,7 +38,13 @@ from .bound_calculus import (
     verify_counting_lemma,
 )
 from .cusp_geometry import CuspShape, DegenerateBasisError, NonPrimitiveSlopeError, Slope, area
-from .slope_search import SlopeEntry, _entry_key, crossing_matches, enumerate_short_slopes
+from .slope_search import (
+    CrossingMatrix,
+    SlopeEntry,
+    _entry_key,
+    crossing_matches,
+    enumerate_short_slopes,
+)
 
 CUSP_FILE_FORMAT = "cusp-file"
 REPORT_FORMAT = "slope-analysis-report"
@@ -64,12 +74,24 @@ class RecordError:
 
 # ------------------------------ JSON plumbing ------------------------------
 
+def _json_rows(obj):
+    """``json.dumps`` hook: a crossing matrix becomes its list of packed rows,
+    and each row a list of ints only while it is being written."""
+    if type(obj) is array:  # the common case, tested first
+        return obj.tolist()
+    if isinstance(obj, CrossingMatrix):
+        return list(obj.rows)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def json_text(data) -> str:
     """The one JSON writer: compact, one line, newline-terminated.
 
     Non-finite floats raise ``ValueError`` instead of writing NaN/Infinity.
+    A ``CrossingMatrix`` is written as its list of rows.  The documents are
+    trees built by this package, so the encoder's cycle check is skipped.
     """
-    return json.dumps(data, allow_nan=False) + "\n"
+    return json.dumps(data, allow_nan=False, check_circular=False, default=_json_rows) + "\n"
 
 
 def _reject_constant(token: str):
@@ -115,6 +137,9 @@ def _read_text(path) -> str:
 
 
 def _write_text(path, text: str) -> None:
+    if str(path) == "-":
+        sys.stdout.write(text)
+        return
     with open(path, "w", encoding="utf-8") as f:
         f.write(text)
 
@@ -203,7 +228,7 @@ class AnalysisReport:
     shape_name: str
     threshold: float
     entries: tuple[SlopeEntry, ...]
-    delta_matrix: tuple[tuple[int, ...], ...]
+    delta_matrix: CrossingMatrix
     max_delta: int
     bound: BoundReport
     lemma: LemmaVerdict
@@ -264,11 +289,12 @@ def lemma_to_dict(lemma: LemmaVerdict) -> dict:
 
 
 def report_to_dict(report: AnalysisReport) -> dict:
-    return _report_dict(report, [list(row) for row in report.delta_matrix])
+    """The report as plain JSON data; ``delta_matrix`` is a list of lists."""
+    return _report_dict(report, [row.tolist() for row in report.delta_matrix.rows])
 
 
-def _report_dict(report: AnalysisReport, matrix: list) -> dict:
-    """``report_to_dict`` with the ``delta_matrix`` rows given as lists."""
+def _report_dict(report: AnalysisReport, matrix) -> dict:
+    """``report_to_dict`` with the given ``delta_matrix`` value."""
     return {
         "format": REPORT_FORMAT,
         "version": SCHEMA_VERSION,
@@ -288,7 +314,7 @@ def _report_dict(report: AnalysisReport, matrix: list) -> dict:
 
 
 def report_to_json(report: AnalysisReport) -> str:
-    return json_text(report_to_dict(report))
+    return json_text(_report_dict(report, report.delta_matrix))
 
 
 def save_report(report: AnalysisReport, path) -> None:
@@ -376,18 +402,18 @@ def report_from_dict(data: dict) -> AnalysisReport:
     _require(isinstance(tool_version, str), "missing tool_version")
 
     slopes = [e.slope for e in entries]
-    delta_matrix = tuple(map(tuple, matrix))
     try:
-        same = crossing_matches(slopes, delta_matrix)
+        verified = crossing_matches(slopes, matrix)
     except OverflowError as e:
         raise ReportFormatError(f"slopes: {e}") from None
-    _require(same, "'delta_matrix' does not match the rebuilt report")
+    _require(verified is not None, "'delta_matrix' does not match the rebuilt report")
+    delta_matrix, max_delta = verified
     report = AnalysisReport(
         shape_name=data["shape_name"],
         threshold=threshold,
         entries=tuple(entries),
         delta_matrix=delta_matrix,
-        max_delta=max(map(max, delta_matrix), default=0),
+        max_delta=max_delta,
         bound=slope_count_bound(query),
         lemma=verify_counting_lemma(slopes, prime),
         tool_version=tool_version,

@@ -17,12 +17,15 @@ full-word instructions", CACM 1975): the a's and the b's are packed into two
 Python integers with one w-bit lane per slope, w the smallest of 8, 16, 32
 and 64 with 2*max|a|*max|b| < 2^(w-1), so that a_i*T_B - b_i*T_A holds row i
 in its lanes without carries.  A biased subtraction and a lane-wise absolute
-value turn it into the bytes of an unsigned array, which is exact and costs a
-few big-integer operations per row instead of one Python call per pair.
-Sets of fewer than ``_PACKED_MIN_SLOPES`` slopes, where packing costs more
-than it saves, are done pair by pair.  At every size, slopes with
-2*max|a|*max|b| >= 2^63 raise ``OverflowError``; they need markings skewed
-far past what ``_REDUCED_BOX_MARGIN`` covers.
+value turn it into an unsigned array, which is exact and costs a few
+big-integer operations per row instead of one Python call per pair.  Sets of
+fewer than ``_PACKED_MIN_SLOPES`` slopes, where packing costs more than it
+saves, are done pair by pair into the same arrays.  The matrix stays packed:
+a ``CrossingMatrix`` holds one unsigned array per row and reads its rows
+back as tuples of ints, so a report keeps n^2 lane-sized entries, not n^2
+Python ints.  At every size, slopes with 2*max|a|*max|b| >= 2^63 raise
+``OverflowError``; they need markings skewed far past what
+``_REDUCED_BOX_MARGIN`` covers.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import enum
 import math
 import sys
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .cusp_geometry import CuspShape, Slope, Vec2, area, slope_length
@@ -81,6 +85,51 @@ def _entry_key(e: SlopeEntry) -> tuple[float, tuple[int, int]]:
     return (e.length, (e.slope.a, e.slope.b))
 
 
+class CrossingMatrix(Sequence):
+    """Read-only square matrix of crossing numbers, one unsigned ``array``
+    per row.
+
+    Rows read back as tuples of ints.  The matrix equals any sequence of int
+    rows with the same values, and hashes like the tuple of tuples.
+    """
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows) -> None:
+        self._rows = tuple(rows)
+
+    @property
+    def rows(self) -> tuple[array, ...]:
+        """The packed rows themselves (not to be modified)."""
+        return self._rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(tuple, self._rows[i]))
+        return tuple(self._rows[i])
+
+    def __iter__(self):
+        return map(tuple, self._rows)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, CrossingMatrix):
+            return self._rows == other._rows
+        if not isinstance(other, (tuple, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            isinstance(o, (tuple, list)) and row == tuple(o) for row, o in zip(self, other)
+        )
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"CrossingMatrix({tuple(self)!r})"
+
+
 @dataclass(frozen=True)
 class ShortSlopeReport:
     """All primitive slopes of length <= threshold, with pairwise crossing data.
@@ -92,7 +141,7 @@ class ShortSlopeReport:
     shape: CuspShape
     threshold: float
     entries: tuple[SlopeEntry, ...]
-    delta_matrix: tuple[tuple[int, ...], ...]
+    delta_matrix: CrossingMatrix
     max_delta: int
 
     @property
@@ -191,9 +240,9 @@ def _lane(a: list[int], b: list[int]) -> tuple[int, str]:
     )
 
 
-def crossing_rows(slopes) -> tuple[str, list[bytes]]:
-    """The crossing matrix of the slopes, in their order, as the bytes of one
-    unsigned ``array(code)`` per row; returns ``(code, rows)``.
+def crossing_rows(slopes) -> tuple[str, list[array]]:
+    """The crossing matrix of the slopes, in their order, as one unsigned
+    ``array(code)`` per row; returns ``(code, rows)``.
 
     Raises ``OverflowError`` when 2*max|a|*max|b| >= 2^63, because an entry
     might then not fit a 64-bit lane.
@@ -217,41 +266,63 @@ def crossing_rows(slopes) -> tuple[str, list[bytes]]:
         # the lane's two's complement; then negate the negative lanes.
         u = (ai * t_b - bi * t_a + top) ^ top
         neg = (u >> (w - 1)) & ones
-        rows.append(((u ^ neg * fill) + neg).to_bytes(size, sys.byteorder))
+        rows.append(array(code, ((u ^ neg * fill) + neg).to_bytes(size, sys.byteorder)))
     return code, rows
 
 
-def crossing_data(slopes) -> tuple[tuple[tuple[int, ...], ...], int]:
+def _packed_max(code: str, rows: list[array]) -> int:
+    """Largest entry of unsigned rows whose entries are < 2^(w-1).
+
+    Adding 2^(w-1) - 1 - m to every lane of a row sets a lane's top bit
+    exactly when its entry exceeds m, so one big-integer test per row finds
+    the rows that raise the running maximum m; only those are scanned.  The
+    scan starts at the last row, which in enumeration order is the longest
+    slope's and holds the largest entries, so few rows are scanned.
+    """
+    w = array(code).itemsize * 8
+    half = 1 << (w - 1)
+    ones = ((1 << (w * len(rows))) - 1) // ((1 << w) - 1)
+    top = half * ones
+    best, bias = 0, (half - 1) * ones
+    for row in reversed(rows):
+        if (int.from_bytes(row, sys.byteorder) + bias) & top:
+            best = max(row)
+            bias = (half - 1 - best) * ones
+    return best
+
+
+def crossing_data(slopes) -> tuple[CrossingMatrix, int]:
     """Pairwise intersection matrix of the slopes, in their order, and its
     largest entry (0 when fewer than two slopes are given).  Raises
     ``OverflowError`` as ``crossing_rows`` does, at every size."""
-    if len(slopes) < _PACKED_MIN_SLOPES:
-        _lane([s.a for s in slopes], [s.b for s in slopes])
-        matrix = tuple(tuple(abs(s.a * t.b - s.b * t.a) for t in slopes) for s in slopes)
-        return matrix, max(map(max, matrix), default=0)
+    n = len(slopes)
+    if n < _PACKED_MIN_SLOPES:
+        code = _lane([s.a for s in slopes], [s.b for s in slopes])[1]
+        flat = array(code, [abs(s.a * t.b - s.b * t.a) for s in slopes for t in slopes])
+        rows = [flat[i * n : (i + 1) * n] for i in range(n)]
+        return CrossingMatrix(rows), max(flat, default=0)
     code, rows = crossing_rows(slopes)
-    matrix = tuple(tuple(array(code, row)) for row in rows)
-    return matrix, max(map(max, matrix))
+    return CrossingMatrix(rows), _packed_max(code, rows)
 
 
-def crossing_matches(slopes, matrix: tuple[tuple[int, ...], ...]) -> bool:
-    """Whether ``matrix``, rows of ints (the caller checks the types), is the
-    crossing matrix of the slopes.
+def crossing_matches(slopes, matrix) -> tuple[CrossingMatrix, int] | None:
+    """``crossing_data(slopes)`` when ``matrix``, rows of ints (the caller
+    checks the types), is the crossing matrix of the slopes; otherwise None.
 
-    From ``_PACKED_MIN_SLOPES`` slopes on, each row is compared as the bytes of
-    an unsigned array with the packed kernel's row, so no second matrix of
-    ints is built, and an entry outside the lane's range is a mismatch.
+    Each stored row is converted to the lane's unsigned array and compared
+    with the computed row, so no second matrix of Python ints is built, and
+    an entry outside the lane's range (a negative one, 2^64) is a mismatch.
     Raises ``OverflowError`` as ``crossing_rows`` does.
     """
-    if len(slopes) < _PACKED_MIN_SLOPES:
-        return crossing_data(slopes)[0] == matrix
-    code, rows = crossing_rows(slopes)
+    computed, max_delta = crossing_data(slopes)
+    rows = computed.rows
     try:
-        return len(matrix) == len(rows) and all(
-            array(code, stored).tobytes() == row for stored, row in zip(matrix, rows)
+        same = len(matrix) == len(rows) and all(
+            array(row.typecode, stored) == row for stored, row in zip(matrix, rows)
         )
-    except OverflowError:  # a negative entry, or one past the lane
-        return False
+    except OverflowError:
+        return None
+    return (computed, max_delta) if same else None
 
 
 def classify_slope(

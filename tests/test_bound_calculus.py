@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cuspslopes import bound_calculus
 from cuspslopes.bound_calculus import (
     _MR_PSI,
     ADAMS_AREA,
@@ -124,6 +125,22 @@ def test_is_prime_large_values():
     assert not is_prime(1000003 * 1000000000000037)
 
 
+def test_is_prime_matches_trial_division_on_40_bit_inputs():
+    # n < 2^40 is prime iff no prime below 2^20 divides it
+    limit = 1 << 20
+    sieve = bytearray([1]) * limit
+    sieve[0] = sieve[1] = 0
+    for i in range(2, math.isqrt(limit - 1) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, limit, i)))
+    primes = [k for k in range(limit) if sieve[k]]
+    rng = random.Random(40)
+    inputs = [rng.randrange(1 << 39, 1 << 40) | 1 for _ in range(300)]
+    verdicts = [is_prime(n) for n in inputs]
+    assert verdicts == [all(n % q for q in primes) for n in inputs]
+    assert 0 < sum(verdicts) < len(inputs)
+
+
 def test_is_prime_domain_limit():
     assert not is_prime(_MR_PSI[-1] - 1)  # even
     with pytest.raises(ValueError, match="only decided below"):
@@ -233,6 +250,20 @@ def test_lemma_requires_prime():
     # checked up front, not only when a slope is reduced
     with pytest.raises(ValueError):
         verify_counting_lemma([], 12)
+
+
+def test_lemma_checks_modulus_once(hex2_shape, monkeypatch):
+    calls = []
+    real = bound_calculus.is_prime
+    monkeypatch.setattr(bound_calculus, "is_prime", lambda n: calls.append(n) or real(n))
+    slopes = list(enumerate_short_slopes(hex2_shape, 6.0).slopes)
+    shuffled = slopes[::-1] + slopes[:3]  # reordered, with repeats
+    for p in (11, 5):
+        calls.clear()
+        verdict = verify_counting_lemma(shuffled, p)
+        assert calls == [p]
+        assert verdict == verify_counting_lemma(slopes, p)
+    assert not verdict.injective
 
 
 def test_collision_soundness_random():

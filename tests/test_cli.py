@@ -15,7 +15,12 @@ from cuspslopes.cli import main
 from cuspslopes.cusp_geometry import CuspShape
 from cuspslopes.diagram import DiagramSpec, emit_lattice_svg
 from cuspslopes.halfplane_geometry import extremal_ratio
-from cuspslopes.report_io import build_analysis_report, load_report, report_to_json
+from cuspslopes.report_io import (
+    build_analysis_report,
+    load_report,
+    report_from_dict,
+    report_to_json,
+)
 from cuspslopes.slope_search import enumerate_short_slopes
 
 from conftest import FIXTURES, run_timed
@@ -253,6 +258,15 @@ def test_diagram_too_small_domain_error(capsys, tmp_path):
     assert "use at least" in err
 
 
+def test_diagram_out_dash_writes_stdout(capsys, tmp_path, monkeypatch, hex2_shape):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, "diagram", "--cusp", HEX2, "--name", "hex2", "--out", "-")
+    assert code == 0
+    assert out.startswith("<?xml")
+    assert out == emit_lattice_svg(DiagramSpec(enumerate_short_slopes(hex2_shape, 6.0)))
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------- report
 
 
@@ -271,6 +285,14 @@ def test_report_to_file_loads_back(capsys, tmp_path):
     report = load_report(out_path)
     assert report.bound.count_bound == 12
     assert report.timestamp is None
+
+
+def test_report_out_dash_writes_stdout(capsys, tmp_path, monkeypatch, hex2_shape):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, "report", "--cusp", HEX2, "--name", "hex2", "--out", "-")
+    assert code == 0
+    assert report_from_dict(json.loads(out)) == build_analysis_report(hex2_shape, 6.0)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_report_stamp_flag(capsys, tmp_path):

@@ -47,11 +47,42 @@ def test_near_degenerate_basis_rejected():
         CuspShape((1.0, 0.0), (1.0, 1e-13))
 
 
-def test_degeneracy_tolerance_is_absolute():
-    # det just above the documented tolerance must be accepted
+def test_overflowing_determinant_rejected():
+    # the products overflow, so det is inf - inf = nan, or inf
+    with pytest.raises(DegenerateBasisError, match="nan"):
+        CuspShape((1e200, 1e200), (1e200, 1e200))
+    with pytest.raises(DegenerateBasisError, match="inf"):
+        CuspShape((1e200, 0.0), (0.0, 1e200))
+
+
+def test_degeneracy_tolerance_is_relative():
+    # |det| just above the documented tolerance times |m||l| must be accepted,
+    # at any scale
     shape = CuspShape((1.0, 0.0), (1.0, 1e-11))
     assert area(shape) == pytest.approx(1e-11)
     assert DEGENERACY_TOL == 1e-12
+    assert area(CuspShape((1e-7, 0.0), (0.0, 1e-7))) == pytest.approx(1e-14)
+
+
+def test_degeneracy_is_scale_invariant(hex2_shape):
+    # scaling by 2^k is exact in binary64, so the verdict cannot change
+    for k in range(-40, 41):
+        c = 2.0**k
+        (mx, my), (lx, ly) = hex2_shape.meridian, hex2_shape.longitude
+        shape = CuspShape((c * mx, c * my), (c * lx, c * ly))
+        assert area(shape) == c * c * area(hex2_shape)
+        with pytest.raises(DegenerateBasisError):
+            CuspShape((c, 0.0), (c, c * 1e-13))
+    with pytest.raises(DegenerateBasisError):
+        CuspShape((1.0, 0.0), (1.0, 1e-13))
+
+
+def test_overflowing_determinant_rejected():
+    # the products overflow, so det is inf - inf = nan, or inf
+    with pytest.raises(DegenerateBasisError, match="nan"):
+        CuspShape((1e200, 1e200), (1e200, 1e200))
+    with pytest.raises(DegenerateBasisError, match="inf"):
+        CuspShape((1e200, 0.0), (0.0, 1e200))
 
 
 def test_orientation_normalized_to_positive_det():

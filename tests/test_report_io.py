@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import math
+import random
+import tracemalloc
 
 import pytest
 
@@ -27,7 +30,7 @@ from cuspslopes.report_io import (
 )
 from cuspslopes.slope_search import enumerate_short_slopes
 
-from conftest import FIXTURES, run_timed
+from conftest import FIXTURES, random_shape, run_timed
 
 
 # ---------------------------------------------------------------- cusp files
@@ -348,6 +351,48 @@ def test_int_inputs_round_trip(hex2_shape, tmp_path, threshold, area_floor):
     path = tmp_path / "ints.json"
     save_report(report, path)
     assert load_report(path) == report
+
+
+def test_writer_matches_public_dict(hex2_shape, tmp_path):
+    # report_to_json writes the packed rows one at a time; it must give the
+    # bytes of json_text on the public dict
+    shape = random_shape(random.Random(2024), name="seeded")
+    reports = [
+        build_analysis_report(hex2_shape, 6.0),
+        build_analysis_report(hex2_shape, 4.0),
+        build_analysis_report(shape, 16.0 * math.sqrt(cusp_geometry.area(shape))),
+    ]
+    assert len(reports[1].entries) < slope_search._PACKED_MIN_SLOPES
+    assert len(reports[2].entries) > 200
+    for report in reports:
+        text = json_text(report_to_dict(report))
+        assert report_to_json(report) == text
+        save_report(report, tmp_path / "r.json")
+        assert (tmp_path / "r.json").read_text() == text
+
+
+def test_reports_keep_the_matrix_packed(hex2_shape, tmp_path):
+    # hex2 at T = 60 has 990 slopes; held as Python ints its matrix took
+    # about 22 MiB, packed in 16-bit lanes it takes about 2 MiB
+    path = tmp_path / "h60.json"
+    save_report(build_analysis_report(hex2_shape, 60.0), path)
+    kept = {}
+    tracemalloc.start()
+    try:
+        for name, make in (
+            ("built", lambda: build_analysis_report(hex2_shape, 60.0)),
+            ("loaded", lambda: load_report(path)),
+        ):
+            gc.collect()
+            base = tracemalloc.get_traced_memory()[0]
+            report = make()
+            gc.collect()
+            kept[name] = tracemalloc.get_traced_memory()[0] - base
+            assert len(report.entries) == 990
+            del report
+    finally:
+        tracemalloc.stop()
+    assert max(kept.values()) < 4 * 2**20, kept
 
 
 def test_json_text_one_line_and_finite_only():

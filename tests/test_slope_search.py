@@ -167,6 +167,46 @@ def test_crossing_data_empty_and_single():
     assert crossing_data([Slope(-3, 7)]) == (((0,),), 0)
 
 
+def test_crossing_matrix_reads_as_tuple_rows():
+    slopes = [Slope(1, 0), Slope(0, 1), Slope(1, 1), Slope(-1, 2)]
+    oracle = tuple(tuple(intersection_number(s, t) for t in slopes) for s in slopes)
+    matrix, _ = crossing_data(slopes)
+    assert matrix == oracle and oracle == matrix
+    assert matrix == [list(row) for row in oracle]
+    assert hash(matrix) == hash(oracle)
+    assert len(matrix) == 4 and matrix[3] == oracle[3] and matrix[-1][0] == oracle[-1][0]
+    assert matrix[1:3] == oracle[1:3]
+    assert list(matrix) == list(oracle) and list(matrix[2]) == [1, 1, 0, 3]
+    assert matrix != oracle[:-1] and matrix != oracle[:-1] + ((1, 2, 3, 0),)
+    assert matrix != (1, 2, 3, 4) and matrix != "abcd" and matrix != 0
+    assert matrix == crossing_data(slopes)[0]
+    assert repr(matrix) == f"CrossingMatrix({oracle!r})"
+
+
+@pytest.mark.parametrize("reach", [10, 2**6, 2**14, 2**30])
+def test_packed_max_in_any_row_order(reach):
+    # the running-max scan must not depend on rows coming in length order
+    rng = random.Random(reach)
+    for n in (12, 13, 30, 61):
+        slopes = []
+        while len(slopes) < n:
+            a, b = rng.randint(-reach, reach), rng.randint(0, reach)
+            if math.gcd(a, b) == 1:
+                slopes.append(Slope(a, b))
+        matrix, max_delta = crossing_data(slopes)
+        assert max_delta == max(intersection_number(s, t) for s in slopes for t in slopes)
+        assert max_delta == max(map(max, matrix))
+
+
+def test_packed_max_one_above_the_last_row():
+    # the scan starts at (0, 1), whose largest entry is 11; the maximum, 12,
+    # is one more and lies only in the rows of (-1, 1) and (11, 1)
+    slopes = [Slope(-1, 1)] + [Slope(k, 1) for k in range(1, 12)] + [Slope(0, 1)]
+    matrix, max_delta = crossing_data(slopes)
+    assert len(slopes) >= slope_search._PACKED_MIN_SLOPES
+    assert max(matrix[-1]) == 11 and max_delta == 12
+
+
 def test_lengths_match_geometry(hex2_shape):
     report = enumerate_short_slopes(hex2_shape, 6.0)
     for e in report.entries:
