@@ -75,6 +75,9 @@ class BoundQuery:
         if not (math.isfinite(L) and math.isfinite(A)):
             raise ValueError("length threshold and area floor must be finite")
         if type(L) is not float or type(A) is not float:  # e.g. ints
+            for what, x in (("length threshold", L), ("area floor", A)):
+                if isinstance(x, bool):
+                    raise ValueError(f"{what} must be a number, got {x!r}")
             L, A = float(L), float(A)
             object.__setattr__(self, "length_threshold", L)
             object.__setattr__(self, "area_floor", A)

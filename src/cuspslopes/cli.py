@@ -5,6 +5,11 @@ pipeline, finite-field lemma verification, surface audits, horodisk
 calculus, lattice diagrams and full analysis reports.  Output is
 deterministic (timestamps only with --stamp); exit codes are 0 on success,
 1 on domain errors, 2 on usage errors.
+
+The module imports only what building the parser needs; ``diagram``,
+``halfplane_geometry``, ``surface_audit`` and ``datetime`` are imported in
+the subcommands that use them, so a process loads only its own command's
+modules.
 """
 
 from __future__ import annotations
@@ -12,20 +17,10 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from datetime import datetime, timezone
 
 from . import __version__
 from .bound_calculus import ADAMS_AREA, CAO_MEYERHOFF_AREA, BoundQuery, slope_count_bound
 from .cusp_geometry import area
-from .diagram import DiagramSpec, emit_lattice_svg
-from .halfplane_geometry import (
-    HorodiskPair,
-    WrappingQuery,
-    extremal_ratio,
-    mutually_tangent,
-    tangency_separation,
-    wrapping_bound,
-)
 from .report_io import (
     _write_text,
     bound_to_dict,
@@ -38,7 +33,6 @@ from .report_io import (
     save_report,
 )
 from .slope_search import SIX_THEOREM_LENGTH, enumerate_short_slopes
-from .surface_audit import SurfaceAudit, SurfaceType, check_cusp_length_inequality, euler_characteristic
 
 
 def _parse_threshold(text: str) -> float:
@@ -66,7 +60,9 @@ def _parse_area(text: str) -> float:
         ) from None
 
 
-def _parse_surface(text: str) -> SurfaceType:
+def _parse_surface(text: str):
+    from .surface_audit import SurfaceType
+
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(
@@ -148,6 +144,8 @@ def _cmd_lemma_verify(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    from .surface_audit import SurfaceAudit, check_cusp_length_inequality, euler_characteristic
+
     audit = SurfaceAudit(args.surface, args.lengths)
     verdict = check_cusp_length_inequality(audit)
     chi = euler_characteristic(args.surface)
@@ -179,6 +177,15 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_horodisk(args) -> int:
+    from .halfplane_geometry import (
+        HorodiskPair,
+        WrappingQuery,
+        extremal_ratio,
+        mutually_tangent,
+        tangency_separation,
+        wrapping_bound,
+    )
+
     if args.ratio:
         ratio = extremal_ratio()
         separation = tangency_separation(HorodiskPair(1.0, ratio))
@@ -217,6 +224,8 @@ def _cmd_horodisk(args) -> int:
 
 
 def _cmd_diagram(args) -> int:
+    from .diagram import DiagramSpec, emit_lattice_svg
+
     shape = _load_named_shape(args)
     report = enumerate_short_slopes(shape, args.threshold)
     spec = DiagramSpec(
@@ -235,7 +244,11 @@ def _cmd_diagram(args) -> int:
 
 def _cmd_report(args) -> int:
     shape = _load_named_shape(args)
-    stamp = datetime.now(timezone.utc).isoformat() if args.stamp else None
+    stamp = None
+    if args.stamp:
+        from datetime import datetime, timezone
+
+        stamp = datetime.now(timezone.utc).isoformat()
     report = build_analysis_report(
         shape,
         args.threshold,

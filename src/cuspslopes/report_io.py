@@ -10,13 +10,12 @@ row at a time, so the whole matrix is never built as Python ints.  A path of
 unknown versions and non-finite numbers are rejected, and a report is
 rebuilt from its slopes, threshold, area floor and lemma prime, then compared
 field by field with the file.  The Delta matrix is checked row by row
-(``slope_search.crossing_matches``): each stored row must be a list of ints,
-and its unsigned array must equal the computed row, so a value that does not
-fit the lane (a negative entry, 2^64) is a mismatch.  The loaded report
-keeps the packed rows and takes ``max_delta`` from them, and slopes too
-large for a 64-bit lane are a ``ReportFormatError``.  v1 does not store the
-cusp basis, so the slope list itself (which slopes, their lengths, their
-order) cannot be re-derived.
+(``slope_search.crossing_matches``): each stored row must be a list whose
+entries are all of type ``int`` (so ``true`` and ``1.0`` are not ``1``),
+equal to the computed row.  The loaded report keeps the packed rows and
+takes ``max_delta`` from them, and slopes too large for a 64-bit lane are a
+``ReportFormatError``.  v1 does not store the cusp basis, so the slope list
+itself (which slopes, their lengths, their order) cannot be re-derived.
 """
 
 from __future__ import annotations
@@ -372,7 +371,10 @@ def report_from_dict(data: dict) -> AnalysisReport:
     matrix = data.get("delta_matrix")
     _require(
         isinstance(matrix, list)
-        and all(type(row) is list and set(map(type, row)) <= {int} for row in matrix),
+        and all(
+            type(row) is list and operator.countOf(map(type, row), int) == len(row)
+            for row in matrix
+        ),
         "delta_matrix must be a matrix of integers",
     )
 

@@ -203,7 +203,9 @@ def enumerate_short_slopes(shape: CuspShape, threshold: float) -> ShortSlopeRepo
 
     Included slopes longer than threshold - BOUNDARY_TOL are flagged boundary.
     """
-    if not (isinstance(threshold, (int, float)) and math.isfinite(threshold)):
+    if isinstance(threshold, bool) or not isinstance(threshold, (int, float)):
+        raise ValueError(f"threshold must be a number, got {threshold!r}")
+    if not math.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold!r}")
     threshold = float(threshold)
     if threshold <= 0.0:
@@ -309,19 +311,15 @@ def crossing_matches(slopes, matrix) -> tuple[CrossingMatrix, int] | None:
     """``crossing_data(slopes)`` when ``matrix``, rows of ints (the caller
     checks the types), is the crossing matrix of the slopes; otherwise None.
 
-    Each stored row is converted to the lane's unsigned array and compared
-    with the computed row, so no second matrix of Python ints is built, and
-    an entry outside the lane's range (a negative one, 2^64) is a mismatch.
-    Raises ``OverflowError`` as ``crossing_rows`` does.
+    Each stored row is compared as a list with the computed row's values, one
+    row at a time, so no second matrix is kept.  Raises ``OverflowError`` as
+    ``crossing_rows`` does.
     """
     computed, max_delta = crossing_data(slopes)
     rows = computed.rows
-    try:
-        same = len(matrix) == len(rows) and all(
-            array(row.typecode, stored) == row for stored, row in zip(matrix, rows)
-        )
-    except OverflowError:
-        return None
+    same = len(matrix) == len(rows) and all(
+        list(stored) == row.tolist() for stored, row in zip(matrix, rows)
+    )
     return (computed, max_delta) if same else None
 
 

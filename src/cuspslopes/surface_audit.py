@@ -107,8 +107,10 @@ def check_cusp_length_inequality(audit: SurfaceAudit) -> AuditVerdict:
 
 def boroczky_check(horocusp_area: float, surface_area: float) -> AuditVerdict:
     """Packing bound: horocusp area at most (3/pi) of the surface area."""
-    if horocusp_area <= 0.0 or surface_area <= 0.0:
-        raise ValueError("areas must be positive")
+    if not (0.0 < horocusp_area < math.inf and 0.0 < surface_area < math.inf):
+        raise ValueError(
+            f"areas must be positive and finite, got {horocusp_area!r} and {surface_area!r}"
+        )
     return _verdict("horocusp_area_ratio", horocusp_area, HOROCUSP_AREA_RATIO * surface_area)
 
 
@@ -129,8 +131,8 @@ def punctured_sphere_feasible(n: int, slope_length: float) -> bool:
     """
     if n < 3:
         raise ValueError(f"spheres with fewer than 3 punctures do not occur here (n={n})")
-    if slope_length <= 0.0:
-        raise ValueError(f"slope length must be positive, got {slope_length}")
+    if not 0.0 < slope_length < math.inf:
+        raise ValueError(f"slope length must be positive and finite, got {slope_length}")
     return 6.0 * (n - 2) >= (n - 1) * slope_length
 
 
@@ -158,6 +160,8 @@ def doubled_surface_chain(
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if not 0 <= j <= n:
         raise ValueError(f"expected 0 <= j <= n, got j={j}, n={n}")
+    if not math.isfinite(slope_length):
+        raise ValueError(f"slope length must be finite, got {slope_length}")
     if slope_length < 6.0 + epsilon:
         raise ValueError(
             f"slope length {slope_length} is below the 6 + epsilon margin"

@@ -1,0 +1,110 @@
+"""Fresh-interpreter tests of the lazy package namespace and the CLI's
+per-subcommand imports.  In-process tests run after every module is already
+imported, so only a new interpreter shows what a call loads."""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+
+import pytest
+
+from conftest import FIXTURES
+
+HEX2 = str(FIXTURES / "hex2.json")
+
+# What loading a cusp file needs: report_io and the modules it imports.
+CUSP_LOAD_MODULES = {
+    "cuspslopes",
+    "cuspslopes.bound_calculus",
+    "cuspslopes.cusp_geometry",
+    "cuspslopes.report_io",
+    "cuspslopes.slope_search",
+}
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_cusp_file_load_imports_only_its_modules():
+    proc = run_python(
+        "-c",
+        "import sys, cuspslopes\n"
+        "shapes, errors = cuspslopes.load_cusp_file(sys.argv[1])\n"
+        "assert [s.name for s in shapes] == ['hex2', 'square'] and not errors\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'cuspslopes'))",
+        HEX2,
+    )
+    assert set(proc.stdout.split()) == CUSP_LOAD_MODULES
+
+
+def test_bound_subcommand_imports_only_its_modules():
+    # `python -m cuspslopes bound`, then the modules it left loaded
+    proc = run_python(
+        "-c",
+        "import runpy, sys\n"
+        "sys.argv = ['cuspslopes', 'bound']\n"
+        "try:\n"
+        "    runpy.run_module('cuspslopes', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as e:\n"
+        "    assert e.code == 0\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'cuspslopes'))",
+    )
+    *output, modules = proc.stdout.splitlines()
+    assert "slopes ≤ 12" in output[-1]
+    assert set(modules.split()) == CUSP_LOAD_MODULES | {"cuspslopes.cli"}
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["audit", "--surface", "1,1,0", "--lengths", "6"], "pass (sharp)"),
+        (["horodisk", "--ratio"], "extremal radius ratio R/r = 5.82842712475"),
+        (["diagram", "--cusp", HEX2, "--name", "hex2", "--out", "-"], "</svg>"),
+        (["report", "--cusp", HEX2, "--name", "hex2", "--stamp"], '"timestamp": "'),
+    ],
+    ids=["audit", "horodisk_ratio", "diagram_stdout", "report_stamp"],
+)
+def test_deferred_subcommand_imports_work(argv, expected):
+    proc = run_python("-m", "cuspslopes", *argv)
+    assert expected in proc.stdout and proc.stderr == ""
+
+
+def test_lazy_namespace():
+    proc = run_python(
+        "-c",
+        "import json, sys\n"
+        "import cuspslopes\n"
+        "assert 'cuspslopes.diagram' not in sys.modules\n"
+        "assert cuspslopes.diagram.DiagramSpec.__module__ == 'cuspslopes.diagram'\n"
+        "exports = {}\n"
+        "for name in cuspslopes.__all__:\n"
+        "    value = getattr(cuspslopes, name)\n"
+        "    exports[name] = [getattr(value, '__module__', None),\n"
+        "                     [m for m in sys.modules if m.startswith('cuspslopes.')\n"
+        "                      and getattr(sys.modules[m], name, None) is value]]\n"
+        "try:\n"
+        "    cuspslopes.no_such_name\n"
+        "except AttributeError as e:\n"
+        "    missing = str(e)\n"
+        "namespace = {}\n"
+        "exec('from cuspslopes import *', namespace)\n"
+        "print(json.dumps({'all': cuspslopes.__all__, 'dir': dir(cuspslopes),\n"
+        "                  'exports': exports, 'missing': missing,\n"
+        "                  'star': sorted(set(namespace) - {'__builtins__'})}))",
+    )
+    data = json.loads(proc.stdout)
+    names = data["all"]
+    assert len(names) == len(set(names)) == 51
+    assert set(names) <= set(data["dir"])
+    assert {"diagram", "report_io", "surface_audit"} <= set(data["dir"])
+    # every public name is a submodule's own object, its defining module's
+    # where it records one
+    for name, (defined_in, holders) in data["exports"].items():
+        assert holders and defined_in in (None, *holders), (name, defined_in, holders)
+    assert data["missing"] == "module 'cuspslopes' has no attribute 'no_such_name'"
+    assert data["star"] == sorted(names)

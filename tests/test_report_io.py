@@ -220,6 +220,8 @@ TAMPERS = [
     ("bound", _edit("bound", "prime", to=lambda _: 13), "bound"),
     ("lemma", _edit("lemma", "injective", to=lambda _: False), "lemma"),
     ("non_integer_matrix", _edit("delta_matrix", 0, 1, to=float), "integers"),
+    ("none_in_matrix", _edit("delta_matrix", 0, 1, to=lambda _: None), "integers"),
+    ("string_in_matrix", _edit("delta_matrix", 0, 1, to=lambda _: "1"), "integers"),
     ("threshold", _edit("threshold", to=lambda _: 7.0), "bound"),
     ("threshold_past_2_53", _edit("threshold", to=lambda _: 1e9), "bound"),
     ("negative_area_floor", _edit("bound", "area_floor", to=lambda _: -1.0), "bound"),
@@ -351,6 +353,22 @@ def test_int_inputs_round_trip(hex2_shape, tmp_path, threshold, area_floor):
     path = tmp_path / "ints.json"
     save_report(report, path)
     assert load_report(path) == report
+
+
+@pytest.mark.parametrize(
+    "call, what",
+    [
+        (lambda shape: build_analysis_report(shape, True), "threshold"),
+        (lambda shape: enumerate_short_slopes(shape, False), "threshold"),
+        (lambda shape: bound_calculus.BoundQuery(True, 3.35), "length threshold"),
+        (lambda shape: bound_calculus.BoundQuery(6.0, True), "area floor"),
+    ],
+    ids=["report_threshold", "enumerate_threshold", "query_length", "query_area"],
+)
+def test_bool_is_not_a_number(hex2_shape, call, what):
+    # as the loader rejects "threshold": true
+    with pytest.raises(ValueError, match=f"^{what} must be a number, got (True|False)$"):
+        call(hex2_shape)
 
 
 def test_writer_matches_public_dict(hex2_shape, tmp_path):

@@ -133,6 +133,25 @@ def test_boroczky_validation():
         boroczky_check(1.0, -1.0)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: boroczky_check(math.inf, math.inf),
+        lambda: boroczky_check(math.nan, 1.0),
+        lambda: boroczky_check(1.0, math.nan),
+        lambda: punctured_sphere_feasible(4, math.nan),
+        lambda: punctured_sphere_feasible(4, math.inf),
+        lambda: doubled_surface_chain(5, 2, math.nan, 0.5),
+        lambda: doubled_surface_chain(5, 2, math.inf, 0.5),
+    ],
+    ids=["boroczky_inf", "boroczky_nan_horocusp", "boroczky_nan_surface",
+         "sphere_nan", "sphere_inf", "doubled_nan", "doubled_inf"],
+)
+def test_non_finite_inputs_rejected(call):
+    with pytest.raises(ValueError, match="finite"):
+        call()
+
+
 def test_gauss_bonnet_examples():
     assert gauss_bonnet_area(SurfaceType(1, 1)) == pytest.approx(2.0 * math.pi)
     assert gauss_bonnet_area(SurfaceType(2, 0)) == pytest.approx(4.0 * math.pi)
