@@ -29,7 +29,6 @@ from .report_io import (
     json_text,
     lemma_to_dict,
     load_cusp_file,
-    report_to_dict,
     save_report,
 )
 from .slope_search import SIX_THEOREM_LENGTH, enumerate_short_slopes
@@ -96,7 +95,7 @@ def _print_json(data) -> None:
 def _cmd_slopes(args) -> int:
     shape = _load_named_shape(args)
     if args.json:
-        _print_json(report_to_dict(build_analysis_report(shape, args.threshold)))
+        save_report(build_analysis_report(shape, args.threshold), "-")
         return 0
     report = enumerate_short_slopes(shape, args.threshold)
     print(f"# cusp {shape.name}  threshold {args.threshold:.12g}  area {area(shape):.12g}")

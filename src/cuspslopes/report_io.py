@@ -4,18 +4,17 @@ Every document is written by ``json_text``: compact one-line JSON whose
 floats are their shortest round-trip ``repr``, so every binary64 value reads
 back exactly; key order is fixed, so identical data produces identical bytes.
 A report's Delta matrix stays packed (``slope_search.CrossingMatrix``, one
-unsigned array per row) in memory; the writer hands it to ``json.dumps`` one
-row at a time, so the whole matrix is never built as Python ints.  A path of
-``-`` reads standard input and writes standard output.  Loading is strict:
-unknown versions and non-finite numbers are rejected, and a report is
-rebuilt from its slopes, threshold, area floor and lemma prime, then compared
-field by field with the file.  The Delta matrix is checked row by row
-(``slope_search.crossing_matches``): each stored row must be a list whose
-entries are all of type ``int`` (so ``true`` and ``1.0`` are not ``1``),
-equal to the computed row.  The loaded report keeps the packed rows and
-takes ``max_delta`` from them, and slopes too large for a 64-bit lane are a
-``ReportFormatError``.  v1 does not store the cusp basis, so the slope list
-itself (which slopes, their lengths, their order) cannot be re-derived.
+unsigned array per row); ``report_to_json`` writes its text from the packed
+rows, converting each distinct entry to decimal once.  A path of ``-`` reads
+standard input and writes standard output.  Loading is strict: unknown
+versions, top-level keys other than the written ones and non-finite numbers
+are rejected, and a report is rebuilt from its slopes, threshold, area floor
+and lemma prime, then compared field by field with the file.  Each stored
+Delta row must be a list of ``int`` entries (``true`` and ``1.0`` are not
+``1``) equal to the computed row (``slope_search.crossing_matches``); the
+loaded report keeps the packed rows and takes ``max_delta`` from them, and
+slopes too large for a 64-bit lane are a ``ReportFormatError``.  v1 does not
+store the cusp basis, so the slope list itself cannot be re-derived.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ import json
 import math
 import operator
 import sys
-from array import array
 from dataclasses import dataclass
 
 from . import __version__
@@ -48,6 +46,8 @@ from .slope_search import (
 CUSP_FILE_FORMAT = "cusp-file"
 REPORT_FORMAT = "slope-analysis-report"
 SCHEMA_VERSION = "v1"
+_SMALL_NUMERALS = {v: str(v) for v in range(64)}  # all entries of small Delta matrices
+_ENCODER = json.JSONEncoder(allow_nan=False, check_circular=False)
 
 
 class CuspFileError(ValueError):
@@ -73,24 +73,11 @@ class RecordError:
 
 # ------------------------------ JSON plumbing ------------------------------
 
-def _json_rows(obj):
-    """``json.dumps`` hook: a crossing matrix becomes its list of packed rows,
-    and each row a list of ints only while it is being written."""
-    if type(obj) is array:  # the common case, tested first
-        return obj.tolist()
-    if isinstance(obj, CrossingMatrix):
-        return list(obj.rows)
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
 def json_text(data) -> str:
-    """The one JSON writer: compact, one line, newline-terminated.
-
-    Non-finite floats raise ``ValueError`` instead of writing NaN/Infinity.
-    A ``CrossingMatrix`` is written as its list of rows.  The documents are
-    trees built by this package, so the encoder's cycle check is skipped.
-    """
-    return json.dumps(data, allow_nan=False, check_circular=False, default=_json_rows) + "\n"
+    """The one JSON writer: compact, one line, newline-terminated, made by one
+    encoder (``json.dumps`` with options builds one per call).  Non-finite
+    floats raise ``ValueError``; cycles are not checked (the data are trees)."""
+    return _ENCODER.encode(data) + "\n"
 
 
 def _reject_constant(token: str):
@@ -312,8 +299,20 @@ def _report_dict(report: AnalysisReport, matrix) -> dict:
     }
 
 
+class _Numerals(dict):
+    """int -> its decimal text, made once per distinct value; a Delta matrix has few."""
+
+    def __missing__(self, value: int) -> str:
+        return self.setdefault(value, str(value))
+
+
 def report_to_json(report: AnalysisReport) -> str:
-    return json_text(_report_dict(report, report.delta_matrix))
+    """``json_text(report_to_dict(report))``, the matrix text made from the packed
+    rows and put at the last ``"delta_matrix": null`` (no string value follows)."""
+    head, _, tail = json_text(_report_dict(report, None)).rpartition('"delta_matrix": null')
+    numeral = _Numerals(_SMALL_NUMERALS).__getitem__
+    rows = ", ".join([f"[{', '.join(map(numeral, row))}]" for row in report.delta_matrix.rows])
+    return f'{head}"delta_matrix": [{rows}]{tail}'
 
 
 def save_report(report: AnalysisReport, path) -> None:
@@ -423,7 +422,9 @@ def report_from_dict(data: dict) -> AnalysisReport:
     )
     # The verified rows stand for the matrix; the small derived fields must
     # also match in JSON type.
-    for key, value in _report_dict(report, matrix).items():
+    fields = _report_dict(report, matrix)
+    _require(data.keys() == fields.keys(), f"top-level keys {list(data)} are not {list(fields)}")
+    for key, value in fields.items():
         same = _same if key in ("max_delta", "bound", "lemma") else operator.eq
         _require(same(data.get(key), value), f"{key!r} does not match the rebuilt report")
     return report

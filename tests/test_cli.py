@@ -17,8 +17,10 @@ from cuspslopes.diagram import DiagramSpec, emit_lattice_svg
 from cuspslopes.halfplane_geometry import extremal_ratio
 from cuspslopes.report_io import (
     build_analysis_report,
+    json_text,
     load_report,
     report_from_dict,
+    report_to_dict,
     report_to_json,
 )
 from cuspslopes.slope_search import enumerate_short_slopes
@@ -53,6 +55,19 @@ def test_slopes_json_matches_library(capsys, hex2_shape):
     assert [(r["a"], r["b"]) for r in data["slopes"]] == [
         (e.slope.a, e.slope.b) for e in report.entries
     ]
+
+
+@pytest.mark.parametrize("threshold, count", [("20", 114), ("1", 0)])
+def test_slopes_json_is_the_report_text(capsys, hex2_shape, threshold, count):
+    # json_text of the public dict is the reference for the payload's bytes
+    code, out, err = run_cli(
+        capsys, "slopes", "--cusp", HEX2, "--name", "hex2", "--threshold", threshold, "--json"
+    )
+    report = build_analysis_report(hex2_shape, float(threshold))
+    assert (code, err) == (0, "")
+    assert len(report.entries) == count
+    assert count == 0 or count > slope_search._PACKED_MIN_SLOPES
+    assert out == json_text(report_to_dict(report))
 
 
 def test_slopes_json_enumerates_once(capsys, monkeypatch):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
+import hashlib
 import io
 import json
 import math
@@ -261,6 +263,10 @@ TAMPERS = [
         _edit("delta_matrix", 0, to=lambda row: [True if d == 1 else d for d in row]),
         "integers",
     ),
+    # the top-level key set is exactly the written one
+    ("unknown_key", lambda d: d.update(note="x"), "top-level keys"),
+    ("misspelled_extra_key", lambda d: d.update(delta_matrx=d["delta_matrix"]), "top-level keys"),
+    ("missing_timestamp", lambda d: d.pop("timestamp"), "top-level keys"),
 ]
 
 
@@ -387,6 +393,112 @@ def test_writer_matches_public_dict(hex2_shape, tmp_path):
         assert report_to_json(report) == text
         save_report(report, tmp_path / "r.json")
         assert (tmp_path / "r.json").read_text() == text
+
+
+def _shortest_slopes_report(n: int):
+    """The report of exactly the n shortest slopes of a generic shape."""
+    shape = random_shape(random.Random(7), name="generic")
+    lengths = [e.length for e in enumerate_short_slopes(shape, 12.0).entries]
+    threshold = lengths[n - 1] if n else lengths[0] / 2
+    report = build_analysis_report(shape, threshold)
+    assert len(report.entries) == n
+    return report
+
+
+def _loaded_report_far_out(k: int):
+    """A report loaded from a dict whose slopes (1, 0), (0, 1) and (k + j, 1)
+    need wide lanes: Delta((0, 1), (k + j, 1)) = k + j."""
+    slopes = [Slope(1, 0), Slope(0, 1)] + [Slope(k + j, 1) for j in range(12)]
+    data = report_to_dict(build_analysis_report(CuspShape((1.0, 0.0), (0.0, 1.0)), 1.0))
+    matrix, max_delta = slope_search.crossing_data(slopes)
+    data.update(
+        slopes=[
+            {"a": s.a, "b": s.b, "length": float(i + 1), "boundary": False}
+            for i, s in enumerate(slopes)
+        ],
+        delta_matrix=[list(row) for row in matrix],
+        max_delta=max_delta,
+        lemma=report_io.lemma_to_dict(
+            bound_calculus.verify_counting_lemma(slopes, data["lemma"]["prime"])
+        ),
+    )
+    return report_from_dict(data)
+
+
+def _named(name: str):
+    return lambda hex2_shape: dataclasses.replace(
+        build_analysis_report(hex2_shape, 6.0), shape_name=name
+    )
+
+
+@pytest.mark.parametrize(
+    "make, lane_bytes",
+    [
+        (lambda _: _shortest_slopes_report(0), None),
+        (lambda _: _shortest_slopes_report(1), 1),
+        (lambda _: _shortest_slopes_report(slope_search._PACKED_MIN_SLOPES - 1), 1),
+        (lambda _: _shortest_slopes_report(slope_search._PACKED_MIN_SLOPES), 1),
+        (lambda _: _loaded_report_far_out(10**5), 4),
+        # entries past 2**40: no table indexed by value could be built for them
+        (lambda _: _loaded_report_far_out(2**40), 8),
+        (_named('"delta_matrix": null'), 1),
+        (_named('x", "delta_matrix": null, "y": "'), 1),
+        (_named('say "hi"'), 1),
+        (_named("back\\slash\\"), 1),
+        (_named("Möbius Δ 双曲 \U0001d6ab"), 1),
+    ],
+    ids=[
+        "0_slopes", "1_slope", "below_packed", "at_packed", "32_bit_lanes", "64_bit_lanes",
+        "name_matrix_null", "name_closing_quote", "name_quotes", "name_backslash",
+        "name_non_ascii",
+    ],
+)
+def test_writer_edge_cases(hex2_shape, tmp_path, make, lane_bytes):
+    report = make(hex2_shape)
+    assert {row.itemsize for row in report.delta_matrix.rows} == (
+        set() if lane_bytes is None else {lane_bytes}
+    )
+    text = report_to_json(report)
+    assert text == json_text(report_to_dict(report))
+    path = tmp_path / "r.json"
+    save_report(report, path)
+    assert path.read_text(encoding="utf-8") == text
+    assert load_report(path) == report
+
+
+# sha256 of report_to_json with tool_version "0", taken with the writer that
+# handed the matrix to json.dumps a row at a time; any drift in the bytes
+# written fails here.  Census regimes: (6, 3.35) and (2 pi, sqrt 3).
+PINNED_DIGESTS = [
+    ("hex2", 6.0, None, "7ab3f1136e9815330f72417176246cd0b0c079f5bf6a97f0f5bbfcbb42befa68"),
+    ("hex2", 20.0, None, "983c8eedb21a0d65eeca1fa9c918d69568da9dfa0402d7cfc22b4eff560f1f10"),
+    ("hex2", 60.0, None, "18ba6de6d9c300ef19b1832df9f9212ff17775e440502f57d04ed41a9a803f5b"),
+    (1, 6.0, 3.35, "5c3dab9f55637eca15e3d6c2473fcdf8f4520b79f880b71378decf6e453910c4"),
+    (1, 2 * math.pi, math.sqrt(3.0),
+     "853564ad6ec7873ef11869e770e161b94d0879ef8ba5a9e22e2d3b84aa060f8b"),
+    (2, 6.0, 3.35, "f1579adaaa08e62dcf37bf6f3a3e6562b35f932d8dbda4826e7f40fc9d26cba3"),
+    (2, 2 * math.pi, math.sqrt(3.0),
+     "c36059320daea4b4cee23ac05252dd8c58b73129863ebc1aeb158e98a4147054"),
+    (3, 6.0, 3.35, "f6eb799b674bfcf9b9eeda74b94c3f54efc19db7961da94f27131c44aa6367f3"),
+    (3, 2 * math.pi, math.sqrt(3.0),
+     "50d7b9c66ad36104b1305bddb01da89be7b802e8114aa8df4549363911cb9346"),
+]
+
+
+@pytest.mark.parametrize(
+    "shape_seed, threshold, area_floor, digest",
+    PINNED_DIGESTS,
+    ids=[f"{s}@{t:.4g}" for s, t, _f, _d in PINNED_DIGESTS],
+)
+def test_report_bytes_pinned(hex2_shape, shape_seed, threshold, area_floor, digest):
+    shape = (
+        hex2_shape
+        if shape_seed == "hex2"
+        else random_shape(random.Random(shape_seed), name=f"random{shape_seed}")
+    )
+    report = build_analysis_report(shape, threshold, area_floor=area_floor)
+    text = report_to_json(dataclasses.replace(report, tool_version="0"))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_reports_keep_the_matrix_packed(hex2_shape, tmp_path):
