@@ -4,17 +4,27 @@ Every document is written by ``json_text``: compact one-line JSON whose
 floats are their shortest round-trip ``repr``, so every binary64 value reads
 back exactly; key order is fixed, so identical data produces identical bytes.
 A report's Delta matrix stays packed (``slope_search.CrossingMatrix``, one
-unsigned array per row); ``report_to_json`` writes its text from the packed
-rows, converting each distinct entry to decimal once.  A path of ``-`` reads
-standard input and writes standard output.  Loading is strict: unknown
-versions, top-level keys other than the written ones and non-finite numbers
-are rejected, and a report is rebuilt from its slopes, threshold, area floor
-and lemma prime, then compared field by field with the file.  Each stored
-Delta row must be a list of ``int`` entries (``true`` and ``1.0`` are not
-``1``) equal to the computed row (``slope_search.crossing_matches``); the
-loaded report keeps the packed rows and takes ``max_delta`` from them, and
-slopes too large for a 64-bit lane are a ``ReportFormatError``.  v1 does not
-store the cusp basis, so the slope list itself cannot be re-derived.
+unsigned array per row); ``report_to_json`` joins the pieces of
+``_report_pieces``, whose row texts are made from the packed rows with each
+distinct entry converted to decimal once.  A path of ``-`` reads standard
+input and writes standard output.
+
+Loading is strict and follows one rule: a report is rebuilt from its inputs
+(the slope records, threshold, area floor and lemma prime, checked by
+``_rebuild``), and the file must agree with the rebuilt report.  The rule is
+checked in one of two ways.  A file that is exactly the writer's text is
+parsed with its matrix cut out and compared in place with the pieces of
+``report_to_json(rebuilt)``, so its n^2 entries are never parsed.  Any other
+file (another layout, or a tampered one) is parsed whole by
+``report_from_dict``: unknown versions, top-level keys other than the
+written ones and non-finite numbers are rejected, each stored Delta row must
+be a list of ``int`` entries (``true`` and ``1.0`` are not ``1``) equal to
+the computed row (``slope_search.crossing_matches``), and every other field
+must equal its recomputation.  A file the first way accepts is one the
+second accepts with an equal report.  The loaded report keeps the packed
+rows and takes ``max_delta`` from them; slopes too large for a 64-bit lane
+are a ``ReportFormatError``.  v1 does not store the cusp basis, so the slope
+list itself cannot be re-derived.
 """
 
 from __future__ import annotations
@@ -39,6 +49,7 @@ from .slope_search import (
     CrossingMatrix,
     SlopeEntry,
     _entry_key,
+    crossing_data,
     crossing_matches,
     enumerate_short_slopes,
 )
@@ -47,6 +58,8 @@ CUSP_FILE_FORMAT = "cusp-file"
 REPORT_FORMAT = "slope-analysis-report"
 SCHEMA_VERSION = "v1"
 _SMALL_NUMERALS = {v: str(v) for v in range(64)}  # all entries of small Delta matrices
+_SLOPE_KEYS = frozenset(("a", "b", "length", "boundary"))
+_MATRIX_KEY = '"delta_matrix": '
 _ENCODER = json.JSONEncoder(allow_nan=False, check_circular=False)
 
 
@@ -109,7 +122,10 @@ def _check_header(data: dict, expected_format: str, error_cls) -> None:
 def _finite_number(value, what: str, error_cls) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise error_cls(f"{what} must be a number, got {value!r}")
-    x = float(value)
+    try:
+        x = float(value)
+    except OverflowError:  # an int literal past the float range
+        x = math.inf
     if not math.isfinite(x):
         raise error_cls(f"{what} must be finite, got {value!r}")
     return x
@@ -279,8 +295,9 @@ def report_to_dict(report: AnalysisReport) -> dict:
     return _report_dict(report, [row.tolist() for row in report.delta_matrix.rows])
 
 
-def _report_dict(report: AnalysisReport, matrix) -> dict:
-    """``report_to_dict`` with the given ``delta_matrix`` value."""
+def _report_dict(report: AnalysisReport, matrix, slopes=None) -> dict:
+    """``report_to_dict`` with the given ``delta_matrix`` value and, if given,
+    ``slopes`` list (by default the records of the report's entries)."""
     return {
         "format": REPORT_FORMAT,
         "version": SCHEMA_VERSION,
@@ -288,7 +305,7 @@ def _report_dict(report: AnalysisReport, matrix) -> dict:
         "timestamp": report.timestamp,
         "shape_name": report.shape_name,
         "threshold": report.threshold,
-        "slopes": [
+        "slopes": slopes if slopes is not None else [
             {"a": e.slope.a, "b": e.slope.b, "length": e.length, "boundary": e.boundary}
             for e in report.entries
         ],
@@ -306,13 +323,24 @@ class _Numerals(dict):
         return self.setdefault(value, str(value))
 
 
-def report_to_json(report: AnalysisReport) -> str:
-    """``json_text(report_to_dict(report))``, the matrix text made from the packed
-    rows and put at the last ``"delta_matrix": null`` (no string value follows)."""
-    head, _, tail = json_text(_report_dict(report, None)).rpartition('"delta_matrix": null')
+def _report_pieces(report: AnalysisReport):
+    """The text of ``json_text(report_to_dict(report))`` in pieces: everything up
+    to the matrix, one piece per row, and the rest.  The rows are made from the
+    packed arrays; the rest comes from ``json_text`` with ``delta_matrix`` null,
+    split at its last ``"delta_matrix": null`` (no string value follows it)."""
+    head, _, tail = json_text(_report_dict(report, None)).rpartition(f"{_MATRIX_KEY}null")
     numeral = _Numerals(_SMALL_NUMERALS).__getitem__
-    rows = ", ".join([f"[{', '.join(map(numeral, row))}]" for row in report.delta_matrix.rows])
-    return f'{head}"delta_matrix": [{rows}]{tail}'
+    yield f"{head}{_MATRIX_KEY}["
+    sep = ""
+    for row in report.delta_matrix.rows:
+        yield f"{sep}[{', '.join(map(numeral, row))}]"
+        sep = ", "
+    yield f"]{tail}"
+
+
+def report_to_json(report: AnalysisReport) -> str:
+    """``json_text(report_to_dict(report))``, joined from ``_report_pieces``."""
+    return "".join(_report_pieces(report))
 
 
 def save_report(report: AnalysisReport, path) -> None:
@@ -335,12 +363,15 @@ def _same(x, y) -> bool:
     return x == y
 
 
-def report_from_dict(data: dict) -> AnalysisReport:
-    """Rebuild a report from its inputs and require the data to match it.
+def _rebuild(data: dict, crossing) -> AnalysisReport:
+    """Check the inputs of a report's data and build the report they determine.
 
-    The inputs are the slope records, which must be strictly increasing in
-    the enumeration's order, ``threshold``, ``bound.area_floor`` and
-    ``lemma.prime``; every other field must equal its recomputation.
+    The inputs are the slope records, which must be exactly the written ones
+    (keys ``a, b, length, boundary``, canonical ``(a, b)``) and strictly
+    increasing in the enumeration's order, ``threshold``, ``bound.area_floor``
+    and ``lemma.prime``; ``shape_name``, ``timestamp`` and ``tool_version``
+    are taken as they are.  ``crossing(slopes)`` gives the Delta matrix and
+    ``max_delta``.
     """
     _check_header(data, REPORT_FORMAT, ReportFormatError)
     _require(isinstance(data.get("shape_name"), str), "missing shape_name")
@@ -351,31 +382,23 @@ def report_from_dict(data: dict) -> AnalysisReport:
     entries = []
     for rec in raw_slopes:
         _require(isinstance(rec, dict), "slope records must be objects")
-        _require(
-            type(rec.get("a")) is int and type(rec.get("b")) is int,
-            "slope coordinates must be integers",
-        )
-        length = _finite_number(rec.get("length"), "slope length", ReportFormatError)
+        a, b, raw_length = rec.get("a"), rec.get("b"), rec.get("length")
+        _require(type(a) is int and type(b) is int, "slope coordinates must be integers")
+        length = _finite_number(raw_length, "slope length", ReportFormatError)
         boundary = rec.get("boundary", False)
         _require(isinstance(boundary, bool), "boundary flag must be a boolean")
         try:
-            slope = Slope(rec["a"], rec["b"])
+            slope = Slope(a, b)
         except NonPrimitiveSlopeError as e:
             raise ReportFormatError(f"slope record: {e}") from None
+        _require(
+            rec.keys() == _SLOPE_KEYS and slope.a == a and slope.b == b and length == raw_length,
+            "'slopes' does not match the rebuilt report",
+        )
         entries.append(SlopeEntry(slope, length, boundary))
     keys = [_entry_key(e) for e in entries]
     ordered = all(map(operator.lt, keys, keys[1:]))
     _require(ordered, "slopes must be distinct and sorted by (length, (a, b))")
-
-    matrix = data.get("delta_matrix")
-    _require(
-        isinstance(matrix, list)
-        and all(
-            type(row) is list and operator.countOf(map(type, row), int) == len(row)
-            for row in matrix
-        ),
-        "delta_matrix must be a matrix of integers",
-    )
 
     raw_bound = data.get("bound")
     _require(isinstance(raw_bound, dict), "missing bound section")
@@ -404,12 +427,10 @@ def report_from_dict(data: dict) -> AnalysisReport:
 
     slopes = [e.slope for e in entries]
     try:
-        verified = crossing_matches(slopes, matrix)
+        delta_matrix, max_delta = crossing(slopes)
     except OverflowError as e:
         raise ReportFormatError(f"slopes: {e}") from None
-    _require(verified is not None, "'delta_matrix' does not match the rebuilt report")
-    delta_matrix, max_delta = verified
-    report = AnalysisReport(
+    return AnalysisReport(
         shape_name=data["shape_name"],
         threshold=threshold,
         entries=tuple(entries),
@@ -420,9 +441,31 @@ def report_from_dict(data: dict) -> AnalysisReport:
         tool_version=tool_version,
         timestamp=timestamp,
     )
-    # The verified rows stand for the matrix; the small derived fields must
-    # also match in JSON type.
-    fields = _report_dict(report, matrix)
+
+
+def report_from_dict(data: dict) -> AnalysisReport:
+    """Rebuild a report from its inputs (``_rebuild``) and require the data to
+    match it: each stored Delta row must be a list of ints equal to the
+    computed row, and every other field must equal its recomputation."""
+    matrix = data.get("delta_matrix")
+
+    def verified(slopes):
+        _require(
+            isinstance(matrix, list)
+            and all(
+                type(row) is list and operator.countOf(map(type, row), int) == len(row)
+                for row in matrix
+            ),
+            "delta_matrix must be a matrix of integers",
+        )
+        result = crossing_matches(slopes, matrix)
+        _require(result is not None, "'delta_matrix' does not match the rebuilt report")
+        return result
+
+    report = _rebuild(data, verified)
+    # The slope records were checked as they were read and the verified rows
+    # stand for the matrix; the derived fields must also match in JSON type.
+    fields = _report_dict(report, matrix, data["slopes"])
     _require(data.keys() == fields.keys(), f"top-level keys {list(data)} are not {list(fields)}")
     for key, value in fields.items():
         same = _same if key in ("max_delta", "bound", "lemma") else operator.eq
@@ -430,5 +473,35 @@ def report_from_dict(data: dict) -> AnalysisReport:
     return report
 
 
+def _load_written(text: str) -> AnalysisReport | None:
+    """The report whose ``report_to_json`` text is exactly ``text``, else None.
+
+    The text is parsed with its ``delta_matrix`` value cut out (in the
+    writer's layout it runs from ``"delta_matrix": [`` to ``, "max_delta": ``),
+    the report is rebuilt from the inputs, and the text is compared in place
+    with the writer's pieces, so the n^2 matrix is never parsed into ints.
+    """
+    start = text.find(_MATRIX_KEY + "[")
+    end = text.rfind(', "max_delta": ')
+    if not 0 <= start < end:
+        return None
+    try:
+        data = _parse_json(f"{text[:start]}{_MATRIX_KEY}null{text[end:]}", ReportFormatError)
+        report = _rebuild(data, crossing_data)
+    except ValueError:
+        return None
+    pos = 0
+    for piece in _report_pieces(report):
+        if not text.startswith(piece, pos):
+            return None
+        pos += len(piece)
+    return report if pos == len(text) else None
+
+
 def load_report(path) -> AnalysisReport:
-    return report_from_dict(_parse_json(_read_text(path), ReportFormatError))
+    """Read a saved report.  A file that is exactly the writer's text of the
+    report its inputs determine is accepted as such (``_load_written``); any
+    other file is parsed whole and checked by ``report_from_dict``."""
+    text = _read_text(path)
+    report = _load_written(text)
+    return report if report is not None else report_from_dict(_parse_json(text, ReportFormatError))

@@ -121,6 +121,18 @@ def test_huge_literal_infinity_rejected():
     assert shapes == [] and len(errors) == 1
 
 
+def test_int_literal_past_float_range_is_one_record_error(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(
+        '{"format": "cusp-file", "version": "v1", "cusps": ['
+        f'{{"name": "x", "meridian": [1{"0" * 400}, 0], "longitude": [0, 1]}}, '
+        '{"name": "y", "meridian": [1, 0], "longitude": [0, 1]}]}'
+    )
+    shapes, errors = load_cusp_file(path)
+    assert [s.name for s in shapes] == ["y"]
+    assert len(errors) == 1 and "finite" in errors[0].message
+
+
 def test_save_cusp_file_round_trip(tmp_path):
     shapes = [
         CuspShape((2.0, 0.0), (1.0, math.sqrt(3.0)), name="hexy"),
@@ -226,6 +238,7 @@ TAMPERS = [
     ("string_in_matrix", _edit("delta_matrix", 0, 1, to=lambda _: "1"), "integers"),
     ("threshold", _edit("threshold", to=lambda _: 7.0), "bound"),
     ("threshold_past_2_53", _edit("threshold", to=lambda _: 1e9), "bound"),
+    ("threshold_past_float_range", _edit("threshold", to=lambda _: 10**400), "finite"),
     ("negative_area_floor", _edit("bound", "area_floor", to=lambda _: -1.0), "bound"),
     ("lemma_delta", _edit("lemma", "delta", to=lambda _: 11), "lemma"),
     ("lemma_collision", _edit("lemma", "collision", to=lambda _: [[1, 0], [0, 1]]), "lemma"),
@@ -236,6 +249,7 @@ TAMPERS = [
         _edit("slopes", 0, to=lambda r: {k: v for k, v in r.items() if k != "boundary"}),
         "slopes",
     ),
+    ("slope_extra_key", _edit("slopes", 0, to=lambda r: {**r, "note": "x"}), "slopes"),
     ("duplicate_slope", _repeat_first_slope, "slopes"),
     ("slope_order", _swap_first_and_last_slopes, "slopes"),
     # derived fields retyped to equal values of another JSON type
@@ -273,11 +287,82 @@ TAMPERS = [
 @pytest.mark.parametrize(
     "mutate, match", [pytest.param(m, match, id=name) for name, m, match in TAMPERS]
 )
-def test_tampered_report_rejected(hex2_report, mutate, match):
+def test_tampered_report_rejected(hex2_report, tmp_path, mutate, match):
     data = report_to_dict(hex2_report)
     mutate(data)
     with pytest.raises(ReportFormatError, match=match):
         report_from_dict(data)
+    # the same data as a file, in the writer's layout, fails the same way
+    path = tmp_path / "tampered.json"
+    path.write_text(json_text(data))
+    with pytest.raises(ReportFormatError, match=match):
+        load_report(path)
+
+
+def _verdict(load):
+    """The report ``load()`` returns, or the message of its ReportFormatError."""
+    try:
+        return load()
+    except ReportFormatError as e:
+        return str(e)
+
+
+# (id, edit of hex2's report text, fragment of the expected error or None when
+# the edited text must load); only a text path can meet these files
+TEXT_EDITS = [
+    (
+        "second_matrix_null",
+        lambda t: t.replace(', "max_delta": ', ', "delta_matrix": null, "max_delta": '),
+        "delta_matrix",
+    ),
+    ("trailing_bytes", lambda t: t + "x", "not valid JSON"),
+    ("trailing_space", lambda t: t + " ", None),
+    ("row_spacing", lambda t: t.replace("[[0, ", "[[0,", 1), None),
+    ("matrix_cut_short", lambda t: t.replace("]], ", "], ", 1), "not valid JSON"),
+]
+
+
+@pytest.mark.parametrize(
+    "edit, match", [pytest.param(e, match, id=name) for name, e, match in TEXT_EDITS]
+)
+def test_edited_report_text_gets_the_full_verdict(
+    hex2_report, tmp_path, monkeypatch, edit, match
+):
+    text = edit(report_to_json(hex2_report))
+    assert text != report_to_json(hex2_report)
+    path = tmp_path / "edited.json"
+    path.write_text(text)
+    expected = _verdict(lambda: report_from_dict(report_io._parse_json(text, ReportFormatError)))
+    full = []
+    monkeypatch.setattr(
+        report_io, "report_from_dict", lambda data: full.append(data) or report_from_dict(data)
+    )
+    verdict = _verdict(lambda: load_report(path))
+    assert verdict == expected
+    # only the writer's exact text is accepted without the full check, which
+    # is not reached when the text is not JSON
+    assert len(full) == (0 if match == "not valid JSON" else 1)
+    if match is None:
+        assert verdict == hex2_report
+    else:
+        assert match in verdict
+
+
+@pytest.mark.parametrize(
+    "layout",
+    [
+        lambda data: json.dumps(data, indent=2),
+        lambda data: json_text(dict(reversed(data.items()))),
+        lambda data: json_text({**data, "threshold": 6}),
+    ],
+    ids=["indent_2", "reversed_keys", "int_threshold"],
+)
+def test_other_layouts_load(hex2_report, tmp_path, layout):
+    text = layout(report_to_dict(hex2_report))
+    assert text != report_to_json(hex2_report)
+    path = tmp_path / "layout.json"
+    path.write_text(text)
+    assert load_report(path) == report_from_dict(json.loads(text)) == hex2_report
 
 
 # hex2 at T = 4 has 6 slopes, fewer than _PACKED_MIN_SLOPES, so its matrix is
@@ -378,8 +463,9 @@ def test_bool_is_not_a_number(hex2_shape, call, what):
 
 
 def test_writer_matches_public_dict(hex2_shape, tmp_path):
-    # report_to_json writes the packed rows one at a time; it must give the
-    # bytes of json_text on the public dict
+    # report_to_json joins the pieces that load_report compares a file with,
+    # the rows made from the packed arrays; they must give the bytes of
+    # json_text on the public dict
     shape = random_shape(random.Random(2024), name="seeded")
     reports = [
         build_analysis_report(hex2_shape, 6.0),
@@ -453,7 +539,7 @@ def _named(name: str):
         "name_non_ascii",
     ],
 )
-def test_writer_edge_cases(hex2_shape, tmp_path, make, lane_bytes):
+def test_writer_edge_cases(hex2_shape, tmp_path, monkeypatch, make, lane_bytes):
     report = make(hex2_shape)
     assert {row.itemsize for row in report.delta_matrix.rows} == (
         set() if lane_bytes is None else {lane_bytes}
@@ -463,6 +549,12 @@ def test_writer_edge_cases(hex2_shape, tmp_path, make, lane_bytes):
     path = tmp_path / "r.json"
     save_report(report, path)
     assert path.read_text(encoding="utf-8") == text
+
+    def refuse(data):
+        raise AssertionError("the writer's text went through the full parse")
+
+    # the writer's text loads without its matrix being parsed
+    monkeypatch.setattr(report_io, "report_from_dict", refuse)
     assert load_report(path) == report
 
 
@@ -503,10 +595,12 @@ def test_report_bytes_pinned(hex2_shape, shape_seed, threshold, area_floor, dige
 
 def test_reports_keep_the_matrix_packed(hex2_shape, tmp_path):
     # hex2 at T = 60 has 990 slopes; held as Python ints its matrix took
-    # about 22 MiB, packed in 16-bit lanes it takes about 2 MiB
+    # about 22 MiB, packed in 16-bit lanes it takes about 2 MiB.  Parsing the
+    # whole 4.7 MB file makes the matrix's ints and peaks near 26 MiB, so
+    # load_report must not parse the matrix of a file it wrote.
     path = tmp_path / "h60.json"
     save_report(build_analysis_report(hex2_shape, 60.0), path)
-    kept = {}
+    kept, peak = {}, {}
     tracemalloc.start()
     try:
         for name, make in (
@@ -515,7 +609,9 @@ def test_reports_keep_the_matrix_packed(hex2_shape, tmp_path):
         ):
             gc.collect()
             base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
             report = make()
+            peak[name] = tracemalloc.get_traced_memory()[1] - base
             gc.collect()
             kept[name] = tracemalloc.get_traced_memory()[0] - base
             assert len(report.entries) == 990
@@ -523,6 +619,7 @@ def test_reports_keep_the_matrix_packed(hex2_shape, tmp_path):
     finally:
         tracemalloc.stop()
     assert max(kept.values()) < 4 * 2**20, kept
+    assert peak["loaded"] < 12 * 2**20, peak
 
 
 def test_json_text_one_line_and_finite_only():
