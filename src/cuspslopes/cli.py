@@ -4,7 +4,8 @@ Subcommands mirror the library: slope enumeration, the count-bound
 pipeline, finite-field lemma verification, surface audits, horodisk
 calculus, lattice diagrams and full analysis reports.  Output is
 deterministic (timestamps only with --stamp); exit codes are 0 on success,
-1 on domain errors, 2 on usage errors.
+1 on domain errors, 2 on usage errors.  When the reader of standard output
+goes away (``| head``), a command stops quietly with exit code 1.
 
 The module imports only what building the parser needs; ``diagram``,
 ``halfplane_geometry``, ``surface_audit`` and ``datetime`` are imported in
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from . import __version__
@@ -344,10 +346,20 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe fails here, not at exit
+    except BrokenPipeError:
+        # The reader went away (as with `| head`): stop without a message.
+        # Standard output then points at devnull, so the flush at exit cannot
+        # fail again and print "Exception ignored".
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (ValueError, OverflowError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    return code
 
 
 def entry() -> None:

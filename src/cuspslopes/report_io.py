@@ -4,27 +4,32 @@ Every document is written by ``json_text``: compact one-line JSON whose
 floats are their shortest round-trip ``repr``, so every binary64 value reads
 back exactly; key order is fixed, so identical data produces identical bytes.
 A report's Delta matrix stays packed (``slope_search.CrossingMatrix``, one
-unsigned array per row); ``report_to_json`` joins the pieces of
-``_report_pieces``, whose row texts are made from the packed rows with each
-distinct entry converted to decimal once.  A path of ``-`` reads standard
-input and writes standard output.
+unsigned array per row); its text comes from one generator,
+``_matrix_pieces``, which makes the row texts from the packed rows with each
+distinct entry converted to decimal once, and ``report_to_json`` joins it
+into the rest of the report.  A path of ``-`` reads standard input and
+writes standard output.  A file that is not UTF-8 or not JSON (also one
+nested too deeply to parse) is a ``CuspFileError`` or ``ReportFormatError``.
 
 Loading is strict and follows one rule: a report is rebuilt from its inputs
-(the slope records, threshold, area floor and lemma prime, checked by
-``_rebuild``), and the file must agree with the rebuilt report.  The rule is
-checked in one of two ways.  A file that is exactly the writer's text is
-parsed with its matrix cut out and compared in place with the pieces of
-``report_to_json(rebuilt)``, so its n^2 entries are never parsed.  Any other
-file (another layout, or a tampered one) is parsed whole by
-``report_from_dict``: unknown versions, top-level keys other than the
-written ones and non-finite numbers are rejected, each stored Delta row must
-be a list of ``int`` entries (``true`` and ``1.0`` are not ``1``) equal to
-the computed row (``slope_search.crossing_matches``), and every other field
-must equal its recomputation.  A file the first way accepts is one the
-second accepts with an equal report.  The loaded report keeps the packed
-rows and takes ``max_delta`` from them; slopes too large for a 64-bit lane
-are a ``ReportFormatError``.  v1 does not store the cusp basis, so the slope
-list itself cannot be re-derived.
+(the slope records, threshold, area floor and lemma prime, checked as they
+are read by ``_rebuild``), and the stored Delta matrix must be, character
+for character, the writer's text of the rebuilt matrix.  The writer's text
+of an n x n matrix has at least 3n^2 characters, so a shorter one is
+rejected before the matrix is computed and loading work stays bounded by the
+size of the input.  A file in the writer's layout has its matrix cut out of
+the text and compared in place, so its n^2 entries are never parsed, and the
+rest must be the writer's text of the report.  Any other file (another
+layout, or a tampered one) is parsed whole by ``report_from_dict``, which
+encodes the parsed ``delta_matrix`` with the writer's encoder and compares
+that text the same way, so ``true``, ``1.0``, ``null``, ``"1"``, a negated
+entry and a short or long row all fail; it also requires the written
+top-level keys and ``max_delta``, ``bound`` and ``lemma`` equal to their
+recomputation in JSON type.  A file the first way accepts is one the second
+accepts with an equal report.  The loaded report keeps the packed rows and
+takes ``max_delta`` from them; slopes too large for a 64-bit lane are a
+``ReportFormatError``.  v1 does not store the cusp basis, so the slope list
+itself cannot be re-derived.
 """
 
 from __future__ import annotations
@@ -50,7 +55,6 @@ from .slope_search import (
     SlopeEntry,
     _entry_key,
     crossing_data,
-    crossing_matches,
     enumerate_short_slopes,
 )
 
@@ -61,6 +65,7 @@ _SMALL_NUMERALS = {v: str(v) for v in range(64)}  # all entries of small Delta m
 _SLOPE_KEYS = frozenset(("a", "b", "length", "boundary"))
 _MATRIX_KEY = '"delta_matrix": '
 _ENCODER = json.JSONEncoder(allow_nan=False, check_circular=False)
+_MATRIX_MISMATCH = "'delta_matrix' is not the rebuilt report's matrix of integers"
 
 
 class CuspFileError(ValueError):
@@ -100,7 +105,7 @@ def _reject_constant(token: str):
 def _parse_json(text: str, error_cls) -> dict:
     try:
         data = json.loads(text, parse_constant=_reject_constant)
-    except ValueError as e:
+    except (ValueError, RecursionError) as e:  # RecursionError: nested too deeply
         raise error_cls(f"not valid JSON: {e}") from None
     if not isinstance(data, dict):
         raise error_cls("top level must be a JSON object")
@@ -131,11 +136,14 @@ def _finite_number(value, what: str, error_cls) -> float:
     return x
 
 
-def _read_text(path) -> str:
-    if str(path) == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as f:
-        return f.read()
+def _read_text(path, error_cls) -> str:
+    try:
+        if str(path) == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as e:
+        raise error_cls(f"not UTF-8 text: {e}") from None
 
 
 def _write_text(path, text: str) -> None:
@@ -193,7 +201,7 @@ def load_cusp_file(path) -> tuple[list[CuspShape], list[RecordError]]:
     File-level problems raise; per-record problems are returned alongside
     the records that did load.
     """
-    return parse_cusp_records(_parse_json(_read_text(path), CuspFileError))
+    return parse_cusp_records(_parse_json(_read_text(path, CuspFileError), CuspFileError))
 
 
 def save_cusp_file(shapes, path, *, sources: dict[str, str] | None = None) -> None:
@@ -295,9 +303,8 @@ def report_to_dict(report: AnalysisReport) -> dict:
     return _report_dict(report, [row.tolist() for row in report.delta_matrix.rows])
 
 
-def _report_dict(report: AnalysisReport, matrix, slopes=None) -> dict:
-    """``report_to_dict`` with the given ``delta_matrix`` value and, if given,
-    ``slopes`` list (by default the records of the report's entries)."""
+def _report_dict(report: AnalysisReport, matrix) -> dict:
+    """``report_to_dict`` with the given ``delta_matrix`` value."""
     return {
         "format": REPORT_FORMAT,
         "version": SCHEMA_VERSION,
@@ -305,7 +312,7 @@ def _report_dict(report: AnalysisReport, matrix, slopes=None) -> dict:
         "timestamp": report.timestamp,
         "shape_name": report.shape_name,
         "threshold": report.threshold,
-        "slopes": slopes if slopes is not None else [
+        "slopes": [
             {"a": e.slope.a, "b": e.slope.b, "length": e.length, "boundary": e.boundary}
             for e in report.entries
         ],
@@ -323,24 +330,24 @@ class _Numerals(dict):
         return self.setdefault(value, str(value))
 
 
-def _report_pieces(report: AnalysisReport):
-    """The text of ``json_text(report_to_dict(report))`` in pieces: everything up
-    to the matrix, one piece per row, and the rest.  The rows are made from the
-    packed arrays; the rest comes from ``json_text`` with ``delta_matrix`` null,
-    split at its last ``"delta_matrix": null`` (no string value follows it)."""
-    head, _, tail = json_text(_report_dict(report, None)).rpartition(f"{_MATRIX_KEY}null")
+def _matrix_pieces(rows):
+    """The writer's text of the Delta matrix with the given packed rows, in
+    pieces: ``[``, one piece per row, ``]``."""
     numeral = _Numerals(_SMALL_NUMERALS).__getitem__
-    yield f"{head}{_MATRIX_KEY}["
+    yield "["
     sep = ""
-    for row in report.delta_matrix.rows:
+    for row in rows:
         yield f"{sep}[{', '.join(map(numeral, row))}]"
         sep = ", "
-    yield f"]{tail}"
+    yield "]"
 
 
 def report_to_json(report: AnalysisReport) -> str:
-    """``json_text(report_to_dict(report))``, joined from ``_report_pieces``."""
-    return "".join(_report_pieces(report))
+    """``json_text(report_to_dict(report))``: the report written with
+    ``delta_matrix`` null, split at its last ``"delta_matrix": null`` (no
+    string value follows it), joined around ``_matrix_pieces``."""
+    head, _, tail = json_text(_report_dict(report, None)).rpartition(f"{_MATRIX_KEY}null")
+    return "".join((head, _MATRIX_KEY, *_matrix_pieces(report.delta_matrix.rows), tail))
 
 
 def save_report(report: AnalysisReport, path) -> None:
@@ -363,15 +370,20 @@ def _same(x, y) -> bool:
     return x == y
 
 
-def _rebuild(data: dict, crossing) -> AnalysisReport:
-    """Check the inputs of a report's data and build the report they determine.
+def _rebuild(data: dict, text: str, start: int, end: int) -> AnalysisReport:
+    """Check the inputs of a report's data, build the report they determine,
+    and require ``text[start:end]``, the stored Delta matrix, to be exactly
+    the writer's text of the rebuilt matrix (``_matrix_pieces``), compared in
+    place.
 
     The inputs are the slope records, which must be exactly the written ones
     (keys ``a, b, length, boundary``, canonical ``(a, b)``) and strictly
     increasing in the enumeration's order, ``threshold``, ``bound.area_floor``
     and ``lemma.prime``; ``shape_name``, ``timestamp`` and ``tool_version``
-    are taken as they are.  ``crossing(slopes)`` gives the Delta matrix and
-    ``max_delta``.
+    are taken as they are.  The writer's text of an n x n matrix has at least
+    3n^2 characters (each row n numerals and n - 1 ``", "``), so a shorter
+    stored matrix is rejected before the matrix is computed: the work done
+    stays bounded by the size of the input.
     """
     _check_header(data, REPORT_FORMAT, ReportFormatError)
     _require(isinstance(data.get("shape_name"), str), "missing shape_name")
@@ -426,10 +438,16 @@ def _rebuild(data: dict, crossing) -> AnalysisReport:
     _require(isinstance(tool_version, str), "missing tool_version")
 
     slopes = [e.slope for e in entries]
+    _require(end - start >= 3 * len(slopes) ** 2, _MATRIX_MISMATCH)
     try:
-        delta_matrix, max_delta = crossing(slopes)
+        delta_matrix, max_delta = crossing_data(slopes)
     except OverflowError as e:
         raise ReportFormatError(f"slopes: {e}") from None
+    pos = start
+    for piece in _matrix_pieces(delta_matrix.rows):
+        _require(text.startswith(piece, pos, end), _MATRIX_MISMATCH)
+        pos += len(piece)
+    _require(pos == end, _MATRIX_MISMATCH)
     return AnalysisReport(
         shape_name=data["shape_name"],
         threshold=threshold,
@@ -445,31 +463,20 @@ def _rebuild(data: dict, crossing) -> AnalysisReport:
 
 def report_from_dict(data: dict) -> AnalysisReport:
     """Rebuild a report from its inputs (``_rebuild``) and require the data to
-    match it: each stored Delta row must be a list of ints equal to the
-    computed row, and every other field must equal its recomputation."""
-    matrix = data.get("delta_matrix")
-
-    def verified(slopes):
-        _require(
-            isinstance(matrix, list)
-            and all(
-                type(row) is list and operator.countOf(map(type, row), int) == len(row)
-                for row in matrix
-            ),
-            "delta_matrix must be a matrix of integers",
-        )
-        result = crossing_matches(slopes, matrix)
-        _require(result is not None, "'delta_matrix' does not match the rebuilt report")
-        return result
-
-    report = _rebuild(data, verified)
-    # The slope records were checked as they were read and the verified rows
-    # stand for the matrix; the derived fields must also match in JSON type.
-    fields = _report_dict(report, matrix, data["slopes"])
+    match it: ``delta_matrix`` must encode (``json_text``) to the writer's
+    text of the rebuilt matrix, the top-level keys must be the written ones,
+    and ``max_delta``, ``bound`` and ``lemma`` must equal their recomputation."""
+    try:
+        matrix = _ENCODER.encode(data.get("delta_matrix"))
+    except (TypeError, ValueError, RecursionError):  # not JSON data, so not the writer's
+        matrix = ""
+    report = _rebuild(data, matrix, 0, len(matrix))
+    # The slope records were checked as they were read; the derived fields
+    # must also match in JSON type.
+    fields = _report_dict(report, None)
     _require(data.keys() == fields.keys(), f"top-level keys {list(data)} are not {list(fields)}")
-    for key, value in fields.items():
-        same = _same if key in ("max_delta", "bound", "lemma") else operator.eq
-        _require(same(data.get(key), value), f"{key!r} does not match the rebuilt report")
+    for key in ("max_delta", "bound", "lemma"):
+        _require(_same(data[key], fields[key]), f"{key!r} does not match the rebuilt report")
     return report
 
 
@@ -478,30 +485,27 @@ def _load_written(text: str) -> AnalysisReport | None:
 
     The text is parsed with its ``delta_matrix`` value cut out (in the
     writer's layout it runs from ``"delta_matrix": [`` to ``, "max_delta": ``),
-    the report is rebuilt from the inputs, and the text is compared in place
-    with the writer's pieces, so the n^2 matrix is never parsed into ints.
+    and the report is rebuilt from the inputs with the cut-out matrix checked
+    in place, so the n^2 matrix is never parsed into ints; the rest must be
+    the writer's text of the report with the matrix null.
     """
     start = text.find(_MATRIX_KEY + "[")
     end = text.rfind(', "max_delta": ')
     if not 0 <= start < end:
         return None
+    start += len(_MATRIX_KEY)
+    rest = f"{text[:start]}null{text[end:]}"
     try:
-        data = _parse_json(f"{text[:start]}{_MATRIX_KEY}null{text[end:]}", ReportFormatError)
-        report = _rebuild(data, crossing_data)
+        report = _rebuild(_parse_json(rest, ReportFormatError), text, start, end)
     except ValueError:
         return None
-    pos = 0
-    for piece in _report_pieces(report):
-        if not text.startswith(piece, pos):
-            return None
-        pos += len(piece)
-    return report if pos == len(text) else None
+    return report if json_text(_report_dict(report, None)) == rest else None
 
 
 def load_report(path) -> AnalysisReport:
     """Read a saved report.  A file that is exactly the writer's text of the
     report its inputs determine is accepted as such (``_load_written``); any
     other file is parsed whole and checked by ``report_from_dict``."""
-    text = _read_text(path)
+    text = _read_text(path, ReportFormatError)
     report = _load_written(text)
     return report if report is not None else report_from_dict(_parse_json(text, ReportFormatError))

@@ -23,7 +23,9 @@ fewer than ``_PACKED_MIN_SLOPES`` slopes, where packing costs more than it
 saves, are done pair by pair into the same arrays.  The matrix stays packed:
 a ``CrossingMatrix`` holds one unsigned array per row and reads its rows
 back as tuples of ints, so a report keeps n^2 lane-sized entries, not n^2
-Python ints.  At every size, slopes with 2*max|a|*max|b| >= 2^63 raise
+Python ints.  A saved matrix is not compared here: ``report_io`` recomputes
+the rows and checks the stored matrix as text, against the writer's text of
+them (at least 3n^2 characters).  At every size, slopes with 2*max|a|*max|b| >= 2^63 raise
 ``OverflowError``; they need markings skewed far past what
 ``_REDUCED_BOX_MARGIN`` covers.
 """
@@ -305,22 +307,6 @@ def crossing_data(slopes) -> tuple[CrossingMatrix, int]:
         return CrossingMatrix(rows), max(flat, default=0)
     code, rows = crossing_rows(slopes)
     return CrossingMatrix(rows), _packed_max(code, rows)
-
-
-def crossing_matches(slopes, matrix) -> tuple[CrossingMatrix, int] | None:
-    """``crossing_data(slopes)`` when ``matrix``, rows of ints (the caller
-    checks the types), is the crossing matrix of the slopes; otherwise None.
-
-    Each stored row is compared as a list with the computed row's values, one
-    row at a time, so no second matrix is kept.  Raises ``OverflowError`` as
-    ``crossing_rows`` does.
-    """
-    computed, max_delta = crossing_data(slopes)
-    rows = computed.rows
-    same = len(matrix) == len(rows) and all(
-        list(stored) == row.tolist() for stored, row in zip(matrix, rows)
-    )
-    return (computed, max_delta) if same else None
 
 
 def classify_slope(

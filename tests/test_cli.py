@@ -351,6 +351,42 @@ def test_missing_file_domain_error(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        '{"format": "cusp-file", "version": "v1", "cusps": ' + "[" * 10**5 + "]" * 10**5 + "}",
+        b'{"format": "cusp-file", "name": "M\xf6bius"}',
+    ],
+    ids=["nested_too_deeply", "not_utf8"],
+)
+def test_malformed_cusp_file_is_one_error_line(capsys, tmp_path, content):
+    path = tmp_path / "bad.json"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    code, out, err = run_cli(capsys, "slopes", "--cusp", str(path), "--name", "x")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_closed_stdout_pipe_stops_quietly():
+    # as `cuspslopes slopes ... | head -1`: 3,974 table lines, about 125 kB,
+    # are past a pipe's buffer, so the writer meets the closed pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cuspslopes", "slopes", "--cusp", HEX2, "--name", "hex2",
+         "--threshold", "120"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline().startswith(b"# cusp hex2")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=30) == 1
+    assert err == b""
+
+
 def test_bad_threshold_usage_error(capsys):
     code, _, _ = run_cli(
         capsys, "slopes", "--cusp", HEX2, "--name", "hex2", "--threshold", "tau"

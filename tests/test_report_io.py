@@ -9,6 +9,7 @@ import io
 import json
 import math
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -365,9 +366,11 @@ def test_other_layouts_load(hex2_report, tmp_path, layout):
     assert load_report(path) == report_from_dict(json.loads(text)) == hex2_report
 
 
-# hex2 at T = 4 has 6 slopes, fewer than _PACKED_MIN_SLOPES, so its matrix is
-# checked pair by pair; the TAMPERS rows above check 12 slopes through the
-# packed rows.
+# A stored matrix must be exactly the writer's text of the rebuilt one, and
+# one shorter than 3n^2 characters is refused before that is computed.  hex2
+# at T = 4 has 6 slopes, fewer than _PACKED_MIN_SLOPES, so the rebuilt matrix
+# comes from the pair-by-pair branch; the TAMPERS rows above have 12 slopes
+# and go through the packed kernel.
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -384,6 +387,72 @@ def test_tampered_small_report_rejected(hex2_shape, mutate):
     mutate(data)
     with pytest.raises(ReportFormatError, match="delta_matrix"):
         report_from_dict(data)
+
+
+def test_edited_matrix_rejected_at_every_size(tmp_path):
+    # sizes on both sides of _PACKED_MIN_SLOPES, as a dict and as a file in
+    # the writer's layout
+    path = tmp_path / "edited.json"
+    for n in range(0, 2 * slope_search._PACKED_MIN_SLOPES + 2):
+        report = _shortest_slopes_report(n)
+        data = report_to_dict(report)
+        assert report_from_dict(data) == report
+        if n == 0:
+            continue
+        entry, row = report_to_dict(report), report_to_dict(report)
+        entry["delta_matrix"][0][-1] += 1
+        row["delta_matrix"].pop()
+        for edited in (entry, row):
+            with pytest.raises(ReportFormatError, match="delta_matrix"):
+                report_from_dict(edited)
+            path.write_text(json_text(edited))
+            with pytest.raises(ReportFormatError, match="delta_matrix"):
+                load_report(path)
+
+
+def test_short_matrix_rejected_before_it_is_computed(hex2_shape, tmp_path, monkeypatch):
+    # hex2 at T = 104 has 2,982 slopes; its writer's matrix text has at least
+    # 3 * 2982^2 characters, so "[]" is refused without computing the matrix
+    report = build_analysis_report(hex2_shape, 104.0)
+    assert len(report.entries) == 2982
+    data = report_io._report_dict(report, [])
+    path = tmp_path / "short.json"
+    path.write_text(json_text(data))
+    del report
+
+    def refuse(slopes):
+        raise AssertionError("the crossing matrix was computed")
+
+    monkeypatch.setattr(slope_search, "crossing_rows", refuse)
+    for load in (lambda: load_report(path), lambda: report_from_dict(data)):
+        start = time.perf_counter()
+        with pytest.raises(ReportFormatError, match="delta_matrix.*integers"):
+            load()
+        assert time.perf_counter() - start < 1.0
+
+
+def _deeply_nested(fmt: str) -> str:
+    # CPython 3.10 and 3.11 refuse 1,000 levels; 3.13 parses them, but not 10^5
+    return f'{{"format": "{fmt}", "version": "v1", "cusps": {"[" * 10**5}{"]" * 10**5}}}'
+
+
+@pytest.mark.parametrize(
+    "load, error, fmt",
+    [
+        (load_cusp_file, CuspFileError, "cusp-file"),
+        (load_report, ReportFormatError, "slope-analysis-report"),
+    ],
+    ids=["cusp_file", "report"],
+)
+def test_malformed_files_raise_the_module_error(tmp_path, load, error, fmt):
+    deep = tmp_path / "deep.json"
+    deep.write_text(_deeply_nested(fmt))
+    with pytest.raises(error, match="not valid JSON"):
+        load(deep)
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(f'{{"format": "{fmt}", "name": "M\xf6bius"}}'.encode("latin-1"))
+    with pytest.raises(error, match="not UTF-8"):
+        load(latin1)
 
 
 def test_slopes_past_lane_range_rejected(hex2_report):
