@@ -91,7 +91,7 @@ def _load_named_shape(args):
 
 
 def _print_json(data) -> None:
-    sys.stdout.write(json_text(data))
+    _write_text("-", json_text(data))
 
 
 def _cmd_slopes(args) -> int:

@@ -5,15 +5,27 @@ gray, short-slope points filled black (both sign representatives), slopes at
 the threshold length ringed, and the threshold circle dashed.  Output is a
 pure function of the DiagramSpec: identical inputs give byte-identical
 documents.
+
+The lattice window is the points i*u + j*v, |i|, |j| <= lattice_extent, in
+the reduced basis u, v of ``slope_search._reduced_basis`` (the marking itself
+when it is already reduced), so every marking of one torus draws the same
+window; slope labels stay in the marked coordinates (a, b).  The window's
+radius comes from its four corners and the spacing of its dots is the
+shorter of u and v, the shortest lattice vector, so ``canvas_transform``
+does no work that grows with the extent.  It raises ``CanvasTooSmallError``
+when the canvas leaves no drawing area or would put two dots closer than
+``MIN_MARKER_SEPARATION_PX``; the error's ``suggested_size`` is the square
+canvas side at which the same spec draws.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .cusp_geometry import slope_vector
-from .slope_search import ShortSlopeReport
+from .cusp_geometry import Vec2, slope_vector
+from .slope_search import ShortSlopeReport, _reduced_basis
 
 # Adjacent lattice markers closer than this (in pixels) are unreadable.
 MIN_MARKER_SEPARATION_PX = 6.0
@@ -42,6 +54,10 @@ class DiagramSpec:
     height: int = 600
 
     def __post_init__(self) -> None:
+        for name in ("lattice_extent", "width", "height"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.lattice_extent < 1:
             raise ValueError(f"lattice extent must be >= 1, got {self.lattice_extent}")
         if self.width <= 0 or self.height <= 0:
@@ -63,43 +79,20 @@ class CanvasTransform:
         return (px - self.cx) / self.scale, (self.cy - py) / self.scale
 
 
-def _lattice_points(spec: DiagramSpec) -> list[tuple[int, int, float, float]]:
-    shape = spec.report.shape
-    mx, my = shape.meridian
-    lx, ly = shape.longitude
-    ext = spec.lattice_extent
-    pts = []
-    for a in range(-ext, ext + 1):
-        for b in range(-ext, ext + 1):
-            pts.append((a, b, a * mx + b * lx, a * my + b * ly))
-    return pts
-
-
-def _min_lattice_spacing(spec: DiagramSpec) -> float:
-    # Differences of drawn translates are lattice vectors with coefficients
-    # up to twice the extent.
-    shape = spec.report.shape
-    mx, my = shape.meridian
-    lx, ly = shape.longitude
-    ext2 = 2 * spec.lattice_extent
-    best = math.inf
-    for a in range(-ext2, ext2 + 1):
-        for b in range(0, ext2 + 1):
-            if (a, b) == (0, 0) or (b == 0 and a < 0):
-                continue
-            d = math.hypot(a * mx + b * lx, a * my + b * ly)
-            if d < best:
-                best = d
-    return best
+def _lattice_points(u: Vec2, v: Vec2, coefficients) -> Iterator[Vec2]:
+    """The points i*u + j*v for i, j in coefficients, i in the outer loop."""
+    for i in coefficients:
+        for j in coefficients:
+            yield i * u[0] + j * v[0], i * u[1] + j * v[1]
 
 
 def canvas_transform(spec: DiagramSpec) -> CanvasTransform:
     """Transform used by the emitter; raises if markers would overlap."""
     report = spec.report
-    radius = max(
-        (math.hypot(x, y) for *_ab, x, y in _lattice_points(spec)),
-        default=0.0,
-    )
+    u, v = _reduced_basis(report.shape)[:2]
+    ext = spec.lattice_extent
+    # |i*u + j*v| is convex, so a corner of the window is its farthest point.
+    radius = max(math.hypot(x, y) for x, y in _lattice_points(u, v, (-ext, ext)))
     for entry in report.entries:
         vx, vy = slope_vector(report.shape, entry.slope)
         radius = max(radius, math.hypot(vx, vy))
@@ -107,7 +100,9 @@ def canvas_transform(spec: DiagramSpec) -> CanvasTransform:
         radius = max(radius, report.threshold)
     radius *= 1.05
 
-    min_spacing = _min_lattice_spacing(spec)
+    # In a reduced basis the shorter vector is the shortest lattice vector,
+    # so it is the smallest distance between two drawn points.
+    min_spacing = min(math.hypot(*u), math.hypot(*v))
     needed_scale = MIN_MARKER_SEPARATION_PX / min_spacing
     suggested = math.ceil(2.0 * (needed_scale * radius + CANVAS_PAD_PX))
 
@@ -151,7 +146,9 @@ def emit_lattice_svg(spec: DiagramSpec) -> str:
             f'r="{_fmt(report.threshold * tf.scale)}" fill="none" '
             f'stroke="#555555" stroke-width="1" stroke-dasharray="6,4"/>'
         )
-    for a, b, wx, wy in _lattice_points(spec):
+    u, v = _reduced_basis(report.shape)[:2]
+    ext = spec.lattice_extent
+    for wx, wy in _lattice_points(u, v, range(-ext, ext + 1)):
         px, py = tf.to_canvas(wx, wy)
         out.append(
             f'<circle class="lattice" cx="{_fmt(px)}" cy="{_fmt(py)}" '

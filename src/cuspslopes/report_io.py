@@ -8,8 +8,10 @@ unsigned array per row); its text comes from one generator,
 ``_matrix_pieces``, which makes the row texts from the packed rows with each
 distinct entry converted to decimal once, and ``report_to_json`` joins it
 into the rest of the report.  A path of ``-`` reads standard input and
-writes standard output.  A file that is not UTF-8 or not JSON (also one
-nested too deeply to parse) is a ``CuspFileError`` or ``ReportFormatError``.
+writes standard output, every byte of it: a write that a closing pipe cuts
+short ends in ``BrokenPipeError``, also when stdout is unbuffered.  A file
+that is not UTF-8 or not JSON (also one nested too deeply to parse) is a
+``CuspFileError`` or ``ReportFormatError``.
 
 Loading is strict and follows one rule: a report is rebuilt from its inputs
 (the slope records, threshold, area floor and lemma prime, checked as they
@@ -148,7 +150,19 @@ def _read_text(path, error_cls) -> str:
 
 def _write_text(path, text: str) -> None:
     if str(path) == "-":
-        sys.stdout.write(text)
+        out = sys.stdout
+        buffer = getattr(out, "buffer", None)
+        if buffer is None:  # a text-only stream, such as io.StringIO
+            out.write(text)
+            return
+        # Unbuffered stdout is a text layer straight over FileIO, which drops
+        # the short count of a write that a closing pipe cuts off; so hand the
+        # bytes over until all are taken.  The write after a short one raises
+        # BrokenPipeError.
+        out.flush()
+        data = memoryview(text.encode(out.encoding, out.errors))
+        while data:
+            data = data[buffer.write(data):]
         return
     with open(path, "w", encoding="utf-8") as f:
         f.write(text)

@@ -4,10 +4,11 @@ A slope is short when its geodesic length is at most a threshold (default 6,
 the six-theorem cutoff below which a filling can fail to be hyperbolike).
 The marked basis is first reduced with the 2-D Lagrange-Gauss algorithm
 (Nguyen-Stehle, "Low-dimensional lattice basis reduction revisited", ANTS
-2004), and the search box comes from the lattice heights orthogonal to each
-reduced vector.  That box depends only on the lattice, so its size does not
-grow with the skew of the marking, and completeness stays provable and easy
-to check against brute force.  The reduced basis only chooses which
+2004), unless it is already reduced, and the search box comes from the
+lattice heights orthogonal to each reduced vector; ``diagram`` draws its
+lattice window in the same basis.  That box depends only on the lattice, so
+its size does not grow with the skew of the marking, and completeness stays
+provable and easy to check against brute force.  The reduced basis only chooses which
 candidates are checked: every length, and the inclusion decision, is
 computed in the marked basis.
 
@@ -55,6 +56,11 @@ BOUNDARY_TOL = 1e-12
 # so every slope the length test includes lies inside the widened circle
 # while |k| stays below about 10^6.
 _REDUCED_BOX_MARGIN = 1e-9
+
+# Relative slack of the test for a marking that is already reduced.  Without
+# it, rounding puts |(1, sqrt 3)|^2 just under 4, so the reduced hexagonal
+# marking ((2, 0), (1, sqrt 3)) would be swapped for another basis.
+_REDUCED_SLACK = 1e-9
 
 # (lane bits, typecode of the unsigned array item of that size), narrowest first.
 _LANES = tuple(sorted({array(code).itemsize * 8: code for code in "BHILQ"}.items()))
@@ -170,10 +176,16 @@ def search_box(shape: CuspShape, threshold: float) -> tuple[int, int]:
 
 
 def _reduced_basis(shape: CuspShape) -> tuple[Vec2, Vec2, tuple[int, int], tuple[int, int]]:
-    """Lagrange-Gauss reduced basis u, v of the cusp lattice (u shortest,
-    det(u, v) > 0) and the exact integer coordinates U, V of u and v in the
-    marked basis.  Each vector is recomputed from its integer coordinates, so
-    float error does not build up over the steps.
+    """Reduced basis u, v of the cusp lattice (det(u, v) > 0) and the exact
+    integer coordinates U, V of u and v in the marked basis.
+
+    A marking already reduced within a relative ``_REDUCED_SLACK``, that is
+    with 2|m.l| <= (1 + slack) * min(|m|^2, |l|^2), is kept as it is: then
+    U, V = (1, 0), (0, 1) and the shorter of u and v is the shortest lattice
+    vector (to a relative slack/2).  Any other marking is reduced with
+    Lagrange-Gauss, which leaves u the shortest vector.  Each vector is
+    recomputed from its integer coordinates, so float error does not build up
+    over the steps.
     """
     (mx, my), (lx, ly) = shape.meridian, shape.longitude
 
@@ -185,6 +197,8 @@ def _reduced_basis(shape: CuspShape) -> tuple[Vec2, Vec2, tuple[int, int], tuple
 
     U, V = (1, 0), (0, 1)
     u, v = shape.meridian, shape.longitude
+    if 2.0 * abs(mx * lx + my * ly) <= (1.0 + _REDUCED_SLACK) * min(norm2(u), norm2(v)):
+        return u, v, U, V
     if norm2(v) < norm2(u):
         U, V, u, v = V, U, v, u
     while True:

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -273,6 +275,34 @@ def test_diagram_too_small_domain_error(capsys, tmp_path):
     assert "use at least" in err
 
 
+def test_diagram_huge_extent_refused_at_once(capsys, tmp_path):
+    # the refusal reads the window's corners, not its 4e18 points
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys,
+        "diagram", "--cusp", HEX2, "--name", "hex2",
+        "--out", str(tmp_path / "x.svg"), "--extent", "1000000000",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_diagram_skewed_marking_fits_default_canvas(capsys, tmp_path):
+    # hex2 marked with longitude + 1000*meridian
+    cusp = tmp_path / "skewed.json"
+    cusp.write_text(json.dumps({"format": "cusp-file", "version": "v1", "cusps": [
+        {"name": "k1000", "meridian": [2.0, 0.0], "longitude": [2001.0, math.sqrt(3.0)]},
+    ]}))
+    svg = tmp_path / "k1000.svg"
+    code, out, err = run_cli(
+        capsys, "diagram", "--cusp", str(cusp), "--name", "k1000", "--out", str(svg)
+    )
+    assert (code, err) == (0, "")
+    assert out == f"wrote {svg}: 12 slopes, 24 highlighted markers\n"
+
+
 def test_diagram_out_dash_writes_stdout(capsys, tmp_path, monkeypatch, hex2_shape):
     monkeypatch.chdir(tmp_path)
     code, out, _ = run_cli(capsys, "diagram", "--cusp", HEX2, "--name", "hex2", "--out", "-")
@@ -380,6 +410,30 @@ def test_closed_stdout_pipe_stops_quietly():
         stderr=subprocess.PIPE,
     )
     assert proc.stdout.readline().startswith(b"# cusp hex2")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=30) == 1
+    assert err == b""
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["slopes", "--json"], ["report"]], ids=["slopes_json", "report"])
+def test_cut_off_report_exits_1(argv, unbuffered):
+    # hex2 at T = 60 is a 4.7 MB report written in one call; the reader
+    # leaves after 11 bytes.  Unbuffered stdout must not hide the short write.
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cuspslopes", argv[0], "--cusp", HEX2, "--name", "hex2",
+         "--threshold", "60", *argv[1:]],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.read(11) == b'{"format": '
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()

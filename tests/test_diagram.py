@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+import random
 import re
 
 import pytest
 
 from cuspslopes.cusp_geometry import CuspShape
 from cuspslopes.diagram import (
+    CANVAS_PAD_PX,
+    MIN_MARKER_SEPARATION_PX,
     CanvasTooSmallError,
     DiagramSpec,
     canvas_transform,
@@ -19,6 +23,7 @@ from cuspslopes.slope_search import enumerate_short_slopes
 from conftest import FIXTURES
 
 MARKER_RE = re.compile(r'<circle class="slope" cx="([0-9.+-]+)" cy="([0-9.+-]+)"')
+LATTICE_RE = re.compile(r'<circle class="lattice" cx="([0-9.+-]+)" cy="([0-9.+-]+)"')
 
 
 def _hex2_spec(**kwargs) -> DiagramSpec:
@@ -97,6 +102,11 @@ def test_spec_validation(square_shape):
         DiagramSpec(report, lattice_extent=0)
     with pytest.raises(ValueError):
         DiagramSpec(report, width=0)
+    # sizes are ints, and a bool is not taken for one
+    for bad in ({"lattice_extent": 2.5}, {"lattice_extent": True}, {"width": 600.0},
+                {"width": True, "height": True}, {"height": "600"}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            DiagramSpec(report, **bad)
 
 
 def test_transform_round_trip():
@@ -106,3 +116,75 @@ def test_transform_round_trip():
         bx, by = tf.to_world(px, py)
         assert bx == pytest.approx(wx, abs=1e-9)
         assert by == pytest.approx(wy, abs=1e-9)
+
+
+def _world_markers(spec: DiagramSpec, svg: str) -> list[tuple[float, float]]:
+    tf = canvas_transform(spec)
+    return [tf.to_world(float(x), float(y)) for x, y in MARKER_RE.findall(svg)]
+
+
+@pytest.mark.parametrize("k", [s * k for k in (1, 10, 100, 1000, 3000, 5 * 10**4, 10**5)
+                               for s in (1, -1)])
+def test_skewed_hex2_draws_like_hex2(k):
+    # longitude + k*meridian marks the same lattice; the window is drawn in
+    # its reduced basis, so the default canvas fits and each slope marker
+    # lands where the unskewed drawing puts it
+    shape = CuspShape((2.0, 0.0), (1.0 + 2.0 * k, math.sqrt(3.0)))
+    spec = DiagramSpec(enumerate_short_slopes(shape, 6.0), label_slopes=True)
+    svg = emit_lattice_svg(spec)
+    base = _world_markers(_hex2_spec(), emit_lattice_svg(_hex2_spec()))
+    skewed = _world_markers(spec, svg)
+    pixel = 1.0 / canvas_transform(spec).scale
+    assert len(skewed) == len(base)
+    nearest = [min(range(len(base)), key=lambda i: math.dist(p, base[i])) for p in skewed]
+    assert sorted(nearest) == list(range(len(base)))
+    assert all(math.dist(p, base[i]) <= pixel for p, i in zip(skewed, nearest))
+    # labels stay in the marked coordinates
+    assert all(f">({e.slope.a},{e.slope.b})<" in svg for e in spec.report.entries)
+
+
+def _assert_drawable(svg: str, size: int) -> None:
+    """Lattice dots at least the minimum separation apart, and every dot and
+    marker inside the drawing area (coordinates are printed to 4 decimals)."""
+    dots = [(float(x), float(y)) for x, y in LATTICE_RE.findall(svg)]
+    assert min(math.dist(p, q) for p, q in itertools.combinations(dots, 2)) >= (
+        MIN_MARKER_SEPARATION_PX - 1e-3
+    )
+    points = dots + [(float(x), float(y)) for x, y in MARKER_RE.findall(svg)]
+    center = (size / 2.0, size / 2.0)
+    assert max(math.dist(p, center) for p in points) <= size / 2.0 - CANVAS_PAD_PX + 1e-3
+
+
+def _random_markings(rng: random.Random):
+    """A reduced basis (u, v), the same lattice marked with the longitude
+    shorter than the meridian, and a skewed marking of it."""
+    r = rng.uniform(0.5, 2.0)
+    x = rng.uniform(-0.5, 0.5)
+    y = math.sqrt(1.0 - x * x) + rng.uniform(0.01, 2.0)
+    c, s = math.cos(phi := rng.uniform(0.0, 2.0 * math.pi)), math.sin(phi)
+    u = (r * c, r * s)
+    v = (r * (x * c - y * s), r * (x * s + y * c))
+    k = rng.choice((1, -1)) * round(10 ** rng.uniform(0.0, 4.0))
+    return [(u, v), ((-v[0], -v[1]), u), (u, (v[0] + k * u[0], v[1] + k * u[1]))]
+
+
+def test_random_markings_keep_dots_apart():
+    rng = random.Random(20041)
+    accepted = refused = 0
+    for _ in range(12):
+        for meridian, longitude in _random_markings(rng):
+            report = enumerate_short_slopes(CuspShape(meridian, longitude), rng.uniform(0.5, 6.0))
+            for extent in (1, 2, 3):
+                size = rng.randint(60, 600)
+                spec = DiagramSpec(report, lattice_extent=extent, width=size, height=size)
+                try:
+                    svg = emit_lattice_svg(spec)
+                    accepted += 1
+                except CanvasTooSmallError as err:
+                    refused += 1
+                    size = err.suggested_size
+                    svg = emit_lattice_svg(
+                        DiagramSpec(report, lattice_extent=extent, width=size, height=size)
+                    )
+                _assert_drawable(svg, size)
+    assert accepted and refused
