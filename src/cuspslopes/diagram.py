@@ -21,6 +21,7 @@ canvas side at which the same spec draws.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -58,6 +59,11 @@ class DiagramSpec:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value > sys.float_info.max:  # exact: int-float comparison does not round
+                raise ValueError(
+                    f"{name} must be at most {sys.float_info.max!r}, "
+                    f"got a {value.bit_length()}-bit integer"
+                )
         if self.lattice_extent < 1:
             raise ValueError(f"lattice extent must be >= 1, got {self.lattice_extent}")
         if self.width <= 0 or self.height <= 0:
@@ -104,7 +110,10 @@ def canvas_transform(spec: DiagramSpec) -> CanvasTransform:
     # so it is the smallest distance between two drawn points.
     min_spacing = min(math.hypot(*u), math.hypot(*v))
     needed_scale = MIN_MARKER_SEPARATION_PX / min_spacing
-    suggested = math.ceil(2.0 * (needed_scale * radius + CANVAS_PAD_PX))
+    suggested = 2.0 * (needed_scale * radius + CANVAS_PAD_PX)
+    if not math.isfinite(suggested):
+        raise ValueError(f"lattice_extent {ext:.6g} needs a canvas past the float range")
+    suggested = math.ceil(suggested)
 
     half = min(spec.width, spec.height) / 2.0 - CANVAS_PAD_PX
     if half <= 0.0:

@@ -20,7 +20,8 @@ TANGENCY_REL_TOL = 1e-9
 
 @dataclass(frozen=True)
 class HorodiskPair:
-    """Two horodisks tangent to the vertical geodesic, radii r <= R."""
+    """Two horodisks tangent to the vertical geodesic, radii r <= R, with
+    R/r and both sides of the tangency test finite."""
 
     r: float
     R: float
@@ -32,11 +33,18 @@ class HorodiskPair:
             raise ValueError(f"smaller radius must be positive, got {self.r}")
         if self.R < self.r:
             raise ValueError(f"expected r <= R, got r={self.r}, R={self.R}")
+        radii = f"radii r={self.r!r} and R={self.R!r}"
+        if not math.isfinite(self.R / self.r):
+            raise ValueError(f"R/r overflows for {radii}")
+        # 2(R - r)^2 <= 2(R + r)^2, so both sides of the tangency test are finite
+        if not math.isfinite(2.0 * (self.R + self.r) * (self.R + self.r)):
+            raise ValueError(f"the tangency test 2(R - r)^2 = (R + r)^2 overflows for {radii}")
 
 
 @dataclass(frozen=True)
 class WrappingQuery:
-    """Length margin epsilon (slope length > 6 + epsilon) and loop length."""
+    """Length margin epsilon (slope length > 6 + epsilon) and loop length,
+    with a finite wrapping number bound."""
 
     epsilon: float
     loop_length: float
@@ -51,6 +59,11 @@ class WrappingQuery:
             )
         if self.loop_length < 0.0:
             raise ValueError(f"loop length must be nonnegative, got {self.loop_length}")
+        if not math.isfinite(wrapping_bound(self)):
+            raise ValueError(
+                f"the wrapping number bound overflows for epsilon {self.epsilon!r} "
+                f"and loop length {self.loop_length!r}"
+            )
 
 
 @dataclass(frozen=True)

@@ -19,16 +19,17 @@ Python integers with one w-bit lane per slope, w the smallest of 8, 16, 32
 and 64 with 2*max|a|*max|b| < 2^(w-1), so that a_i*T_B - b_i*T_A holds row i
 in its lanes without carries.  A biased subtraction and a lane-wise absolute
 value turn it into an unsigned array, which is exact and costs a few
-big-integer operations per row instead of one Python call per pair.  Sets of
-fewer than ``_PACKED_MIN_SLOPES`` slopes, where packing costs more than it
-saves, are done pair by pair into the same arrays.  The matrix stays packed:
-a ``CrossingMatrix`` holds one unsigned array per row and reads its rows
-back as tuples of ints, so a report keeps n^2 lane-sized entries, not n^2
-Python ints.  A saved matrix is not compared here: ``report_io`` recomputes
-the rows and checks the stored matrix as text, against the writer's text of
-them (at least 3n^2 characters).  At every size, slopes with 2*max|a|*max|b| >= 2^63 raise
-``OverflowError``; they need markings skewed far past what
-``_REDUCED_BOX_MARGIN`` covers.
+big-integer operations per row instead of one Python call per pair.  One
+more biased addition per row tests it against the running maximum, so
+``max_delta`` is found without turning rows back into integers.
+``crossing_data`` is the one kernel, at every set size.  The matrix stays
+packed: a ``CrossingMatrix`` holds one unsigned array per row and reads its
+rows back as tuples of ints, so a report keeps n^2 lane-sized entries, not
+n^2 Python ints.  A saved matrix is not compared here: ``report_io``
+recomputes the rows and checks the stored matrix as text, against the
+writer's text of them (at least 3n^2 characters).  Slopes with
+2*max|a|*max|b| >= 2^63 raise ``OverflowError``; they need markings skewed
+far past what ``_REDUCED_BOX_MARGIN`` covers.
 """
 
 from __future__ import annotations
@@ -64,11 +65,6 @@ _REDUCED_SLACK = 1e-9
 
 # (lane bits, typecode of the unsigned array item of that size), narrowest first.
 _LANES = tuple(sorted({array(code).itemsize * 8: code for code in "BHILQ"}.items()))
-
-# Below this many slopes one Python step per pair is faster than packing:
-# the kernel's fixed cost is several microseconds.  On census sweeps (6 to 24
-# slopes a report) the two break even near 12.
-_PACKED_MIN_SLOPES = 12
 
 
 def _is_short(length: float, threshold: float) -> bool:
@@ -246,28 +242,24 @@ def enumerate_short_slopes(shape: CuspShape, threshold: float) -> ShortSlopeRepo
     return ShortSlopeReport(shape, threshold, tuple(found), matrix, max_delta)
 
 
-def _lane(a: list[int], b: list[int]) -> tuple[int, str]:
-    """Bits and unsigned array typecode of the narrowest lane that holds the
-    crossing numbers of slopes with coordinates a and b >= 0."""
-    reach = 2 * max(max(a, default=0), -min(a, default=0)) * max(b, default=0)
-    for w, code in _LANES:
-        if reach < 1 << (w - 1):
-            return w, code
-    raise OverflowError(
-        f"crossing numbers need 2*max|a|*max|b| < 2**{w - 1}, got {reach}"
-    )
-
-
-def crossing_rows(slopes) -> tuple[str, list[array]]:
-    """The crossing matrix of the slopes, in their order, as one unsigned
-    ``array(code)`` per row; returns ``(code, rows)``.
+def crossing_data(slopes) -> tuple[CrossingMatrix, int]:
+    """Pairwise intersection matrix of the slopes, in their order, as one
+    unsigned ``array`` per row, and its largest entry (0 when fewer than two
+    slopes are given).
 
     Raises ``OverflowError`` when 2*max|a|*max|b| >= 2^63, because an entry
     might then not fit a 64-bit lane.
     """
     a = [s.a for s in slopes]
     b = [s.b for s in slopes]  # canonical slopes have b >= 0
-    w, code = _lane(a, b)
+    reach = 2 * max(max(a, default=0), -min(a, default=0)) * max(b, default=0)
+    for w, code in _LANES:
+        if reach < 1 << (w - 1):
+            break
+    else:
+        raise OverflowError(
+            f"crossing numbers need 2*max|a|*max|b| < 2**{w - 1}, got {reach}"
+        )
     n = len(a)
     half = 1 << (w - 1)
     fill = (1 << w) - 1
@@ -278,49 +270,26 @@ def crossing_rows(slopes) -> tuple[str, list[array]]:
     t_b = int.from_bytes(array(code, [v + half for v in b]), sys.byteorder) - top
     size = n * w // 8
     rows = []
-    for ai, bi in zip(a, b):
+    # Every entry is < 2^(w-1), so adding 2^(w-1) - 1 - best to every lane of
+    # a row sets a lane's top bit exactly when its entry exceeds the running
+    # maximum best; only such rows are scanned.  The rows are formed from the
+    # last slope, which in enumeration order is the longest and holds the
+    # largest entries, so few rows are scanned.
+    best, bias = 0, (half - 1) * ones
+    for ai, bi in zip(reversed(a), reversed(b)):
         # Lane j of a_i*T_B - b_i*T_A is a_i*b_j - b_i*a_j, |.| < 2^(w-1):
         # biasing by half leaves each lane in [0, 2^w), and ^ top makes it
         # the lane's two's complement; then negate the negative lanes.
         u = (ai * t_b - bi * t_a + top) ^ top
         neg = (u >> (w - 1)) & ones
-        rows.append(array(code, ((u ^ neg * fill) + neg).to_bytes(size, sys.byteorder)))
-    return code, rows
-
-
-def _packed_max(code: str, rows: list[array]) -> int:
-    """Largest entry of unsigned rows whose entries are < 2^(w-1).
-
-    Adding 2^(w-1) - 1 - m to every lane of a row sets a lane's top bit
-    exactly when its entry exceeds m, so one big-integer test per row finds
-    the rows that raise the running maximum m; only those are scanned.  The
-    scan starts at the last row, which in enumeration order is the longest
-    slope's and holds the largest entries, so few rows are scanned.
-    """
-    w = array(code).itemsize * 8
-    half = 1 << (w - 1)
-    ones = ((1 << (w * len(rows))) - 1) // ((1 << w) - 1)
-    top = half * ones
-    best, bias = 0, (half - 1) * ones
-    for row in reversed(rows):
-        if (int.from_bytes(row, sys.byteorder) + bias) & top:
+        u = (u ^ neg * fill) + neg
+        row = array(code, u.to_bytes(size, sys.byteorder))
+        if (u + bias) & top:
             best = max(row)
             bias = (half - 1 - best) * ones
-    return best
-
-
-def crossing_data(slopes) -> tuple[CrossingMatrix, int]:
-    """Pairwise intersection matrix of the slopes, in their order, and its
-    largest entry (0 when fewer than two slopes are given).  Raises
-    ``OverflowError`` as ``crossing_rows`` does, at every size."""
-    n = len(slopes)
-    if n < _PACKED_MIN_SLOPES:
-        code = _lane([s.a for s in slopes], [s.b for s in slopes])[1]
-        flat = array(code, [abs(s.a * t.b - s.b * t.a) for s in slopes for t in slopes])
-        rows = [flat[i * n : (i + 1) * n] for i in range(n)]
-        return CrossingMatrix(rows), max(flat, default=0)
-    code, rows = crossing_rows(slopes)
-    return CrossingMatrix(rows), _packed_max(code, rows)
+        rows.append(row)
+    rows.reverse()
+    return CrossingMatrix(rows), best
 
 
 def classify_slope(

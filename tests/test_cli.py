@@ -68,7 +68,6 @@ def test_slopes_json_is_the_report_text(capsys, hex2_shape, threshold, count):
     report = build_analysis_report(hex2_shape, float(threshold))
     assert (code, err) == (0, "")
     assert len(report.entries) == count
-    assert count == 0 or count > slope_search._PACKED_MIN_SLOPES
     assert out == json_text(report_to_dict(report))
 
 
@@ -250,6 +249,26 @@ def test_horodisk_invalid_radii_domain_error(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "option, values, message",
+    [
+        ("--wrapping", ("1e-320", "1"),
+         "the wrapping number bound overflows for epsilon 1e-320 and loop length 1.0"),
+        ("--wrapping", ("1", "1e308"),
+         "the wrapping number bound overflows for epsilon 1.0 and loop length 1e+308"),
+        ("--separation", ("1e-320", "1e10"),
+         "R/r overflows for radii r=1e-320 and R=10000000000.0"),
+        ("--separation", ("1", "1e155"),
+         "the tangency test 2(R - r)^2 = (R + r)^2 overflows for radii r=1.0 and R=1e+155"),
+    ],
+    ids=["wrapping_tiny_epsilon", "wrapping_huge_length", "separation_ratio", "separation_square"],
+)
+def test_horodisk_past_the_float_range_is_domain_error(capsys, json_flag, option, values, message):
+    code, out, err = run_cli(capsys, "horodisk", *json_flag, option, *values)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 # ---------------------------------------------------------------- diagram
 
 
@@ -286,6 +305,29 @@ def test_diagram_huge_extent_refused_at_once(capsys, tmp_path):
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--extent", 10**308, "lattice_extent 1e+308 needs a canvas past the float range"),
+        ("--extent", 10**400,
+         "lattice_extent must be at most 1.7976931348623157e+308, got a 1329-bit integer"),
+        ("--width", 10**400,
+         "width must be at most 1.7976931348623157e+308, got a 1329-bit integer"),
+        ("--height", 10**400,
+         "height must be at most 1.7976931348623157e+308, got a 1329-bit integer"),
+    ],
+    ids=["extent_1e308", "extent_1e400", "width_1e400", "height_1e400"],
+)
+def test_diagram_size_past_the_float_range_names_the_option(capsys, tmp_path, option, value,
+                                                             message):
+    code, out, err = run_cli(
+        capsys, "diagram", "--cusp", HEX2, "--name", "hex2",
+        "--out", str(tmp_path / "x.svg"), option, str(value),
+    )
+    assert (code, out, err) == (1, "", f"error: {message}\n")
     assert list(tmp_path.iterdir()) == []
 
 

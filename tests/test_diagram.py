@@ -109,6 +109,25 @@ def test_spec_validation(square_shape):
             DiagramSpec(report, **bad)
 
 
+@pytest.mark.parametrize("name", ["lattice_extent", "width", "height"])
+@pytest.mark.parametrize("value, bits", [(10**400, 1329), (2**1024 - 1, 1024)])
+def test_spec_sizes_past_the_float_range_name_the_field(name, value, bits):
+    message = f"^{name} must be at most 1.7976931348623157e\\+308, got a {bits}-bit integer$"
+    with pytest.raises(ValueError, match=message):
+        _hex2_spec(**{name: value})
+
+
+def test_extent_past_the_float_range_names_the_extent():
+    # 10^308 is a finite float, but the window's corners are not
+    spec = _hex2_spec(lattice_extent=10**308)
+    message = r"^lattice_extent 1e\+308 needs a canvas past the float range$"
+    with pytest.raises(ValueError, match=message):
+        canvas_transform(spec)
+    # a huge canvas side inside the float range is a size like any other
+    spec = _hex2_spec(width=10**300, height=10**300)
+    assert canvas_transform(spec).cx == 10**300 / 2.0
+
+
 def test_transform_round_trip():
     tf = canvas_transform(_hex2_spec())
     for wx, wy in ((0.0, 0.0), (2.0, 0.0), (-1.5, 3.25)):

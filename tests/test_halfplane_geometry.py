@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -66,6 +67,28 @@ def test_pair_validation():
         HorodiskPair(2.0, 1.0)
     with pytest.raises(ValueError):
         HorodiskPair(1.0, math.inf)
+
+
+@pytest.mark.parametrize(
+    "r, R, message",
+    [
+        (1e-320, 1e10, r"R/r overflows for radii r=1e-320 and R=10000000000\.0"),
+        (5e-324, 1.0, r"R/r overflows for radii r=5e-324 and R=1\.0"),
+        (1.0, 1e155, r"2\(R - r\)\^2 = \(R \+ r\)\^2 overflows for radii r=1\.0 and R=1e\+155"),
+        # (R + r)^2 = 1e308 is finite, but 2(R - r)^2 is not
+        (1.0, 1e154, r"2\(R - r\)\^2 = \(R \+ r\)\^2 overflows for radii r=1\.0 and R=1e\+154"),
+    ],
+)
+def test_pair_past_the_float_range_rejected(r, R, message):
+    with pytest.raises(ValueError, match=message):
+        HorodiskPair(r, R)
+
+
+def test_pair_at_the_float_range_accepted():
+    # every quantity of the largest accepted radii is finite
+    for pair in (HorodiskPair(1e-300, 1e7), HorodiskPair(1.0, 9e153), HorodiskPair(4e153, 4e153)):
+        check = mutually_tangent(pair)
+        assert math.isfinite(tangency_separation(pair)) and math.isfinite(check.residual)
 
 
 # ---------------------------------------------------------------- tangency
@@ -139,6 +162,20 @@ def test_wrapping_query_validation():
         WrappingQuery(1.0, -1.0)
     with pytest.raises(ValueError):
         WrappingQuery(math.nan, 1.0)
+
+
+@pytest.mark.parametrize(
+    "epsilon, loop_length",
+    [(1e-320, 1.0), (1.0, 1e308), (1e-300, 1e10)],
+)
+def test_wrapping_bound_past_the_float_range_rejected(epsilon, loop_length):
+    message = (
+        f"wrapping number bound overflows for epsilon {epsilon!r} and loop length {loop_length!r}"
+    )
+    with pytest.raises(ValueError, match=re.escape(message)):
+        WrappingQuery(epsilon, loop_length)
+    # a zero-length loop has bound 0 at any positive epsilon
+    assert wrapping_bound(WrappingQuery(epsilon, 0.0)) == 0.0
 
 
 def test_wrapping_bound_decreasing_in_epsilon():

@@ -368,9 +368,7 @@ def test_other_layouts_load(hex2_report, tmp_path, layout):
 
 # A stored matrix must be exactly the writer's text of the rebuilt one, and
 # one shorter than 3n^2 characters is refused before that is computed.  hex2
-# at T = 4 has 6 slopes, fewer than _PACKED_MIN_SLOPES, so the rebuilt matrix
-# comes from the pair-by-pair branch; the TAMPERS rows above have 12 slopes
-# and go through the packed kernel.
+# at T = 4 has 6 slopes, a census-sized set; the TAMPERS rows above have 12.
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -383,17 +381,17 @@ def test_other_layouts_load(hex2_report, tmp_path, layout):
 )
 def test_tampered_small_report_rejected(hex2_shape, mutate):
     data = report_to_dict(build_analysis_report(hex2_shape, 4.0))
-    assert len(data["slopes"]) < slope_search._PACKED_MIN_SLOPES
+    assert len(data["slopes"]) == 6
     mutate(data)
     with pytest.raises(ReportFormatError, match="delta_matrix"):
         report_from_dict(data)
 
 
 def test_edited_matrix_rejected_at_every_size(tmp_path):
-    # sizes on both sides of _PACKED_MIN_SLOPES, as a dict and as a file in
-    # the writer's layout
+    # every size from 0 to 25 slopes, as a dict and as a file in the
+    # writer's layout
     path = tmp_path / "edited.json"
-    for n in range(0, 2 * slope_search._PACKED_MIN_SLOPES + 2):
+    for n in range(0, 26):
         report = _shortest_slopes_report(n)
         data = report_to_dict(report)
         assert report_from_dict(data) == report
@@ -423,7 +421,7 @@ def test_short_matrix_rejected_before_it_is_computed(hex2_shape, tmp_path, monke
     def refuse(slopes):
         raise AssertionError("the crossing matrix was computed")
 
-    monkeypatch.setattr(slope_search, "crossing_rows", refuse)
+    monkeypatch.setattr(report_io, "crossing_data", refuse)
     for load in (lambda: load_report(path), lambda: report_from_dict(data)):
         start = time.perf_counter()
         with pytest.raises(ReportFormatError, match="delta_matrix.*integers"):
@@ -541,7 +539,7 @@ def test_writer_matches_public_dict(hex2_shape, tmp_path):
         build_analysis_report(hex2_shape, 4.0),
         build_analysis_report(shape, 16.0 * math.sqrt(cusp_geometry.area(shape))),
     ]
-    assert len(reports[1].entries) < slope_search._PACKED_MIN_SLOPES
+    assert len(reports[1].entries) == 6
     assert len(reports[2].entries) > 200
     for report in reports:
         text = json_text(report_to_dict(report))
@@ -591,8 +589,9 @@ def _named(name: str):
     [
         (lambda _: _shortest_slopes_report(0), None),
         (lambda _: _shortest_slopes_report(1), 1),
-        (lambda _: _shortest_slopes_report(slope_search._PACKED_MIN_SLOPES - 1), 1),
-        (lambda _: _shortest_slopes_report(slope_search._PACKED_MIN_SLOPES), 1),
+        # 11 and 12 slopes: either side of where a pair-by-pair branch once took over
+        (lambda _: _shortest_slopes_report(11), 1),
+        (lambda _: _shortest_slopes_report(12), 1),
         (lambda _: _loaded_report_far_out(10**5), 4),
         # entries past 2**40: no table indexed by value could be built for them
         (lambda _: _loaded_report_far_out(2**40), 8),

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import random
-from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +17,6 @@ from cuspslopes.slope_search import (
     SlopeClass,
     classify_slope,
     crossing_data,
-    crossing_rows,
     enumerate_short_slopes,
     search_box,
 )
@@ -94,6 +92,11 @@ def test_delta_matrix_shape_and_symmetry(hex2_shape):
     )
 
 
+def _lane_bits(amax: int, bmax: int) -> int:
+    """The narrowest of 8, 16, 32 and 64 bits w with 2*amax*bmax < 2^(w-1)."""
+    return next(w for w in (8, 16, 32, 64) if 2 * amax * bmax < 2 ** (w - 1))
+
+
 def _lane_set(rng: random.Random, amax: int, bmax: int, extremes) -> list[Slope]:
     """The extreme slopes plus up to 40 seeded primitive slopes with
     |a| <= amax and 0 <= b <= bmax, in random order."""
@@ -114,9 +117,8 @@ def _lane_set(rng: random.Random, amax: int, bmax: int, extremes) -> list[Slope]
 def test_crossing_rows_match_pairwise_just_below_lane_bound(k, bits, seed):
     amax, bmax = 2**k - 1, 2**k + 1  # 2 * amax * bmax = 2^(2k+1) - 2
     slopes = _lane_set(random.Random(seed), amax, bmax, [(amax, bmax), (-amax, bmax)])
-    code, _rows = crossing_rows(slopes)
-    assert array(code).itemsize * 8 == bits
     matrix, max_delta = crossing_data(slopes)
+    assert {row.itemsize * 8 for row in matrix.rows} == {bits}
     assert matrix == tuple(tuple(intersection_number(s, t) for t in slopes) for s in slopes)
     assert max_delta == 2 * amax * bmax
 
@@ -126,42 +128,47 @@ def test_crossing_rows_match_pairwise_just_below_lane_bound(k, bits, seed):
 def test_crossing_rows_match_pairwise_at_lane_bound(k, bits, seed):
     top = 2**k  # 2 * max|a| * max|b| = 2^(2k+1)
     slopes = _lane_set(random.Random(seed), top, top, [(top, 1), (-top, 1), (1, top), (-1, top)])
-    code, _rows = crossing_rows(slopes)
-    assert array(code).itemsize * 8 == bits
     matrix, max_delta = crossing_data(slopes)
+    assert {row.itemsize * 8 for row in matrix.rows} == {bits}
     assert matrix == tuple(tuple(intersection_number(s, t) for t in slopes) for s in slopes)
     assert max_delta == max(intersection_number(s, t) for s in slopes for t in slopes)
 
 
-@pytest.mark.parametrize("filler", [0, 20])  # below and past _PACKED_MIN_SLOPES
+@pytest.mark.parametrize("filler", [0, 20])  # a small and a large set
 def test_crossing_overflow_names_the_bound(filler):
     top = 2**31  # 2 * max|a| * max|b| = 2^63
     slopes = [Slope(top, 1), Slope(1, top)] + [Slope(k, 1) for k in range(filler)]
     message = r"2\*max\|a\|\*max\|b\| < 2\*\*63, got 9223372036854775808"
-    for compute in (crossing_data, crossing_rows):
-        with pytest.raises(OverflowError, match=message):
-            compute(slopes)
+    with pytest.raises(OverflowError, match=message):
+        crossing_data(slopes)
 
 
 def test_crossing_paths_agree_across_sizes():
-    # set sizes on both sides of _PACKED_MIN_SLOPES, against the pairwise oracle
+    # every set size from 0 to 25, against the pairwise oracle
     rng = random.Random(7)
     pool = [Slope(a, b) for a in range(-50, 51) for b in range(1, 51) if math.gcd(a, b) == 1]
-    for n in range(0, 2 * slope_search._PACKED_MIN_SLOPES + 2):
+    for n in range(0, 26):
         slopes = rng.sample(pool, n)
         oracle = tuple(tuple(intersection_number(s, t) for t in slopes) for s in slopes)
         matrix, max_delta = crossing_data(slopes)
         assert matrix == oracle
         assert max_delta == max((max(row) for row in oracle), default=0)
-        # the packed kernel, which crossing_data skips below the cut-off, agrees too
-        code, rows = crossing_rows(slopes)
-        assert matrix.rows == tuple(rows)
-        assert {row.typecode for row in matrix.rows} <= {code}
+        # every row in the narrowest lane w with 2*max|a|*max|b| < 2^(w-1)
+        amax = max((abs(s.a) for s in slopes), default=0)
+        bmax = max((s.b for s in slopes), default=0)
+        assert {row.itemsize * 8 for row in matrix.rows} <= {_lane_bits(amax, bmax)}
 
 
 def test_crossing_data_empty_and_single():
     assert crossing_data([]) == ((), 0)
     assert crossing_data([Slope(-3, 7)]) == (((0,),), 0)
+
+
+def test_crossing_data_max_of_one():
+    # the running maximum starts at 0, so a largest entry of 1 must raise it
+    for slopes in ([Slope(1, 0), Slope(0, 1)], [Slope(1, 1), Slope(0, 1), Slope(1, 0)]):
+        matrix, max_delta = crossing_data(slopes)
+        assert max_delta == 1 == max(map(max, matrix))
 
 
 def test_crossing_matrix_reads_as_tuple_rows():
@@ -180,11 +187,13 @@ def test_crossing_matrix_reads_as_tuple_rows():
     assert repr(matrix) == f"CrossingMatrix({oracle!r})"
 
 
-@pytest.mark.parametrize("reach", [10, 2**6, 2**14, 2**30])
+@pytest.mark.parametrize("reach", [7, 10, 2**6, 2**14, 2**30])
 def test_packed_max_in_any_row_order(reach):
-    # the running-max scan must not depend on rows coming in length order
+    # the running-max scan must not depend on rows coming in length order,
+    # at census sizes and past them, in each of the four lane widths
     rng = random.Random(reach)
-    for n in (12, 13, 30, 61):
+    widths = set()
+    for n in (1, 2, 3, 5, 11, 12, 13, 30, 61):
         slopes = []
         while len(slopes) < n:
             a, b = rng.randint(-reach, reach), rng.randint(0, reach)
@@ -193,15 +202,17 @@ def test_packed_max_in_any_row_order(reach):
         matrix, max_delta = crossing_data(slopes)
         assert max_delta == max(intersection_number(s, t) for s in slopes for t in slopes)
         assert max_delta == max(map(max, matrix))
+        widths |= {row.itemsize * 8 for row in matrix.rows}
+    assert _lane_bits(reach, reach) in widths  # 8, 16, 16, 32 and 64 bits
 
 
 def test_packed_max_one_above_the_last_row():
-    # the scan starts at (0, 1), whose largest entry is 11; the maximum, 12,
-    # is one more and lies only in the rows of (-1, 1) and (11, 1)
-    slopes = [Slope(-1, 1)] + [Slope(k, 1) for k in range(1, 12)] + [Slope(0, 1)]
-    matrix, max_delta = crossing_data(slopes)
-    assert len(slopes) >= slope_search._PACKED_MIN_SLOPES
-    assert max(matrix[-1]) == 11 and max_delta == 12
+    # the scan starts at (0, 1), whose largest entry is k; the maximum, k + 1,
+    # is one more and lies only in the rows of (-1, 1) and (k, 1)
+    for k in (2, 11):
+        slopes = [Slope(-1, 1)] + [Slope(j, 1) for j in range(1, k + 1)] + [Slope(0, 1)]
+        matrix, max_delta = crossing_data(slopes)
+        assert max(matrix[-1]) == k and max_delta == k + 1
 
 
 def test_lengths_match_geometry(hex2_shape):
