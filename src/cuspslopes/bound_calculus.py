@@ -18,9 +18,8 @@ range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .cusp_geometry import Slope, intersection_number
+from .cusp_geometry import Slope, _finite, _set, _Value, intersection_number
 
 # Lower bound for the maximal-cusp torus area of a one-cusped hyperbolic
 # 3-manifold (Cao-Meyerhoff).
@@ -63,24 +62,22 @@ def guarded_floor(x: float) -> tuple[int, bool]:
     return math.floor(x), False
 
 
-@dataclass(frozen=True)
-class BoundQuery:
+class BoundQuery(_Value):
     """Length threshold L and area floor A feeding the pipeline, as floats."""
 
-    length_threshold: float
-    area_floor: float
+    __slots__ = _fields = ("length_threshold", "area_floor")
 
-    def __post_init__(self) -> None:
-        L, A = self.length_threshold, self.area_floor
-        if not (math.isfinite(L) and math.isfinite(A)):
+    def __init__(self, length_threshold: float, area_floor: float) -> None:
+        L, A = length_threshold, area_floor
+        if not (_finite(L, "length threshold") and _finite(A, "area floor")):
             raise ValueError("length threshold and area floor must be finite")
         if type(L) is not float or type(A) is not float:  # e.g. ints
             for what, x in (("length threshold", L), ("area floor", A)):
                 if isinstance(x, bool):
                     raise ValueError(f"{what} must be a number, got {x!r}")
             L, A = float(L), float(A)
-            object.__setattr__(self, "length_threshold", L)
-            object.__setattr__(self, "area_floor", A)
+        _set(self, "length_threshold", L)
+        _set(self, "area_floor", A)
         if L <= 0.0 or A <= 0.0:
             raise ValueError("length threshold and area floor must be positive")
         ratio = L * L / A
@@ -93,13 +90,16 @@ class BoundQuery:
             )
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    query: BoundQuery
-    delta_max: int
-    prime: int
-    count_bound: int
-    floor_guard_hit: bool = False
+class BoundReport(_Value):
+    __slots__ = _fields = ("query", "delta_max", "prime", "count_bound", "floor_guard_hit")
+
+    def __init__(self, query: BoundQuery, delta_max: int, prime: int, count_bound: int,
+                 floor_guard_hit: bool = False) -> None:
+        _set(self, "query", query)
+        _set(self, "delta_max", delta_max)
+        _set(self, "prime", prime)
+        _set(self, "count_bound", count_bound)
+        _set(self, "floor_guard_hit", floor_guard_hit)
 
 
 def is_prime(n: int) -> bool:
@@ -170,14 +170,17 @@ def project_to_fp(s: Slope, p: int) -> tuple[int, int]:
     return _residue(s.a, s.b, p)
 
 
-@dataclass(frozen=True)
-class LemmaVerdict:
+class LemmaVerdict(_Value):
     """Outcome of the injectivity check behind the p + 1 count bound."""
 
-    prime: int
-    injective: bool
-    collision: tuple[Slope, Slope] | None = None
-    delta: int | None = None
+    __slots__ = _fields = ("prime", "injective", "collision", "delta")
+
+    def __init__(self, prime: int, injective: bool,
+                 collision: tuple[Slope, Slope] | None = None, delta: int | None = None) -> None:
+        _set(self, "prime", prime)
+        _set(self, "injective", injective)
+        _set(self, "collision", collision)
+        _set(self, "delta", delta)
 
 
 def verify_counting_lemma(slopes, p: int) -> LemmaVerdict:

@@ -12,7 +12,6 @@ intersection number, tied together by the identity
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 Vec2 = tuple[float, float]
 
@@ -35,21 +34,83 @@ def _det(u: Vec2, v: Vec2) -> float:
     return u[0] * v[1] - u[1] * v[0]
 
 
-@dataclass(frozen=True)
-class CuspShape:
+# How a value type's ``__init__`` writes its slots past ``_Value.__setattr__``.
+_set = object.__setattr__
+
+
+class _Value:
+    """Base of the package's immutable value types.
+
+    A subclass lists its fields once, as ``__slots__ = _fields = (...)``, and
+    writes its own ``__init__``, which stores each field with ``_set`` and
+    then checks it.  Instances are equal when their classes are the same and
+    their fields are equal, hash like the tuple of their fields, and read
+    back as ``Name(field=value, ...)``.  Assignment and deletion raise
+    ``AttributeError``; ``pickle`` and ``copy`` rebuild through ``__init__``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._fields])
+        return f"{type(self).__name__}({body})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+def _finite(x, field: str) -> bool:
+    """``math.isfinite``, except that an int past the float range is a
+    ``ValueError`` that names the field, not an ``OverflowError``."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        raise ValueError(f"{field} is an integer past the float range") from None
+
+
+def _basis_vector(v, field: str) -> Vec2:
+    try:
+        return (float(v[0]), float(v[1]))
+    except OverflowError:  # an int past the float range
+        raise DegenerateBasisError(f"cusp {field} has a coordinate past the float range") from None
+
+
+class CuspShape(_Value):
     """Marked flat torus: meridian and longitude translation vectors.
 
     The basis is orientation-normalized at construction (vectors swapped if
     the determinant is negative), so ``area`` equals the raw determinant.
     """
 
-    meridian: Vec2
-    longitude: Vec2
-    name: str | None = None
+    __slots__ = _fields = ("meridian", "longitude", "name")
+
+    def __init__(self, meridian: Vec2, longitude: Vec2, name: str | None = None) -> None:
+        _set(self, "meridian", meridian)
+        _set(self, "longitude", longitude)
+        _set(self, "name", name)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        mer = (float(self.meridian[0]), float(self.meridian[1]))
-        lon = (float(self.longitude[0]), float(self.longitude[1]))
+        mer = _basis_vector(self.meridian, "meridian")
+        lon = _basis_vector(self.longitude, "longitude")
         if not all(math.isfinite(c) for c in (*mer, *lon)):
             raise DegenerateBasisError("cusp basis must be finite")
         det = _det(mer, lon)
@@ -60,19 +121,18 @@ class CuspShape:
             )
         if det < 0.0:
             mer, lon = lon, mer
-        object.__setattr__(self, "meridian", mer)
-        object.__setattr__(self, "longitude", lon)
+        _set(self, "meridian", mer)
+        _set(self, "longitude", lon)
 
 
-@dataclass(frozen=True, order=True)
-class Slope:
-    """Primitive class (a, b), canonicalized so b > 0, or b = 0 and a = 1."""
+class Slope(_Value):
+    """Primitive class (a, b), canonicalized so b > 0, or b = 0 and a = 1.
 
-    a: int
-    b: int
+    Slopes are ordered like their (a, b) pairs."""
 
-    def __post_init__(self) -> None:
-        a, b = self.a, self.b
+    __slots__ = _fields = ("a", "b")
+
+    def __init__(self, a: int, b: int) -> None:
         if isinstance(a, bool) or isinstance(b, bool):
             raise NonPrimitiveSlopeError("slope coordinates must be integers")
         if a != int(a) or b != int(b):
@@ -84,8 +144,28 @@ class Slope:
             )
         if b < 0 or (b == 0 and a < 0):
             a, b = -a, -b
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        _set(self, "a", a)
+        _set(self, "b", b)
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.b) < (other.a, other.b)
+
+    def __le__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.b) <= (other.a, other.b)
+
+    def __gt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.b) > (other.a, other.b)
+
+    def __ge__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.b) >= (other.a, other.b)
 
     def __str__(self) -> str:
         return f"({self.a},{self.b})"

@@ -15,7 +15,8 @@ shorter of u and v, the shortest lattice vector, so ``canvas_transform``
 does no work that grows with the extent.  It raises ``CanvasTooSmallError``
 when the canvas leaves no drawing area or would put two dots closer than
 ``MIN_MARKER_SEPARATION_PX``; the error's ``suggested_size`` is the square
-canvas side at which the same spec draws.
+canvas side at which the same spec draws, which its message names only up
+to ``CANVAS_SIDE_LIMIT_PX``.
 """
 
 from __future__ import annotations
@@ -23,9 +24,8 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass
 
-from .cusp_geometry import Vec2, slope_vector
+from .cusp_geometry import Vec2, _set, _Value, slope_vector
 from .slope_search import ShortSlopeReport, _reduced_basis
 
 # Adjacent lattice markers closer than this (in pixels) are unreadable.
@@ -36,6 +36,10 @@ LATTICE_DOT_RADIUS = 2.0
 SLOPE_DOT_RADIUS = 4.0
 RING_RADIUS = 7.0
 
+# Past this side a suggested canvas is named as a limit, not in full: no
+# raster canvas takes a side past a signed 32-bit pixel count.
+CANVAS_SIDE_LIMIT_PX = 2**31
+
 
 class CanvasTooSmallError(ValueError):
     """Canvas cannot separate lattice points; carries a workable size."""
@@ -45,16 +49,19 @@ class CanvasTooSmallError(ValueError):
         self.suggested_size = suggested_size
 
 
-@dataclass(frozen=True)
-class DiagramSpec:
-    report: ShortSlopeReport
-    radius_circle: bool = True
-    lattice_extent: int = 4
-    label_slopes: bool = False
-    width: int = 600
-    height: int = 600
+class DiagramSpec(_Value):
+    __slots__ = _fields = ("report", "radius_circle", "lattice_extent", "label_slopes",
+                           "width", "height")
 
-    def __post_init__(self) -> None:
+    def __init__(self, report: ShortSlopeReport, radius_circle: bool = True,
+                 lattice_extent: int = 4, label_slopes: bool = False, width: int = 600,
+                 height: int = 600) -> None:
+        _set(self, "report", report)
+        _set(self, "radius_circle", radius_circle)
+        _set(self, "lattice_extent", lattice_extent)
+        _set(self, "label_slopes", label_slopes)
+        _set(self, "width", width)
+        _set(self, "height", height)
         for name in ("lattice_extent", "width", "height"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
@@ -70,13 +77,15 @@ class DiagramSpec:
             raise ValueError("canvas dimensions must be positive")
 
 
-@dataclass(frozen=True)
-class CanvasTransform:
+class CanvasTransform(_Value):
     """Uniform world-to-canvas map: origin at canvas center, y up in world."""
 
-    scale: float
-    cx: float
-    cy: float
+    __slots__ = _fields = ("scale", "cx", "cy")
+
+    def __init__(self, scale: float, cx: float, cy: float) -> None:
+        _set(self, "scale", scale)
+        _set(self, "cx", cx)
+        _set(self, "cy", cy)
 
     def to_canvas(self, wx: float, wy: float) -> tuple[float, float]:
         return self.cx + self.scale * wx, self.cy - self.scale * wy
@@ -114,21 +123,22 @@ def canvas_transform(spec: DiagramSpec) -> CanvasTransform:
     if not math.isfinite(suggested):
         raise ValueError(f"lattice_extent {ext:.6g} needs a canvas past the float range")
     suggested = math.ceil(suggested)
+    if suggested > CANVAS_SIDE_LIMIT_PX:
+        advice = f"lattice_extent {ext:.6g} needs a canvas side past 2**31 px"
+    else:
+        advice = f"use at least {suggested}x{suggested}"
 
     half = min(spec.width, spec.height) / 2.0 - CANVAS_PAD_PX
     if half <= 0.0:
         raise CanvasTooSmallError(
-            f"canvas {spec.width}x{spec.height} leaves no drawing area; "
-            f"use at least {suggested}x{suggested}",
-            suggested,
+            f"canvas {spec.width}x{spec.height} leaves no drawing area; {advice}", suggested
         )
     scale = half / radius
     spacing = min_spacing * scale
     if spacing < MIN_MARKER_SEPARATION_PX:
         raise CanvasTooSmallError(
             f"lattice points would be {spacing:.2f} px apart on a "
-            f"{spec.width}x{spec.height} canvas; use at least "
-            f"{suggested}x{suggested}",
+            f"{spec.width}x{spec.height} canvas; {advice}",
             suggested,
         )
     return CanvasTransform(scale, spec.width / 2.0, spec.height / 2.0)

@@ -11,23 +11,24 @@ minimal spacing of consecutive tangency points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from .cusp_geometry import _finite, _set, _Value
 
 _LOG_1_PLUS_SQRT2 = math.log(1.0 + math.sqrt(2.0))
 
 TANGENCY_REL_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class HorodiskPair:
+class HorodiskPair(_Value):
     """Two horodisks tangent to the vertical geodesic, radii r <= R, with
     R/r and both sides of the tangency test finite."""
 
-    r: float
-    R: float
+    __slots__ = _fields = ("r", "R")
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.r) and math.isfinite(self.R)):
+    def __init__(self, r: float, R: float) -> None:
+        _set(self, "r", r)
+        _set(self, "R", R)
+        if not (_finite(r, "radius r") and _finite(R, "radius R")):
             raise ValueError("radii must be finite")
         if self.r <= 0.0:
             raise ValueError(f"smaller radius must be positive, got {self.r}")
@@ -41,16 +42,16 @@ class HorodiskPair:
             raise ValueError(f"the tangency test 2(R - r)^2 = (R + r)^2 overflows for {radii}")
 
 
-@dataclass(frozen=True)
-class WrappingQuery:
+class WrappingQuery(_Value):
     """Length margin epsilon (slope length > 6 + epsilon) and loop length,
     with a finite wrapping number bound."""
 
-    epsilon: float
-    loop_length: float
+    __slots__ = _fields = ("epsilon", "loop_length")
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.epsilon) and math.isfinite(self.loop_length)):
+    def __init__(self, epsilon: float, loop_length: float) -> None:
+        _set(self, "epsilon", epsilon)
+        _set(self, "loop_length", loop_length)
+        if not (_finite(epsilon, "epsilon") and _finite(loop_length, "loop length")):
             raise ValueError("epsilon and loop length must be finite")
         if self.epsilon <= 0.0:
             raise ValueError(
@@ -66,10 +67,12 @@ class WrappingQuery:
             )
 
 
-@dataclass(frozen=True)
-class TangencyCheck:
-    tangent: bool
-    residual: float  # (R+r)^2 - 2(R-r)^2; zero exactly at mutual tangency
+class TangencyCheck(_Value):
+    __slots__ = _fields = ("tangent", "residual")
+
+    def __init__(self, tangent: bool, residual: float) -> None:
+        _set(self, "tangent", tangent)
+        _set(self, "residual", residual)  # (R+r)^2 - 2(R-r)^2; zero exactly at mutual tangency
 
 
 def tangency_separation(pair: HorodiskPair) -> float:

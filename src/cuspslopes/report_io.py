@@ -40,7 +40,6 @@ import json
 import math
 import operator
 import sys
-from dataclasses import dataclass
 
 from . import __version__
 from .bound_calculus import (
@@ -51,7 +50,15 @@ from .bound_calculus import (
     slope_count_bound,
     verify_counting_lemma,
 )
-from .cusp_geometry import CuspShape, DegenerateBasisError, NonPrimitiveSlopeError, Slope, area
+from .cusp_geometry import (
+    CuspShape,
+    DegenerateBasisError,
+    NonPrimitiveSlopeError,
+    Slope,
+    _set,
+    _Value,
+    area,
+)
 from .slope_search import (
     CrossingMatrix,
     SlopeEntry,
@@ -78,13 +85,15 @@ class ReportFormatError(ValueError):
     """Version mismatch or inconsistency in a serialized report."""
 
 
-@dataclass(frozen=True)
-class RecordError:
+class RecordError(_Value):
     """A rejected cusp record, addressed by position and name."""
 
-    index: int
-    name: str | None
-    message: str
+    __slots__ = _fields = ("index", "name", "message")
+
+    def __init__(self, index: int, name: str | None, message: str) -> None:
+        _set(self, "index", index)
+        _set(self, "name", name)
+        _set(self, "message", message)
 
     def __str__(self) -> str:
         who = f"record {self.index}" + (f" ({self.name!r})" if self.name else "")
@@ -244,20 +253,26 @@ def find_shape(shapes, name: str) -> CuspShape:
 
 # ----------------------------- Analysis reports ----------------------------
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(_Value):
     """One shape's full analysis: short slopes, crossing data, count bound,
     and the finite-field injectivity verdict."""
 
-    shape_name: str
-    threshold: float
-    entries: tuple[SlopeEntry, ...]
-    delta_matrix: CrossingMatrix
-    max_delta: int
-    bound: BoundReport
-    lemma: LemmaVerdict
-    tool_version: str = __version__
-    timestamp: str | None = None
+    __slots__ = _fields = ("shape_name", "threshold", "entries", "delta_matrix", "max_delta",
+                           "bound", "lemma", "tool_version", "timestamp")
+
+    def __init__(self, shape_name: str, threshold: float, entries: tuple[SlopeEntry, ...],
+                 delta_matrix: CrossingMatrix, max_delta: int, bound: BoundReport,
+                 lemma: LemmaVerdict, tool_version: str = __version__,
+                 timestamp: str | None = None) -> None:
+        _set(self, "shape_name", shape_name)
+        _set(self, "threshold", threshold)
+        _set(self, "entries", entries)
+        _set(self, "delta_matrix", delta_matrix)
+        _set(self, "max_delta", max_delta)
+        _set(self, "bound", bound)
+        _set(self, "lemma", lemma)
+        _set(self, "tool_version", tool_version)
+        _set(self, "timestamp", timestamp)
 
 
 def build_analysis_report(

@@ -39,9 +39,8 @@ import math
 import sys
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass
 
-from .cusp_geometry import CuspShape, Slope, Vec2, area, slope_length
+from .cusp_geometry import CuspShape, Slope, Vec2, _set, _Value, area, slope_length
 
 # Slopes strictly longer than this have hyperbolike fillings.
 SIX_THEOREM_LENGTH = 6.0
@@ -77,11 +76,13 @@ class SlopeClass(enum.Enum):
     HYPERBOLIKE_GUARANTEED = "hyperbolike_guaranteed"
 
 
-@dataclass(frozen=True)
-class SlopeEntry:
-    slope: Slope
-    length: float
-    boundary: bool = False
+class SlopeEntry(_Value):
+    __slots__ = _fields = ("slope", "length", "boundary")
+
+    def __init__(self, slope: Slope, length: float, boundary: bool = False) -> None:
+        _set(self, "slope", slope)
+        _set(self, "length", length)
+        _set(self, "boundary", boundary)
 
 
 def _entry_key(e: SlopeEntry) -> tuple[float, tuple[int, int]]:
@@ -134,19 +135,22 @@ class CrossingMatrix(Sequence):
         return f"CrossingMatrix({tuple(self)!r})"
 
 
-@dataclass(frozen=True)
-class ShortSlopeReport:
+class ShortSlopeReport(_Value):
     """All primitive slopes of length <= threshold, with pairwise crossing data.
 
     Entries are sorted by (length, then lexicographic (a, b)); delta_matrix
     follows that order.  max_delta is 0 when fewer than two slopes qualify.
     """
 
-    shape: CuspShape
-    threshold: float
-    entries: tuple[SlopeEntry, ...]
-    delta_matrix: CrossingMatrix
-    max_delta: int
+    __slots__ = _fields = ("shape", "threshold", "entries", "delta_matrix", "max_delta")
+
+    def __init__(self, shape: CuspShape, threshold: float, entries: tuple[SlopeEntry, ...],
+                 delta_matrix: CrossingMatrix, max_delta: int) -> None:
+        _set(self, "shape", shape)
+        _set(self, "threshold", threshold)
+        _set(self, "entries", entries)
+        _set(self, "delta_matrix", delta_matrix)
+        _set(self, "max_delta", max_delta)
 
     @property
     def slopes(self) -> tuple[Slope, ...]:

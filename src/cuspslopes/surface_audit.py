@@ -15,7 +15,8 @@ actually essential is out of scope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from .cusp_geometry import _set, _Value
 
 INEQUALITY_TOL = 1e-9
 
@@ -28,54 +29,59 @@ CUSP_LENGTH_BUDGET_PER_CHI = 6.0
 HOROCUSP_AREA_RATIO = 3.0 / math.pi
 
 
-@dataclass(frozen=True)
-class SurfaceType:
+class SurfaceType(_Value):
     """Finite-type surface: genus, punctures and boundary circles."""
 
-    genus: int
-    punctures: int
-    boundary_circles: int = 0
+    __slots__ = _fields = ("genus", "punctures", "boundary_circles")
 
-    def __post_init__(self) -> None:
-        if min(self.genus, self.punctures, self.boundary_circles) < 0:
+    def __init__(self, genus: int, punctures: int, boundary_circles: int = 0) -> None:
+        _set(self, "genus", genus)
+        _set(self, "punctures", punctures)
+        _set(self, "boundary_circles", boundary_circles)
+        if min(genus, punctures, boundary_circles) < 0:
             raise ValueError("surface data must be nonnegative integers")
 
 
-@dataclass(frozen=True)
-class SurfaceAudit:
+class SurfaceAudit(_Value):
     """A surface together with the slope lengths at its listed punctures.
 
     The list covers exactly the punctures mapped to the distinguished cusp;
     unlisted punctures contribute 0 to the budget check.
     """
 
-    surface: SurfaceType
-    cusp_slope_lengths: tuple[float, ...]
+    __slots__ = _fields = ("surface", "cusp_slope_lengths")
 
-    def __post_init__(self) -> None:
-        lengths = tuple(float(x) for x in self.cusp_slope_lengths)
+    def __init__(self, surface: SurfaceType, cusp_slope_lengths: tuple[float, ...]) -> None:
+        try:
+            lengths = tuple(float(x) for x in cusp_slope_lengths)
+        except OverflowError:  # an int past the float range
+            raise ValueError("a cusp slope length is an integer past the float range") from None
+        _set(self, "surface", surface)
+        _set(self, "cusp_slope_lengths", lengths)
         if any(not math.isfinite(x) or x <= 0.0 for x in lengths):
             raise ValueError("cusp slope lengths must be positive and finite")
         try:
             math.fsum(lengths)
         except OverflowError:
             raise ValueError(f"cusp slope lengths {lengths} sum past the float range") from None
-        if len(lengths) > self.surface.punctures:
+        if len(lengths) > surface.punctures:
             raise ValueError(
                 f"{len(lengths)} lengths listed for a surface with "
-                f"{self.surface.punctures} punctures"
+                f"{surface.punctures} punctures"
             )
-        object.__setattr__(self, "cusp_slope_lengths", lengths)
 
 
-@dataclass(frozen=True)
-class AuditVerdict:
-    name: str
-    passed: bool
-    lhs: float
-    rhs: float
-    slack: float  # rhs - lhs
-    sharp: bool   # equality within tolerance
+class AuditVerdict(_Value):
+    __slots__ = _fields = ("name", "passed", "lhs", "rhs", "slack", "sharp")
+
+    def __init__(self, name: str, passed: bool, lhs: float, rhs: float, slack: float,
+                 sharp: bool) -> None:
+        _set(self, "name", name)
+        _set(self, "passed", passed)
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+        _set(self, "slack", slack)  # rhs - lhs
+        _set(self, "sharp", sharp)  # equality within tolerance
 
 
 def _verdict(name: str, lhs: float, rhs: float) -> AuditVerdict:
@@ -136,10 +142,12 @@ def punctured_sphere_feasible(n: int, slope_length: float) -> bool:
     return 6.0 * (n - 2) >= (n - 1) * slope_length
 
 
-@dataclass(frozen=True)
-class DoubledSurfaceBound:
-    n_ceiling: float
-    feasible: bool  # whether the supplied n satisfies n <= n_ceiling
+class DoubledSurfaceBound(_Value):
+    __slots__ = _fields = ("n_ceiling", "feasible")
+
+    def __init__(self, n_ceiling: float, feasible: bool) -> None:
+        _set(self, "n_ceiling", n_ceiling)
+        _set(self, "feasible", feasible)  # whether the supplied n satisfies n <= n_ceiling
 
 
 def doubled_surface_chain(

@@ -7,7 +7,9 @@ contract fail the test suite, not only the benchmark.  The workload test
 builds each benchmark workload and runs its operation and its check on a
 few items, so a change to the calls the benchmark makes (the cusp-file
 loader, ``ShortSlopeReport``'s constructor, report save, load and rebuild)
-fails here too.
+fails here too.  The tracer test installs the benchmark's tracer, which
+counts built cusp shapes by replacing ``CuspShape.__post_init__`` on the
+class, so ``CuspShape`` must keep that method and call it on every build.
 """
 
 from __future__ import annotations
@@ -15,6 +17,10 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+
+from cuspslopes import cusp_geometry, report_io
+
+from conftest import FIXTURES
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -39,3 +45,21 @@ def test_benchmark_workload_runs(monkeypatch, tmp_path, name, picks):
         out, report_bytes = workload.op(item)
         workload.check(item, out)
         assert report_bytes > 0
+
+
+def test_benchmark_tracer_counts_built_shapes(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    original = cusp_geometry.CuspShape.__post_init__
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        shapes, errors = report_io.load_cusp_file(FIXTURES / "hex2.json")
+    finally:
+        tracer.uninstall()
+    assert [s.name for s in shapes] == ["hex2", "square"] and not errors
+    assert tracer.layer_metrics()["cusp_geometry.shapes_built"] == 2
+    assert tracer.call_counts()["report_io.load_cusp_file"] == 1
+    assert cusp_geometry.CuspShape.__post_init__ is original
+    assert report_io.load_cusp_file.__module__ == "cuspslopes.report_io"

@@ -56,6 +56,17 @@ def test_query_validation():
             BoundQuery(L, A)
 
 
+@pytest.mark.parametrize(
+    "L, A, field",
+    [(10**400, 1, "length threshold"), (1, -(10**400), "area floor")],
+    ids=["length_threshold", "area_floor"],
+)
+def test_query_past_the_float_range_names_the_field(L, A, field):
+    # an int past the float range is a ValueError, not an OverflowError
+    with pytest.raises(ValueError, match=f"^{field} is an integer past the float range$"):
+        BoundQuery(L, A)
+
+
 def test_query_inputs_become_floats():
     q = BoundQuery(6, 3)
     assert (q.length_threshold, q.area_floor) == (6.0, 3.0)

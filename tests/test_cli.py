@@ -308,6 +308,19 @@ def test_diagram_huge_extent_refused_at_once(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_diagram_refusal_past_2_31_px_is_one_short_line(capsys, tmp_path):
+    # the suggested side has 200 digits; the message names the limit instead
+    code, out, err = run_cli(
+        capsys, "diagram", "--cusp", HEX2, "--name", "hex2",
+        "--out", str(tmp_path / "x.svg"), "--extent", str(10**200),
+    )
+    assert (code, out) == (1, "")
+    assert err == ("error: lattice points would be 0.00 px apart on a 600x600 canvas; "
+                   "lattice_extent 1e+200 needs a canvas side past 2**31 px\n")
+    assert len(err) < 200
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "option, value, message",
     [

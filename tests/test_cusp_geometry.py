@@ -77,12 +77,15 @@ def test_degeneracy_is_scale_invariant(hex2_shape):
         CuspShape((1.0, 0.0), (1.0, 1e-13))
 
 
-def test_overflowing_determinant_rejected():
-    # the products overflow, so det is inf - inf = nan, or inf
-    with pytest.raises(DegenerateBasisError, match="nan"):
-        CuspShape((1e200, 1e200), (1e200, 1e200))
-    with pytest.raises(DegenerateBasisError, match="inf"):
-        CuspShape((1e200, 0.0), (0.0, 1e200))
+@pytest.mark.parametrize(
+    "meridian, longitude, field",
+    [((10**400, 0), (0, 1), "meridian"), ((1, 0), (0, -(10**400)), "longitude")],
+    ids=["meridian", "longitude"],
+)
+def test_basis_past_the_float_range_is_degenerate(meridian, longitude, field):
+    # an int past the float range is a domain error, not an OverflowError
+    with pytest.raises(DegenerateBasisError, match=f"cusp {field} has a coordinate past"):
+        CuspShape(meridian, longitude)
 
 
 def test_orientation_normalized_to_positive_det():

@@ -12,6 +12,7 @@ import pytest
 from cuspslopes.cusp_geometry import CuspShape
 from cuspslopes.diagram import (
     CANVAS_PAD_PX,
+    CANVAS_SIDE_LIMIT_PX,
     MIN_MARKER_SEPARATION_PX,
     CanvasTooSmallError,
     DiagramSpec,
@@ -82,6 +83,21 @@ def test_canvas_too_small_suggests_size():
     assert suggested > 40
     # the suggested canvas renders cleanly
     emit_lattice_svg(_hex2_spec(width=suggested, height=suggested))
+
+
+@pytest.mark.parametrize("width", [600, 40])
+def test_suggested_side_past_the_limit_is_named_as_the_limit(width):
+    # the error keeps the exact side, the message names the 2^31 px limit
+    with pytest.raises(CanvasTooSmallError) as err:
+        canvas_transform(_hex2_spec(lattice_extent=10**200, width=width, height=width))
+    assert err.value.suggested_size > CANVAS_SIDE_LIMIT_PX == 2**31
+    assert type(err.value.suggested_size) is int
+    assert str(err.value).endswith("; lattice_extent 1e+200 needs a canvas side past 2**31 px")
+    # below the limit the side is given in full
+    with pytest.raises(CanvasTooSmallError) as err:
+        canvas_transform(_hex2_spec(lattice_extent=10**6, width=width, height=width))
+    side = err.value.suggested_size
+    assert side <= CANVAS_SIDE_LIMIT_PX and str(err.value).endswith(f"use at least {side}x{side}")
 
 
 def test_no_circle_flag():

@@ -84,6 +84,17 @@ def test_pair_past_the_float_range_rejected(r, R, message):
         HorodiskPair(r, R)
 
 
+@pytest.mark.parametrize(
+    "r, R, field",
+    [(1, 10**400, "radius R"), (10**400, 10**401, "radius r")],
+    ids=["R", "r"],
+)
+def test_pair_int_past_the_float_range_names_the_radius(r, R, field):
+    # an int past the float range is a ValueError, not an OverflowError
+    with pytest.raises(ValueError, match=f"^{field} is an integer past the float range$"):
+        HorodiskPair(r, R)
+
+
 def test_pair_at_the_float_range_accepted():
     # every quantity of the largest accepted radii is finite
     for pair in (HorodiskPair(1e-300, 1e7), HorodiskPair(1.0, 9e153), HorodiskPair(4e153, 4e153)):
@@ -176,6 +187,17 @@ def test_wrapping_bound_past_the_float_range_rejected(epsilon, loop_length):
         WrappingQuery(epsilon, loop_length)
     # a zero-length loop has bound 0 at any positive epsilon
     assert wrapping_bound(WrappingQuery(epsilon, 0.0)) == 0.0
+
+
+@pytest.mark.parametrize(
+    "epsilon, loop_length, field",
+    [(1, 10**400, "loop length"), (10**400, 1, "epsilon")],
+    ids=["loop_length", "epsilon"],
+)
+def test_wrapping_query_int_past_the_float_range_names_the_field(epsilon, loop_length, field):
+    # an int past the float range is a ValueError, not an OverflowError
+    with pytest.raises(ValueError, match=f"^{field} is an integer past the float range$"):
+        WrappingQuery(epsilon, loop_length)
 
 
 def test_wrapping_bound_decreasing_in_epsilon():

@@ -74,6 +74,41 @@ def test_deferred_subcommand_imports_work(argv, expected):
     assert expected in proc.stdout and proc.stderr == ""
 
 
+# dataclasses costs more to import than the package itself: it imports
+# inspect, and inspect imports ast, dis and tokenize.
+SLOW_STDLIB_MODULES = ("dataclasses", "inspect")
+
+_LIST_SLOW_MODULES = f"print(*sorted(m for m in {SLOW_STDLIB_MODULES!r} if m in sys.modules))"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        None,
+        ["diagram", "--cusp", HEX2, "--name", "hex2", "--out", "-"],
+        ["audit", "--surface", "1,1,0", "--lengths", "6"],
+        ["horodisk", "--ratio"],
+        ["report", "--cusp", HEX2, "--name", "hex2", "--stamp"],
+    ],
+    ids=["cli_and_cusp_load", "diagram", "audit", "horodisk", "report"],
+)
+def test_no_dataclasses_or_inspect_import(argv):
+    if argv is None:
+        body = ("import cuspslopes, cuspslopes.cli\n"
+                "shapes, errors = cuspslopes.load_cusp_file(sys.argv[1])\n"
+                "assert len(shapes) == 2 and not errors\n")
+        args = [HEX2]
+    else:
+        body = ("sys.argv = ['cuspslopes', *sys.argv[1:]]\n"
+                "try:\n"
+                "    runpy.run_module('cuspslopes', run_name='__main__', alter_sys=True)\n"
+                "except SystemExit as e:\n"
+                "    assert e.code == 0\n")
+        args = argv
+    proc = run_python("-c", "import runpy, sys\n" + body + _LIST_SLOW_MODULES, *args)
+    assert proc.stdout.splitlines()[-1] == ""
+
+
 def test_lazy_namespace():
     proc = run_python(
         "-c",

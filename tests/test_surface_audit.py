@@ -85,6 +85,12 @@ def test_audit_validation():
         SurfaceAudit(SurfaceType(0, 3), (1e308, 1e308))
 
 
+def test_audit_length_past_the_float_range_is_a_value_error():
+    # an int past the float range is a ValueError, not an OverflowError
+    with pytest.raises(ValueError, match="cusp slope length is an integer past the float range"):
+        SurfaceAudit(SurfaceType(1, 1), (10**400,))
+
+
 def test_unlisted_punctures_contribute_zero():
     # three punctures, only one length supplied: budget checked on the sum
     audit = SurfaceAudit(SurfaceType(0, 3), (5.0,))
