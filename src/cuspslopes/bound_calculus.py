@@ -18,8 +18,9 @@ range.
 from __future__ import annotations
 
 import math
+import reprlib
 
-from .cusp_geometry import Slope, _finite, _set, _Value, intersection_number
+from .cusp_geometry import Slope, _count, _real, _set, _Value, intersection_number
 
 # Lower bound for the maximal-cusp torus area of a one-cusped hyperbolic
 # 3-manifold (Cao-Meyerhoff).
@@ -68,14 +69,8 @@ class BoundQuery(_Value):
     __slots__ = _fields = ("length_threshold", "area_floor")
 
     def __init__(self, length_threshold: float, area_floor: float) -> None:
-        L, A = length_threshold, area_floor
-        if not (_finite(L, "length threshold") and _finite(A, "area floor")):
-            raise ValueError("length threshold and area floor must be finite")
-        if type(L) is not float or type(A) is not float:  # e.g. ints
-            for what, x in (("length threshold", L), ("area floor", A)):
-                if isinstance(x, bool):
-                    raise ValueError(f"{what} must be a number, got {x!r}")
-            L, A = float(L), float(A)
+        L = _real(length_threshold, "length threshold")
+        A = _real(area_floor, "area floor")
         _set(self, "length_threshold", L)
         _set(self, "area_floor", A)
         if L <= 0.0 or A <= 0.0:
@@ -108,7 +103,7 @@ def is_prime(n: int) -> bool:
     k once n < psi_k.  Exact below about 3.3e24; larger n raise
     ``ValueError``."""
     if n >= _MR_LIMIT:
-        raise ValueError(f"primality of {n} is only decided below {_MR_LIMIT}")
+        raise ValueError(f"primality of {reprlib.repr(n)} is only decided below {_MR_LIMIT}")
     if n < 2:
         return False
     if n % 2 == 0:
@@ -139,6 +134,7 @@ def is_prime(n: int) -> bool:
 
 def smallest_prime_greater(r: int) -> int:
     """Smallest prime strictly greater than r >= 0."""
+    r = _count(r, "r")
     if r < 0:
         raise ValueError(f"expected a nonnegative integer, got {r}")
     n = r + 1
@@ -165,7 +161,7 @@ def _residue(a: int, b: int, p: int) -> tuple[int, int]:
 def project_to_fp(s: Slope, p: int) -> tuple[int, int]:
     """The point of F_p P^1 of a primitive slope (a, b) for prime p, as
     (1, b/a mod p), or (0, 1) when p | a; gcd(a, b) = 1 rules out (0, 0)."""
-    if not is_prime(p):
+    if not is_prime(_count(p, "modulus")):
         raise ValueError(f"modulus {p} is not prime")
     return _residue(s.a, s.b, p)
 
@@ -191,7 +187,7 @@ def verify_counting_lemma(slopes, p: int) -> LemmaVerdict:
     number is a positive multiple of p.  The modulus is checked once; slopes
     are sorted and deduplicated by their (a, b) pairs.
     """
-    if not is_prime(p):
+    if not is_prime(_count(p, "modulus")):
         raise ValueError(f"modulus {p} is not prime")
     by_pair = {(s.a, s.b): s for s in slopes}
     seen: dict[tuple[int, int], Slope] = {}

@@ -61,19 +61,16 @@ def _parse_area(text: str) -> float:
         ) from None
 
 
-def _parse_surface(text: str):
-    from .surface_audit import SurfaceType
-
+def _parse_surface(text: str) -> tuple[int, int, int]:
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(
             f"surface must be 'genus,punctures,boundary', got {text!r}"
         )
     try:
-        g, n, b = (int(p) for p in parts)
+        return tuple(int(p) for p in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"surface fields must be integers: {text!r}") from None
-    return SurfaceType(g, n, b)
 
 
 def _parse_lengths(text: str) -> tuple[float, ...]:
@@ -145,18 +142,24 @@ def _cmd_lemma_verify(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    from .surface_audit import SurfaceAudit, check_cusp_length_inequality, euler_characteristic
+    from .surface_audit import (
+        SurfaceAudit,
+        SurfaceType,
+        check_cusp_length_inequality,
+        euler_characteristic,
+    )
 
-    audit = SurfaceAudit(args.surface, args.lengths)
-    verdict = check_cusp_length_inequality(audit)
-    chi = euler_characteristic(args.surface)
+    # built here, not by the parser, so that a bad surface is a domain error
+    surface = SurfaceType(*args.surface)
+    verdict = check_cusp_length_inequality(SurfaceAudit(surface, args.lengths))
+    chi = euler_characteristic(surface)
     if args.json:
         _print_json(
             {
                 "surface": {
-                    "genus": args.surface.genus,
-                    "punctures": args.surface.punctures,
-                    "boundary_circles": args.surface.boundary_circles,
+                    "genus": surface.genus,
+                    "punctures": surface.punctures,
+                    "boundary_circles": surface.boundary_circles,
                 },
                 "euler_characteristic": chi,
                 "lengths": list(args.lengths),

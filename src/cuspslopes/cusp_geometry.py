@@ -12,6 +12,8 @@ intersection number, tied together by the identity
 from __future__ import annotations
 
 import math
+import reprlib
+import sys
 
 Vec2 = tuple[float, float]
 
@@ -20,6 +22,8 @@ Vec2 = tuple[float, float]
 # test is relative, so it does not change when the shape is rescaled.  Census
 # data carries roundoff on the order of 1e-15.
 DEGENERACY_TOL = 1e-12
+
+_FLOAT_MAX = sys.float_info.max
 
 
 class DegenerateBasisError(ValueError):
@@ -77,20 +81,35 @@ class _Value:
         return type(self), self._values()
 
 
-def _finite(x, field: str) -> bool:
-    """``math.isfinite``, except that an int past the float range is a
-    ``ValueError`` that names the field, not an ``OverflowError``."""
-    try:
-        return math.isfinite(x)
-    except OverflowError:
-        raise ValueError(f"{field} is an integer past the float range") from None
+def _real(x, what: str, error=ValueError) -> float:
+    """The one check of a real number a caller passes in: an ``int`` or
+    ``float`` (not a ``bool``) that is finite as a float, returned as a float.
+    Each refusal is an ``error`` whose message names the field ``what``."""
+    if type(x) is not float:
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise error(f"{what} must be a number, got {reprlib.repr(x)}")
+        try:
+            x = float(x)
+        except OverflowError:
+            raise error(f"{what} is an integer past the float range") from None
+    if not math.isfinite(x):
+        raise error(f"{what} must be finite, got {x!r}")
+    return x
 
 
-def _basis_vector(v, field: str) -> Vec2:
-    try:
-        return (float(v[0]), float(v[1]))
-    except OverflowError:  # an int past the float range
-        raise DegenerateBasisError(f"cusp {field} has a coordinate past the float range") from None
+def _count(x, what: str) -> int:
+    """The one check of an integer a caller passes in: an ``int`` (not a
+    ``bool``) inside the float range, so that turning it into a float never
+    raises ``OverflowError``.  A refusal is a ``ValueError`` whose message
+    names the field ``what``; each caller checks its own range."""
+    if type(x) is not int and (isinstance(x, bool) or not isinstance(x, int)):
+        raise ValueError(f"{what} must be an integer, got {reprlib.repr(x)}")
+    # |x| < 2**1023 is inside the float range; past it, compare exactly (an
+    # int-float comparison does not round)
+    if x.bit_length() > 1023 and abs(x) > _FLOAT_MAX:
+        limit = f"at most {_FLOAT_MAX!r}" if x > 0 else f"at least {-_FLOAT_MAX!r}"
+        raise ValueError(f"{what} must be {limit}, got a {x.bit_length()}-bit integer")
+    return x
 
 
 class CuspShape(_Value):
@@ -109,10 +128,11 @@ class CuspShape(_Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        mer = _basis_vector(self.meridian, "meridian")
-        lon = _basis_vector(self.longitude, "longitude")
-        if not all(math.isfinite(c) for c in (*mer, *lon)):
-            raise DegenerateBasisError("cusp basis must be finite")
+        m, l = self.meridian, self.longitude
+        mer = (_real(m[0], "cusp meridian[0]", DegenerateBasisError),
+               _real(m[1], "cusp meridian[1]", DegenerateBasisError))
+        lon = (_real(l[0], "cusp longitude[0]", DegenerateBasisError),
+               _real(l[1], "cusp longitude[1]", DegenerateBasisError))
         det = _det(mer, lon)
         # written with `not >` so that a NaN det (inf - inf) is rejected too
         if not abs(det) > DEGENERACY_TOL * math.hypot(*mer) * math.hypot(*lon):

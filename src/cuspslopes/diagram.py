@@ -15,17 +15,16 @@ shorter of u and v, the shortest lattice vector, so ``canvas_transform``
 does no work that grows with the extent.  It raises ``CanvasTooSmallError``
 when the canvas leaves no drawing area or would put two dots closer than
 ``MIN_MARKER_SEPARATION_PX``; the error's ``suggested_size`` is the square
-canvas side at which the same spec draws, which its message names only up
-to ``CANVAS_SIDE_LIMIT_PX``.
+canvas side at which the same spec draws.  Its message names that side, and
+the canvas's own sides, only up to ``CANVAS_SIDE_LIMIT_PX``.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from collections.abc import Iterator
 
-from .cusp_geometry import Vec2, _set, _Value, slope_vector
+from .cusp_geometry import Vec2, _count, _set, _Value, slope_vector
 from .slope_search import ShortSlopeReport, _reduced_basis
 
 # Adjacent lattice markers closer than this (in pixels) are unreadable.
@@ -58,19 +57,10 @@ class DiagramSpec(_Value):
                  height: int = 600) -> None:
         _set(self, "report", report)
         _set(self, "radius_circle", radius_circle)
-        _set(self, "lattice_extent", lattice_extent)
+        _set(self, "lattice_extent", _count(lattice_extent, "lattice_extent"))
         _set(self, "label_slopes", label_slopes)
-        _set(self, "width", width)
-        _set(self, "height", height)
-        for name in ("lattice_extent", "width", "height"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value > sys.float_info.max:  # exact: int-float comparison does not round
-                raise ValueError(
-                    f"{name} must be at most {sys.float_info.max!r}, "
-                    f"got a {value.bit_length()}-bit integer"
-                )
+        _set(self, "width", _count(width, "width"))
+        _set(self, "height", _count(height, "height"))
         if self.lattice_extent < 1:
             raise ValueError(f"lattice extent must be >= 1, got {self.lattice_extent}")
         if self.width <= 0 or self.height <= 0:
@@ -128,17 +118,17 @@ def canvas_transform(spec: DiagramSpec) -> CanvasTransform:
     else:
         advice = f"use at least {suggested}x{suggested}"
 
+    # a side past the limit is named as the limit, not in full
+    canvas = "x".join(str(side) if side <= CANVAS_SIDE_LIMIT_PX else "(past 2**31)"
+                      for side in (spec.width, spec.height))
     half = min(spec.width, spec.height) / 2.0 - CANVAS_PAD_PX
     if half <= 0.0:
-        raise CanvasTooSmallError(
-            f"canvas {spec.width}x{spec.height} leaves no drawing area; {advice}", suggested
-        )
+        raise CanvasTooSmallError(f"canvas {canvas} leaves no drawing area; {advice}", suggested)
     scale = half / radius
     spacing = min_spacing * scale
     if spacing < MIN_MARKER_SEPARATION_PX:
         raise CanvasTooSmallError(
-            f"lattice points would be {spacing:.2f} px apart on a "
-            f"{spec.width}x{spec.height} canvas; {advice}",
+            f"lattice points would be {spacing:.2f} px apart on a {canvas} canvas; {advice}",
             suggested,
         )
     return CanvasTransform(scale, spec.width / 2.0, spec.height / 2.0)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .cusp_geometry import _finite, _set, _Value
+from .cusp_geometry import _count, _real, _set, _Value
 
 _LOG_1_PLUS_SQRT2 = math.log(1.0 + math.sqrt(2.0))
 
@@ -26,10 +26,8 @@ class HorodiskPair(_Value):
     __slots__ = _fields = ("r", "R")
 
     def __init__(self, r: float, R: float) -> None:
-        _set(self, "r", r)
-        _set(self, "R", R)
-        if not (_finite(r, "radius r") and _finite(R, "radius R")):
-            raise ValueError("radii must be finite")
+        _set(self, "r", _real(r, "radius r"))
+        _set(self, "R", _real(R, "radius R"))
         if self.r <= 0.0:
             raise ValueError(f"smaller radius must be positive, got {self.r}")
         if self.R < self.r:
@@ -49,10 +47,8 @@ class WrappingQuery(_Value):
     __slots__ = _fields = ("epsilon", "loop_length")
 
     def __init__(self, epsilon: float, loop_length: float) -> None:
-        _set(self, "epsilon", epsilon)
-        _set(self, "loop_length", loop_length)
-        if not (_finite(epsilon, "epsilon") and _finite(loop_length, "loop length")):
-            raise ValueError("epsilon and loop length must be finite")
+        _set(self, "epsilon", _real(epsilon, "epsilon"))
+        _set(self, "loop_length", _real(loop_length, "loop length"))
         if self.epsilon <= 0.0:
             raise ValueError(
                 f"epsilon must be positive, got {self.epsilon} "
@@ -104,7 +100,7 @@ def extremal_ratio() -> float:
 
 def boundary_length_lower_bound(j: int) -> float:
     """Minimal geodesic boundary length when j horocusps touch it: 2j*ln(1+sqrt 2)."""
-    if j < 0:
+    if _count(j, "j") < 0:
         raise ValueError(f"expected a nonnegative count, got {j}")
     return 2.0 * j * _LOG_1_PLUS_SQRT2
 

@@ -37,8 +37,8 @@ itself cannot be re-derived.
 from __future__ import annotations
 
 import json
-import math
 import operator
+import reprlib
 import sys
 
 from . import __version__
@@ -55,6 +55,7 @@ from .cusp_geometry import (
     DegenerateBasisError,
     NonPrimitiveSlopeError,
     Slope,
+    _real,
     _set,
     _Value,
     area,
@@ -126,25 +127,13 @@ def _parse_json(text: str, error_cls) -> dict:
 def _check_header(data: dict, expected_format: str, error_cls) -> None:
     fmt = data.get("format")
     if fmt != expected_format:
-        raise error_cls(f"expected format {expected_format!r}, got {fmt!r}")
+        raise error_cls(f"expected format {expected_format!r}, got {reprlib.repr(fmt)}")
     version = data.get("version")
     if version != SCHEMA_VERSION:
         raise error_cls(
-            f"incompatible {expected_format} version {version!r} "
+            f"incompatible {expected_format} version {reprlib.repr(version)} "
             f"(this tool reads {SCHEMA_VERSION!r})"
         )
-
-
-def _finite_number(value, what: str, error_cls) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise error_cls(f"{what} must be a number, got {value!r}")
-    try:
-        x = float(value)
-    except OverflowError:  # an int literal past the float range
-        x = math.inf
-    if not math.isfinite(x):
-        raise error_cls(f"{what} must be finite, got {value!r}")
-    return x
 
 
 def _read_text(path, error_cls) -> str:
@@ -179,14 +168,12 @@ def _write_text(path, text: str) -> None:
 
 # ------------------------------- Cusp files --------------------------------
 
-def _parse_vec(record: dict, key: str):
+def _parse_vec(record: dict, key: str) -> list:
+    """The pair stored under ``key``; ``CuspShape`` checks its numbers."""
     v = record.get(key)
     if not (isinstance(v, list) and len(v) == 2):
         raise CuspFileError(f"{key} must be a pair [x, y]")
-    return (
-        _finite_number(v[0], f"{key}[0]", CuspFileError),
-        _finite_number(v[1], f"{key}[1]", CuspFileError),
-    )
+    return v
 
 
 def parse_cusp_records(data: dict) -> tuple[list[CuspShape], list[RecordError]]:
@@ -416,7 +403,7 @@ def _rebuild(data: dict, text: str, start: int, end: int) -> AnalysisReport:
     """
     _check_header(data, REPORT_FORMAT, ReportFormatError)
     _require(isinstance(data.get("shape_name"), str), "missing shape_name")
-    threshold = _finite_number(data.get("threshold"), "threshold", ReportFormatError)
+    threshold = _real(data.get("threshold"), "threshold", ReportFormatError)
 
     raw_slopes = data.get("slopes")
     _require(isinstance(raw_slopes, list), "missing 'slopes' list")
@@ -425,7 +412,7 @@ def _rebuild(data: dict, text: str, start: int, end: int) -> AnalysisReport:
         _require(isinstance(rec, dict), "slope records must be objects")
         a, b, raw_length = rec.get("a"), rec.get("b"), rec.get("length")
         _require(type(a) is int and type(b) is int, "slope coordinates must be integers")
-        length = _finite_number(raw_length, "slope length", ReportFormatError)
+        length = _real(raw_length, "slope length", ReportFormatError)
         boundary = rec.get("boundary", False)
         _require(isinstance(boundary, bool), "boundary flag must be a boolean")
         try:
@@ -443,7 +430,7 @@ def _rebuild(data: dict, text: str, start: int, end: int) -> AnalysisReport:
 
     raw_bound = data.get("bound")
     _require(isinstance(raw_bound, dict), "missing bound section")
-    area_floor = _finite_number(raw_bound.get("area_floor"), "bound area", ReportFormatError)
+    area_floor = _real(raw_bound.get("area_floor"), "bound area", ReportFormatError)
     try:
         query = BoundQuery(threshold, area_floor)
     except ValueError as e:
@@ -503,7 +490,8 @@ def report_from_dict(data: dict) -> AnalysisReport:
     # The slope records were checked as they were read; the derived fields
     # must also match in JSON type.
     fields = _report_dict(report, None)
-    _require(data.keys() == fields.keys(), f"top-level keys {list(data)} are not {list(fields)}")
+    _require(data.keys() == fields.keys(),
+             f"top-level keys {reprlib.repr(list(data))} are not {list(fields)}")
     for key in ("max_delta", "bound", "lemma"):
         _require(_same(data[key], fields[key]), f"{key!r} does not match the rebuilt report")
     return report

@@ -40,7 +40,7 @@ import sys
 from array import array
 from collections.abc import Sequence
 
-from .cusp_geometry import CuspShape, Slope, Vec2, _set, _Value, area, slope_length
+from .cusp_geometry import CuspShape, Slope, Vec2, _real, _set, _Value, area, slope_length
 
 # Slopes strictly longer than this have hyperbolike fillings.
 SIX_THEOREM_LENGTH = 6.0
@@ -134,6 +134,9 @@ class CrossingMatrix(Sequence):
     def __repr__(self) -> str:
         return f"CrossingMatrix({tuple(self)!r})"
 
+    def __reduce__(self):  # slots without state: protocols 0 and 1 need this
+        return CrossingMatrix, (self._rows,)
+
 
 class ShortSlopeReport(_Value):
     """All primitive slopes of length <= threshold, with pairwise crossing data.
@@ -219,11 +222,7 @@ def enumerate_short_slopes(shape: CuspShape, threshold: float) -> ShortSlopeRepo
 
     Included slopes longer than threshold - BOUNDARY_TOL are flagged boundary.
     """
-    if isinstance(threshold, bool) or not isinstance(threshold, (int, float)):
-        raise ValueError(f"threshold must be a number, got {threshold!r}")
-    if not math.isfinite(threshold):
-        raise ValueError(f"threshold must be finite, got {threshold!r}")
-    threshold = float(threshold)
+    threshold = _real(threshold, "threshold")
     if threshold <= 0.0:
         raise ValueError(f"threshold must be positive, got {threshold}")
 

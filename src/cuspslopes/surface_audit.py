@@ -15,8 +15,9 @@ actually essential is out of scope.
 from __future__ import annotations
 
 import math
+import sys
 
-from .cusp_geometry import _set, _Value
+from .cusp_geometry import _count, _real, _set, _Value
 
 INEQUALITY_TOL = 1e-9
 
@@ -28,6 +29,9 @@ CUSP_LENGTH_BUDGET_PER_CHI = 6.0
 # of a finite-area hyperbolic surface.
 HOROCUSP_AREA_RATIO = 3.0 / math.pi
 
+# The largest |chi| a SurfaceType may have: 2*pi*|chi| stays a finite float.
+_MAX_ABS_CHI = sys.float_info.max / (2.0 * math.pi)
+
 
 class SurfaceType(_Value):
     """Finite-type surface: genus, punctures and boundary circles."""
@@ -35,11 +39,14 @@ class SurfaceType(_Value):
     __slots__ = _fields = ("genus", "punctures", "boundary_circles")
 
     def __init__(self, genus: int, punctures: int, boundary_circles: int = 0) -> None:
-        _set(self, "genus", genus)
-        _set(self, "punctures", punctures)
-        _set(self, "boundary_circles", boundary_circles)
+        _set(self, "genus", _count(genus, "genus"))
+        _set(self, "punctures", _count(punctures, "punctures"))
+        _set(self, "boundary_circles", _count(boundary_circles, "boundary circles"))
         if min(genus, punctures, boundary_circles) < 0:
             raise ValueError("surface data must be nonnegative integers")
+        # so that 2*pi*|chi|, the largest float the audits form from chi, is finite
+        if 2 * genus + punctures + boundary_circles > _MAX_ABS_CHI:
+            raise ValueError("surface is too large: 2*pi*|chi| is past the float range")
 
 
 class SurfaceAudit(_Value):
@@ -52,14 +59,11 @@ class SurfaceAudit(_Value):
     __slots__ = _fields = ("surface", "cusp_slope_lengths")
 
     def __init__(self, surface: SurfaceType, cusp_slope_lengths: tuple[float, ...]) -> None:
-        try:
-            lengths = tuple(float(x) for x in cusp_slope_lengths)
-        except OverflowError:  # an int past the float range
-            raise ValueError("a cusp slope length is an integer past the float range") from None
+        lengths = tuple([_real(x, "cusp slope length") for x in cusp_slope_lengths])
         _set(self, "surface", surface)
         _set(self, "cusp_slope_lengths", lengths)
-        if any(not math.isfinite(x) or x <= 0.0 for x in lengths):
-            raise ValueError("cusp slope lengths must be positive and finite")
+        if any(x <= 0.0 for x in lengths):
+            raise ValueError("cusp slope lengths must be positive")
         try:
             math.fsum(lengths)
         except OverflowError:
@@ -113,10 +117,10 @@ def check_cusp_length_inequality(audit: SurfaceAudit) -> AuditVerdict:
 
 def boroczky_check(horocusp_area: float, surface_area: float) -> AuditVerdict:
     """Packing bound: horocusp area at most (3/pi) of the surface area."""
-    if not (0.0 < horocusp_area < math.inf and 0.0 < surface_area < math.inf):
-        raise ValueError(
-            f"areas must be positive and finite, got {horocusp_area!r} and {surface_area!r}"
-        )
+    horocusp_area = _real(horocusp_area, "horocusp area")
+    surface_area = _real(surface_area, "surface area")
+    if not (horocusp_area > 0.0 and surface_area > 0.0):
+        raise ValueError(f"areas must be positive, got {horocusp_area!r} and {surface_area!r}")
     return _verdict("horocusp_area_ratio", horocusp_area, HOROCUSP_AREA_RATIO * surface_area)
 
 
@@ -135,10 +139,11 @@ def punctured_sphere_feasible(n: int, slope_length: float) -> bool:
     For slope_length > 6 this fails for every n >= 3, which is the
     contradiction behind the six-theorem.
     """
-    if n < 3:
+    if _count(n, "n") < 3:
         raise ValueError(f"spheres with fewer than 3 punctures do not occur here (n={n})")
-    if not 0.0 < slope_length < math.inf:
-        raise ValueError(f"slope length must be positive and finite, got {slope_length}")
+    slope_length = _real(slope_length, "slope length")
+    if slope_length <= 0.0:
+        raise ValueError(f"slope length must be positive, got {slope_length}")
     return 6.0 * (n - 2) >= (n - 1) * slope_length
 
 
@@ -164,12 +169,12 @@ def doubled_surface_chain(
     so n <= (2j(6 + epsilon) - 12) / (2*epsilon).  With j = 0 the ceiling is
     negative: every configuration needs a cusp meeting the boundary.
     """
-    if epsilon <= 0.0 or not math.isfinite(epsilon):
+    n, j = _count(n, "n"), _count(j, "j")
+    slope_length, epsilon = _real(slope_length, "slope length"), _real(epsilon, "epsilon")
+    if epsilon <= 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if not 0 <= j <= n:
         raise ValueError(f"expected 0 <= j <= n, got j={j}, n={n}")
-    if not math.isfinite(slope_length):
-        raise ValueError(f"slope length must be finite, got {slope_length}")
     if slope_length < 6.0 + epsilon:
         raise ValueError(
             f"slope length {slope_length} is below the 6 + epsilon margin"

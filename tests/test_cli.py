@@ -321,6 +321,19 @@ def test_diagram_refusal_past_2_31_px_is_one_short_line(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("height", [30, 60], ids=["no_drawing_area", "markers_too_close"])
+def test_diagram_canvas_side_past_2_31_px_is_named_as_the_limit(capsys, tmp_path, height):
+    # the width has 201 digits; the message names the limit instead
+    code, out, err = run_cli(
+        capsys, "diagram", "--cusp", HEX2, "--name", "hex2",
+        "--out", str(tmp_path / "x.svg"), "--width", str(10**200), "--height", str(height),
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
+    assert f" (past 2**31)x{height} " in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "option, value, message",
     [

@@ -1,0 +1,201 @@
+"""One rule for every number a caller passes in.
+
+A real input (a length, an area, a radius, a cusp coordinate) is an ``int``
+or ``float``, not a ``bool``, and finite as a float; a count input (a genus,
+a puncture count, a prime, a canvas size) is an ``int``, not a ``bool``,
+inside the float range.  Each entry point refuses anything else with a
+``ValueError`` (or its module's subclass) whose short message starts with
+the name of the field, and gives an int the same result as the equal float.
+"""
+
+from __future__ import annotations
+
+import math
+
+import pytest
+
+from cuspslopes.bound_calculus import (
+    BoundQuery,
+    project_to_fp,
+    smallest_prime_greater,
+    verify_counting_lemma,
+)
+from cuspslopes.cli import main
+from cuspslopes.cusp_geometry import CuspShape, DegenerateBasisError, Slope
+from cuspslopes.diagram import DiagramSpec
+from cuspslopes.halfplane_geometry import (
+    HorodiskPair,
+    WrappingQuery,
+    boundary_length_lower_bound,
+)
+from cuspslopes.report_io import (
+    ReportFormatError,
+    build_analysis_report,
+    parse_cusp_records,
+    report_from_dict,
+    report_to_dict,
+)
+from cuspslopes.slope_search import enumerate_short_slopes
+from cuspslopes.surface_audit import (
+    SurfaceAudit,
+    SurfaceType,
+    boroczky_check,
+    check_cusp_length_inequality,
+    doubled_surface_chain,
+    euler_characteristic,
+    gauss_bonnet_area,
+    punctured_sphere_feasible,
+)
+
+HEX2 = CuspShape((2.0, 0.0), (1.0, math.sqrt(3.0)), name="hex2")
+HEX2_DICT = report_to_dict(build_analysis_report(HEX2, 6.0))
+
+REAL_INPUTS = [True, "2", None, [0] * 10**5, 10**400, -(10**400), math.nan, math.inf]
+REAL_IDS = ["bool", "str", "none", "long_list", "int_1e400", "int_minus_1e400", "nan", "inf"]
+COUNT_INPUTS = [True, 2.5, "2", 10**400, -(10**400)]
+COUNT_IDS = ["bool", "float", "str", "int_1e400", "int_minus_1e400"]
+
+
+def _with_threshold(x):
+    return report_from_dict({**HEX2_DICT, "threshold": x})
+
+
+def _with_first_length(x):
+    slopes = [dict(rec) for rec in HEX2_DICT["slopes"]]
+    slopes[0]["length"] = x
+    return report_from_dict({**HEX2_DICT, "slopes": slopes})
+
+
+def _with_area_floor(x):
+    return report_from_dict({**HEX2_DICT, "bound": {**HEX2_DICT["bound"], "area_floor": x}})
+
+
+# (id, call with the input in one real slot, field, error, an int the slot accepts or None)
+REAL_SLOTS = [
+    ("shape_meridian", lambda x: CuspShape((x, 0), (0, 1)), "cusp meridian[0]",
+     DegenerateBasisError, 2),
+    ("shape_longitude", lambda x: CuspShape((1, 0), (0, x)), "cusp longitude[1]",
+     DegenerateBasisError, 3),
+    ("query_length", lambda x: BoundQuery(x, 3.35), "length threshold", ValueError, 6),
+    ("query_area", lambda x: BoundQuery(6.0, x), "area floor", ValueError, 3),
+    ("enumerate_threshold", lambda x: enumerate_short_slopes(HEX2, x), "threshold",
+     ValueError, 6),
+    ("report_threshold", lambda x: build_analysis_report(HEX2, x), "threshold", ValueError, 6),
+    ("report_area_floor", lambda x: build_analysis_report(HEX2, 6.0, area_floor=x),
+     "area floor", ValueError, 3),
+    ("pair_r", lambda x: HorodiskPair(x, 2.0), "radius r", ValueError, 1),
+    ("pair_R", lambda x: HorodiskPair(1.0, x), "radius R", ValueError, 2),
+    ("wrapping_epsilon", lambda x: WrappingQuery(x, 3.0), "epsilon", ValueError, 1),
+    ("wrapping_loop", lambda x: WrappingQuery(1.0, x), "loop length", ValueError, 3),
+    ("audit_length", lambda x: SurfaceAudit(SurfaceType(1, 1), (x,)), "cusp slope length",
+     ValueError, 6),
+    ("boroczky_horocusp", lambda x: boroczky_check(x, 4.0), "horocusp area", ValueError, 1),
+    ("boroczky_surface", lambda x: boroczky_check(1.0, x), "surface area", ValueError, 4),
+    ("sphere_length", lambda x: punctured_sphere_feasible(4, x), "slope length", ValueError, 4),
+    ("doubled_length", lambda x: doubled_surface_chain(5, 3, x, 0.5), "slope length",
+     ValueError, 7),
+    ("doubled_epsilon", lambda x: doubled_surface_chain(8, 2, 7.0, x), "epsilon", ValueError, 1),
+    ("loaded_threshold", _with_threshold, "threshold", ReportFormatError, None),
+    ("loaded_length", _with_first_length, "slope length", ReportFormatError, None),
+    ("loaded_area_floor", _with_area_floor, "bound area", ReportFormatError, None),
+]
+
+# (id, call with the input in one count slot, field)
+COUNT_SLOTS = [
+    ("spec_extent", lambda x: DiagramSpec(enumerate_short_slopes(HEX2, 6.0), lattice_extent=x),
+     "lattice_extent"),
+    ("spec_width", lambda x: DiagramSpec(enumerate_short_slopes(HEX2, 6.0), width=x), "width"),
+    ("spec_height", lambda x: DiagramSpec(enumerate_short_slopes(HEX2, 6.0), height=x),
+     "height"),
+    ("surface_genus", lambda x: SurfaceType(x, 1), "genus"),
+    ("surface_punctures", lambda x: SurfaceType(1, x), "punctures"),
+    ("surface_boundary", lambda x: SurfaceType(1, 1, x), "boundary circles"),
+    ("doubled_n", lambda x: doubled_surface_chain(x, 3, 7.0, 0.5), "n"),
+    ("doubled_j", lambda x: doubled_surface_chain(5, x, 7.0, 0.5), "j"),
+    ("sphere_n", lambda x: punctured_sphere_feasible(x, 7.0), "n"),
+    ("boundary_j", lambda x: boundary_length_lower_bound(x), "j"),
+    ("next_prime", lambda x: smallest_prime_greater(x), "r"),
+    ("lemma_modulus", lambda x: verify_counting_lemma([Slope(1, 0)], x), "modulus"),
+    ("fp_modulus", lambda x: project_to_fp(Slope(1, 0), x), "modulus"),
+]
+
+
+def _check_refusal(excinfo, error, field):
+    assert excinfo.type is error
+    message = str(excinfo.value)
+    assert message.startswith(f"{field} "), message[:200]
+    assert len(message) < 200, message[:200]
+
+
+@pytest.mark.parametrize(
+    "call, field, error, x",
+    [
+        pytest.param(c, f, e, x, id=f"{i}-{x_id}")
+        for i, c, f, e, _ in REAL_SLOTS
+        for x, x_id in zip(REAL_INPUTS, REAL_IDS)
+        if not (i == "report_area_floor" and x is None)  # None asks for the shape's area
+    ],
+)
+def test_real_input_refused_with_the_field_named(call, field, error, x):
+    with pytest.raises(ValueError) as excinfo:
+        call(x)
+    _check_refusal(excinfo, error, field)
+
+
+@pytest.mark.parametrize("x", COUNT_INPUTS, ids=COUNT_IDS)
+@pytest.mark.parametrize("call, field", [pytest.param(c, f, id=i) for i, c, f in COUNT_SLOTS])
+def test_count_input_refused_with_the_field_named(call, field, x):
+    with pytest.raises(ValueError) as excinfo:
+        call(x)
+    _check_refusal(excinfo, ValueError, field)
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    [pytest.param(c, v, id=i) for i, c, _, _, v in REAL_SLOTS if v is not None],
+)
+def test_int_gives_the_result_of_the_equal_float(call, value):
+    as_int, as_float = call(value), call(float(value))
+    assert as_int == as_float and repr(as_int) == repr(as_float)
+
+
+@pytest.mark.parametrize("x", REAL_INPUTS + ["y" * 10**6], ids=REAL_IDS + ["long_str"])
+def test_cusp_record_error_is_short_and_names_the_coordinate(x):
+    data = {
+        "format": "cusp-file",
+        "version": "v1",
+        "cusps": [{"name": "x", "meridian": [x, 0], "longitude": [0, 1]}],
+    }
+    shapes, errors = parse_cusp_records(data)
+    assert shapes == [] and len(errors) == 1
+    assert errors[0].message.startswith("cusp meridian[0] ")
+    assert len(str(errors[0])) < 200
+
+
+def test_largest_surfaces_audit_without_overflow():
+    # a SurfaceType that constructs gives finite floats in every audit
+    genus = 10**307
+    for surface in (SurfaceType(genus, 1), SurfaceType(0, 2 * genus), SurfaceType(0, 3, genus)):
+        assert math.isfinite(gauss_bonnet_area(surface))
+        verdict = check_cusp_length_inequality(SurfaceAudit(surface, (1.0,)))
+        assert verdict.passed and math.isfinite(verdict.rhs)
+        assert euler_characteristic(surface) < 0
+    with pytest.raises(ValueError, match="^surface is too large"):
+        SurfaceType(10**308, 0)
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["audit", "--surface", f"{10**400},1,0", "--lengths", "6"], "genus"),
+        (["horodisk", "--separation", "1", "1e999"], "radius R"),
+        (["horodisk", "--wrapping", "nan", "1"], "epsilon"),
+        (["bound", "--length", "inf"], "length threshold"),
+    ],
+    ids=["audit_genus", "horodisk_radius", "wrapping_epsilon", "bound_length"],
+)
+def test_cli_refusal_is_one_short_line_naming_the_field(capsys, argv, field):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {field} ") and err.count("\n") == 1 and len(err) < 200

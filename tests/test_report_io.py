@@ -131,7 +131,8 @@ def test_int_literal_past_float_range_is_one_record_error(tmp_path):
     )
     shapes, errors = load_cusp_file(path)
     assert [s.name for s in shapes] == ["y"]
-    assert len(errors) == 1 and "finite" in errors[0].message
+    assert len(errors) == 1
+    assert "cusp meridian[0] is an integer past the float range" in errors[0].message
 
 
 def test_save_cusp_file_round_trip(tmp_path):
@@ -239,7 +240,8 @@ TAMPERS = [
     ("string_in_matrix", _edit("delta_matrix", 0, 1, to=lambda _: "1"), "integers"),
     ("threshold", _edit("threshold", to=lambda _: 7.0), "bound"),
     ("threshold_past_2_53", _edit("threshold", to=lambda _: 1e9), "bound"),
-    ("threshold_past_float_range", _edit("threshold", to=lambda _: 10**400), "finite"),
+    ("threshold_past_float_range", _edit("threshold", to=lambda _: 10**400),
+     "threshold is an integer past the float range"),
     ("negative_area_floor", _edit("bound", "area_floor", to=lambda _: -1.0), "bound"),
     ("lemma_delta", _edit("lemma", "delta", to=lambda _: 11), "lemma"),
     ("lemma_collision", _edit("lemma", "collision", to=lambda _: [[1, 0], [0, 1]]), "lemma"),
@@ -298,6 +300,24 @@ def test_tampered_report_rejected(hex2_report, tmp_path, mutate, match):
     path.write_text(json_text(data))
     with pytest.raises(ReportFormatError, match=match):
         load_report(path)
+
+
+@pytest.mark.parametrize(
+    "load, match",
+    [
+        (lambda d: report_from_dict({**d, "format": "x" * 10**6}), "expected format"),
+        (lambda d: report_from_dict({**d, "version": "v1" * 10**5}), "incompatible"),
+        (lambda d: report_from_dict({**d, **{f"k{i}": 0 for i in range(10**4)}}),
+         "top-level keys"),
+        (lambda d: parse_cusp_records({"format": "cusp-file", "version": "v1" * 10**5,
+                                       "cusps": []}), "incompatible"),
+    ],
+    ids=["report_format", "report_version", "extra_keys", "cusp_version"],
+)
+def test_header_and_key_messages_are_short(hex2_report, load, match):
+    with pytest.raises(ValueError, match=match) as excinfo:
+        load(report_to_dict(hex2_report))
+    assert len(str(excinfo.value)) < 500
 
 
 def _verdict(load):

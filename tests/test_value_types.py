@@ -228,8 +228,7 @@ def test_pickle_and_copy_round_trips(case):
     cls, fields, _defaults, args, _other = case
     x = cls(*args)
     for y in (
-        pickle.loads(pickle.dumps(x)),
-        pickle.loads(pickle.dumps(x, protocol=2)),
+        *(pickle.loads(pickle.dumps(x, protocol=p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)),
         copy.copy(x),
         copy.deepcopy(x),
     ):
