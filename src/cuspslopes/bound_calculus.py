@@ -134,10 +134,7 @@ def is_prime(n: int) -> bool:
 
 def smallest_prime_greater(r: int) -> int:
     """Smallest prime strictly greater than r >= 0."""
-    r = _count(r, "r")
-    if r < 0:
-        raise ValueError(f"expected a nonnegative integer, got {r}")
-    n = r + 1
+    n = _count(r, "r", 0) + 1
     while not is_prime(n):
         n += 1
     return n

@@ -97,11 +97,12 @@ def _real(x, what: str, error=ValueError) -> float:
     return x
 
 
-def _count(x, what: str) -> int:
+def _count(x, what: str, least: int | None = None) -> int:
     """The one check of an integer a caller passes in: an ``int`` (not a
     ``bool``) inside the float range, so that turning it into a float never
-    raises ``OverflowError``.  A refusal is a ``ValueError`` whose message
-    names the field ``what``; each caller checks its own range."""
+    raises ``OverflowError``, and at least ``least`` when that is given.  A
+    refusal is a ``ValueError`` whose message names the field ``what`` and
+    shows at most a few dozen characters of the value."""
     if type(x) is not int and (isinstance(x, bool) or not isinstance(x, int)):
         raise ValueError(f"{what} must be an integer, got {reprlib.repr(x)}")
     # |x| < 2**1023 is inside the float range; past it, compare exactly (an
@@ -109,7 +110,18 @@ def _count(x, what: str) -> int:
     if x.bit_length() > 1023 and abs(x) > _FLOAT_MAX:
         limit = f"at most {_FLOAT_MAX!r}" if x > 0 else f"at least {-_FLOAT_MAX!r}"
         raise ValueError(f"{what} must be {limit}, got a {x.bit_length()}-bit integer")
+    if least is not None and x < least:
+        raise ValueError(f"{what} must be at least {least}, got {reprlib.repr(x)}")
     return x
+
+
+def _pair(v, what: str, error=ValueError) -> Vec2:
+    """The one check of a point a caller passes in: a tuple or list of exactly
+    two reals (``_real``, named ``what[0]`` and ``what[1]``), returned as a
+    tuple of floats."""
+    if not isinstance(v, (tuple, list)) or len(v) != 2:
+        raise error(f"{what} must be a pair of numbers, got {reprlib.repr(v)}")
+    return (_real(v[0], what + "[0]", error), _real(v[1], what + "[1]", error))
 
 
 class CuspShape(_Value):
@@ -128,11 +140,8 @@ class CuspShape(_Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        m, l = self.meridian, self.longitude
-        mer = (_real(m[0], "cusp meridian[0]", DegenerateBasisError),
-               _real(m[1], "cusp meridian[1]", DegenerateBasisError))
-        lon = (_real(l[0], "cusp longitude[0]", DegenerateBasisError),
-               _real(l[1], "cusp longitude[1]", DegenerateBasisError))
+        mer = _pair(self.meridian, "cusp meridian", DegenerateBasisError)
+        lon = _pair(self.longitude, "cusp longitude", DegenerateBasisError)
         det = _det(mer, lon)
         # written with `not >` so that a NaN det (inf - inf) is rejected too
         if not abs(det) > DEGENERACY_TOL * math.hypot(*mer) * math.hypot(*lon):
@@ -189,6 +198,17 @@ class Slope(_Value):
 
     def __str__(self) -> str:
         return f"({self.a},{self.b})"
+
+
+def _slope(a: int, b: int) -> Slope:
+    """``Slope(a, b)`` for ints the caller knows to be coprime: the sign is
+    made canonical, and the type and gcd checks are skipped."""
+    if b < 0 or (b == 0 and a < 0):
+        a, b = -a, -b
+    s = object.__new__(Slope)
+    _set(s, "a", a)
+    _set(s, "b", b)
+    return s
 
 
 def area(shape: CuspShape) -> float:

@@ -57,14 +57,10 @@ class DiagramSpec(_Value):
                  height: int = 600) -> None:
         _set(self, "report", report)
         _set(self, "radius_circle", radius_circle)
-        _set(self, "lattice_extent", _count(lattice_extent, "lattice_extent"))
+        _set(self, "lattice_extent", _count(lattice_extent, "lattice_extent", 1))
         _set(self, "label_slopes", label_slopes)
-        _set(self, "width", _count(width, "width"))
-        _set(self, "height", _count(height, "height"))
-        if self.lattice_extent < 1:
-            raise ValueError(f"lattice extent must be >= 1, got {self.lattice_extent}")
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("canvas dimensions must be positive")
+        _set(self, "width", _count(width, "width", 1))
+        _set(self, "height", _count(height, "height", 1))
 
 
 class CanvasTransform(_Value):

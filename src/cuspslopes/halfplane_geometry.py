@@ -100,9 +100,7 @@ def extremal_ratio() -> float:
 
 def boundary_length_lower_bound(j: int) -> float:
     """Minimal geodesic boundary length when j horocusps touch it: 2j*ln(1+sqrt 2)."""
-    if _count(j, "j") < 0:
-        raise ValueError(f"expected a nonnegative count, got {j}")
-    return 2.0 * j * _LOG_1_PLUS_SQRT2
+    return 2.0 * _count(j, "j", 0) * _LOG_1_PLUS_SQRT2
 
 
 def wrapping_bound(q: WrappingQuery) -> float:

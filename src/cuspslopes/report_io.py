@@ -25,18 +25,22 @@ rest must be the writer's text of the report.  Any other file (another
 layout, or a tampered one) is parsed whole by ``report_from_dict``, which
 encodes the parsed ``delta_matrix`` with the writer's encoder and compares
 that text the same way, so ``true``, ``1.0``, ``null``, ``"1"``, a negated
-entry and a short or long row all fail; it also requires the written
-top-level keys and ``max_delta``, ``bound`` and ``lemma`` equal to their
-recomputation in JSON type.  A file the first way accepts is one the second
-accepts with an equal report.  The loaded report keeps the packed rows and
-takes ``max_delta`` from them; slopes too large for a 64-bit lane are a
-``ReportFormatError``.  v1 does not store the cusp basis, so the slope list
-itself cannot be re-derived.
+entry and a short or long row all fail; it also requires the top-level keys
+to be the written ones (``_REPORT_KEYS``, the one list the writer also
+uses), and ``max_delta``, ``bound`` and ``lemma`` equal in JSON type to the
+rebuilt report's ``max_delta``, ``bound_to_dict`` and ``lemma_to_dict``.
+The slope records are checked as they are read and are not written again
+to be compared, and an error message is made only when the check fails.  A
+file the first way accepts is one the second accepts with an equal report.
+The loaded report keeps the packed rows and takes ``max_delta`` from them;
+slopes too large for a 64-bit lane are a ``ReportFormatError``.  v1 does not
+store the cusp basis, so the slope list itself cannot be re-derived.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import operator
 import reprlib
 import sys
@@ -53,10 +57,9 @@ from .bound_calculus import (
 from .cusp_geometry import (
     CuspShape,
     DegenerateBasisError,
-    NonPrimitiveSlopeError,
-    Slope,
     _real,
     _set,
+    _slope,
     _Value,
     area,
 )
@@ -72,6 +75,10 @@ CUSP_FILE_FORMAT = "cusp-file"
 REPORT_FORMAT = "slope-analysis-report"
 SCHEMA_VERSION = "v1"
 _SMALL_NUMERALS = {v: str(v) for v in range(64)}  # all entries of small Delta matrices
+# A report's top-level keys, in the order they are written.
+_REPORT_KEYS = ("format", "version", "tool_version", "timestamp", "shape_name", "threshold",
+                "slopes", "delta_matrix", "max_delta", "bound", "lemma")
+_REPORT_KEY_SET = frozenset(_REPORT_KEYS)
 _SLOPE_KEYS = frozenset(("a", "b", "length", "boundary"))
 _MATRIX_KEY = '"delta_matrix": '
 _ENCODER = json.JSONEncoder(allow_nan=False, check_circular=False)
@@ -168,14 +175,6 @@ def _write_text(path, text: str) -> None:
 
 # ------------------------------- Cusp files --------------------------------
 
-def _parse_vec(record: dict, key: str) -> list:
-    """The pair stored under ``key``; ``CuspShape`` checks its numbers."""
-    v = record.get(key)
-    if not (isinstance(v, list) and len(v) == 2):
-        raise CuspFileError(f"{key} must be a pair [x, y]")
-    return v
-
-
 def parse_cusp_records(data: dict) -> tuple[list[CuspShape], list[RecordError]]:
     """Validate parsed cusp-file JSON; bad records are collected, not fatal."""
     _check_header(data, CUSP_FILE_FORMAT, CuspFileError)
@@ -194,9 +193,7 @@ def parse_cusp_records(data: dict) -> tuple[list[CuspShape], list[RecordError]]:
                 raise CuspFileError("missing or empty 'name'")
             if name in seen_names:
                 raise CuspFileError(f"duplicate name {name!r}")
-            mer = _parse_vec(record, "meridian")
-            lon = _parse_vec(record, "longitude")
-            shape = CuspShape(mer, lon, name=name)
+            shape = CuspShape(record.get("meridian"), record.get("longitude"), name=name)
         except (CuspFileError, DegenerateBasisError) as e:
             errors.append(RecordError(i, name if isinstance(name, str) else None, str(e)))
             continue
@@ -321,22 +318,20 @@ def report_to_dict(report: AnalysisReport) -> dict:
 
 def _report_dict(report: AnalysisReport, matrix) -> dict:
     """``report_to_dict`` with the given ``delta_matrix`` value."""
-    return {
-        "format": REPORT_FORMAT,
-        "version": SCHEMA_VERSION,
-        "tool_version": report.tool_version,
-        "timestamp": report.timestamp,
-        "shape_name": report.shape_name,
-        "threshold": report.threshold,
-        "slopes": [
-            {"a": e.slope.a, "b": e.slope.b, "length": e.length, "boundary": e.boundary}
-            for e in report.entries
-        ],
-        "delta_matrix": matrix,
-        "max_delta": report.max_delta,
-        "bound": bound_to_dict(report.bound),
-        "lemma": lemma_to_dict(report.lemma),
-    }
+    return dict(zip(_REPORT_KEYS, (
+        REPORT_FORMAT,
+        SCHEMA_VERSION,
+        report.tool_version,
+        report.timestamp,
+        report.shape_name,
+        report.threshold,
+        [{"a": e.slope.a, "b": e.slope.b, "length": e.length, "boundary": e.boundary}
+         for e in report.entries],
+        matrix,
+        report.max_delta,
+        bound_to_dict(report.bound),
+        lemma_to_dict(report.lemma),
+    )))
 
 
 class _Numerals(dict):
@@ -393,13 +388,14 @@ def _rebuild(data: dict, text: str, start: int, end: int) -> AnalysisReport:
     place.
 
     The inputs are the slope records, which must be exactly the written ones
-    (keys ``a, b, length, boundary``, canonical ``(a, b)``) and strictly
-    increasing in the enumeration's order, ``threshold``, ``bound.area_floor``
-    and ``lemma.prime``; ``shape_name``, ``timestamp`` and ``tool_version``
-    are taken as they are.  The writer's text of an n x n matrix has at least
-    3n^2 characters (each row n numerals and n - 1 ``", "``), so a shorter
-    stored matrix is rejected before the matrix is computed: the work done
-    stays bounded by the size of the input.
+    (keys ``a, b, length, boundary``; ``a`` and ``b`` ints with gcd 1 in
+    canonical sign, checked here, so each slope is built by the trusted
+    ``_slope``) and strictly increasing in the enumeration's order,
+    ``threshold``, ``bound.area_floor`` and ``lemma.prime``; ``shape_name``,
+    ``timestamp`` and ``tool_version`` are taken as they are.  The writer's
+    text of an n x n matrix has at least 3n^2 characters (each row n numerals
+    and n - 1 ``", "``), so a shorter stored matrix is rejected before the
+    matrix is computed: the work done stays bounded by the size of the input.
     """
     _check_header(data, REPORT_FORMAT, ReportFormatError)
     _require(isinstance(data.get("shape_name"), str), "missing shape_name")
@@ -409,21 +405,23 @@ def _rebuild(data: dict, text: str, start: int, end: int) -> AnalysisReport:
     _require(isinstance(raw_slopes, list), "missing 'slopes' list")
     entries = []
     for rec in raw_slopes:
-        _require(isinstance(rec, dict), "slope records must be objects")
+        if not isinstance(rec, dict):
+            raise ReportFormatError("slope records must be objects")
         a, b, raw_length = rec.get("a"), rec.get("b"), rec.get("length")
-        _require(type(a) is int and type(b) is int, "slope coordinates must be integers")
+        if type(a) is not int or type(b) is not int:
+            raise ReportFormatError("slope coordinates must be integers")
         length = _real(raw_length, "slope length", ReportFormatError)
         boundary = rec.get("boundary", False)
-        _require(isinstance(boundary, bool), "boundary flag must be a boolean")
-        try:
-            slope = Slope(a, b)
-        except NonPrimitiveSlopeError as e:
-            raise ReportFormatError(f"slope record: {e}") from None
-        _require(
-            rec.keys() == _SLOPE_KEYS and slope.a == a and slope.b == b and length == raw_length,
-            "'slopes' does not match the rebuilt report",
-        )
-        entries.append(SlopeEntry(slope, length, boundary))
+        if type(boundary) is not bool:
+            raise ReportFormatError("boundary flag must be a boolean")
+        if math.gcd(a, b) != 1:
+            raise ReportFormatError("slope record is not a primitive class (gcd(a, b) != 1)")
+        # exactly the written record: these keys, canonical (a, b) (b > 0, or
+        # (1, 0)), and the length as read
+        if rec.keys() != _SLOPE_KEYS or not (b > 0 or b == 0 and a == 1) \
+                or length != raw_length:
+            raise ReportFormatError("'slopes' does not match the rebuilt report")
+        entries.append(SlopeEntry(_slope(a, b), length, boundary))
     keys = [_entry_key(e) for e in entries]
     ordered = all(map(operator.lt, keys, keys[1:]))
     _require(ordered, "slopes must be distinct and sorted by (length, (a, b))")
@@ -480,20 +478,24 @@ def _rebuild(data: dict, text: str, start: int, end: int) -> AnalysisReport:
 def report_from_dict(data: dict) -> AnalysisReport:
     """Rebuild a report from its inputs (``_rebuild``) and require the data to
     match it: ``delta_matrix`` must encode (``json_text``) to the writer's
-    text of the rebuilt matrix, the top-level keys must be the written ones,
-    and ``max_delta``, ``bound`` and ``lemma`` must equal their recomputation."""
+    text of the rebuilt matrix, the top-level keys must be ``_REPORT_KEYS``,
+    and ``max_delta``, ``bound`` and ``lemma`` must equal the rebuilt
+    report's, section by section."""
     try:
         matrix = _ENCODER.encode(data.get("delta_matrix"))
     except (TypeError, ValueError, RecursionError):  # not JSON data, so not the writer's
         matrix = ""
     report = _rebuild(data, matrix, 0, len(matrix))
+    if data.keys() != _REPORT_KEY_SET:
+        raise ReportFormatError(
+            f"top-level keys {reprlib.repr(list(data))} are not {list(_REPORT_KEYS)}"
+        )
     # The slope records were checked as they were read; the derived fields
     # must also match in JSON type.
-    fields = _report_dict(report, None)
-    _require(data.keys() == fields.keys(),
-             f"top-level keys {reprlib.repr(list(data))} are not {list(fields)}")
-    for key in ("max_delta", "bound", "lemma"):
-        _require(_same(data[key], fields[key]), f"{key!r} does not match the rebuilt report")
+    for key, value in (("max_delta", report.max_delta), ("bound", bound_to_dict(report.bound)),
+                       ("lemma", lemma_to_dict(report.lemma))):
+        if not _same(data[key], value):
+            raise ReportFormatError(f"{key!r} does not match the rebuilt report")
     return report
 
 

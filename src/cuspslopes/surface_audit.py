@@ -15,7 +15,9 @@ actually essential is out of scope.
 from __future__ import annotations
 
 import math
+import reprlib
 import sys
+from fractions import Fraction
 
 from .cusp_geometry import _count, _real, _set, _Value
 
@@ -39,11 +41,9 @@ class SurfaceType(_Value):
     __slots__ = _fields = ("genus", "punctures", "boundary_circles")
 
     def __init__(self, genus: int, punctures: int, boundary_circles: int = 0) -> None:
-        _set(self, "genus", _count(genus, "genus"))
-        _set(self, "punctures", _count(punctures, "punctures"))
-        _set(self, "boundary_circles", _count(boundary_circles, "boundary circles"))
-        if min(genus, punctures, boundary_circles) < 0:
-            raise ValueError("surface data must be nonnegative integers")
+        _set(self, "genus", _count(genus, "genus", 0))
+        _set(self, "punctures", _count(punctures, "punctures", 0))
+        _set(self, "boundary_circles", _count(boundary_circles, "boundary circles", 0))
         # so that 2*pi*|chi|, the largest float the audits form from chi, is finite
         if 2 * genus + punctures + boundary_circles > _MAX_ABS_CHI:
             raise ValueError("surface is too large: 2*pi*|chi| is past the float range")
@@ -59,6 +59,11 @@ class SurfaceAudit(_Value):
     __slots__ = _fields = ("surface", "cusp_slope_lengths")
 
     def __init__(self, surface: SurfaceType, cusp_slope_lengths: tuple[float, ...]) -> None:
+        if not isinstance(cusp_slope_lengths, (tuple, list)):
+            raise ValueError(
+                f"cusp slope lengths must be a tuple or list of numbers, "
+                f"got {reprlib.repr(cusp_slope_lengths)}"
+            )
         lengths = tuple([_real(x, "cusp slope length") for x in cusp_slope_lengths])
         _set(self, "surface", surface)
         _set(self, "cusp_slope_lengths", lengths)
@@ -137,14 +142,15 @@ def punctured_sphere_feasible(n: int, slope_length: float) -> bool:
     filling slope is consistent with the 6|chi| budget: 6(n-2) >= (n-1)*len.
 
     For slope_length > 6 this fails for every n >= 3, which is the
-    contradiction behind the six-theorem.
+    contradiction behind the six-theorem.  The comparison is exact: the int
+    sides against the ``Fraction`` of the binary64 length.
     """
-    if _count(n, "n") < 3:
-        raise ValueError(f"spheres with fewer than 3 punctures do not occur here (n={n})")
+    n = _count(n, "n", 3)
     slope_length = _real(slope_length, "slope length")
     if slope_length <= 0.0:
         raise ValueError(f"slope length must be positive, got {slope_length}")
-    return 6.0 * (n - 2) >= (n - 1) * slope_length
+    # 6(n-2)/(n-1) < 6 for every n, so a length past 6 settles it at once
+    return slope_length <= 6.0 and 6 * (n - 2) >= (n - 1) * Fraction(slope_length)
 
 
 class DoubledSurfaceBound(_Value):
@@ -167,17 +173,25 @@ def doubled_surface_chain(
         2*epsilon*n <= 2j(6 + epsilon) - 12,
 
     so n <= (2j(6 + epsilon) - 12) / (2*epsilon).  With j = 0 the ceiling is
-    negative: every configuration needs a cusp meeting the boundary.
+    negative: every configuration needs a cusp meeting the boundary.  The
+    margin and ``feasible`` are decided exactly, on the ``Fraction`` of the
+    binary64 inputs; ``n_ceiling`` is the exact ceiling rounded to a float
+    (an infinity past the float range).
     """
     n, j = _count(n, "n"), _count(j, "j")
     slope_length, epsilon = _real(slope_length, "slope length"), _real(epsilon, "epsilon")
     if epsilon <= 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if not 0 <= j <= n:
-        raise ValueError(f"expected 0 <= j <= n, got j={j}, n={n}")
-    if slope_length < 6.0 + epsilon:
+        raise ValueError(f"j must be in [0, n], got j={reprlib.repr(j)}, n={reprlib.repr(n)}")
+    eps = Fraction(epsilon)
+    if Fraction(slope_length) < 6 + eps:
         raise ValueError(
             f"slope length {slope_length} is below the 6 + epsilon margin"
         )
-    ceiling = (2.0 * j * (6.0 + epsilon) - 12.0) / (2.0 * epsilon)
-    return DoubledSurfaceBound(ceiling, n <= ceiling)
+    ceiling = (j * (6 + eps) - 6) / eps
+    try:
+        n_ceiling = float(ceiling)
+    except OverflowError:
+        n_ceiling = math.inf if ceiling > 0 else -math.inf
+    return DoubledSurfaceBound(n_ceiling, n <= ceiling)

@@ -15,6 +15,7 @@ from cuspslopes.cusp_geometry import (
     DegenerateBasisError,
     NonPrimitiveSlopeError,
     Slope,
+    _slope,
     area,
     area_identity_residual,
     intersection_number,
@@ -144,6 +145,16 @@ def test_slope_canonicalization_idempotent(a, b):
     s = Slope(a, b)
     assert Slope(s.a, s.b) == s
     assert Slope(-a, -b) == s
+
+
+@given(st.integers(-(10**20), 10**20), st.integers(-(10**20), 10**20))
+def test_trusted_slope_is_the_checked_slope(a, b):
+    # the enumeration and the report loader build coprime pairs with _slope
+    if math.gcd(a, b) != 1:
+        return
+    s = _slope(a, b)
+    assert type(s) is Slope and s == Slope(a, b) == Slope(-a, -b)
+    assert (s.a, s.b) == (Slope(a, b).a, Slope(a, b).b) and hash(s) == hash(Slope(a, b))
 
 
 # ---------------------------------------------------------------- lengths

@@ -3,9 +3,12 @@
 A real input (a length, an area, a radius, a cusp coordinate) is an ``int``
 or ``float``, not a ``bool``, and finite as a float; a count input (a genus,
 a puncture count, a prime, a canvas size) is an ``int``, not a ``bool``,
-inside the float range.  Each entry point refuses anything else with a
-``ValueError`` (or its module's subclass) whose short message starts with
-the name of the field, and gives an int the same result as the equal float.
+inside the float range, and inside the field's own range.  A point (a cusp
+vector) is a tuple or list of exactly two reals, and the audit's lengths are
+a tuple or list of reals.  Each entry point refuses anything else
+with a ``ValueError`` (or its module's subclass) whose short message starts
+with the name of the field, and gives an int the same result as the equal
+float.
 """
 
 from __future__ import annotations
@@ -157,6 +160,81 @@ def test_count_input_refused_with_the_field_named(call, field, x):
 def test_int_gives_the_result_of_the_equal_float(call, value):
     as_int, as_float = call(value), call(float(value))
     assert as_int == as_float and repr(as_int) == repr(as_float)
+
+
+# containers of reals: a tuple or list, of exactly two for a cusp vector
+PAIR_INPUTS = [None, (1,), (1, 0, 5), [0] * 10**5, 6.0, "12", b"12", {0: 1, 1: 0}, range(1, 3)]
+PAIR_IDS = ["none", "one_tuple", "three_tuple", "long_list", "float", "str", "bytes", "dict",
+            "range"]
+
+# (id, call with the input in one container slot, field, error)
+CONTAINER_SLOTS = [
+    ("shape_meridian", lambda x: CuspShape(x, (0, 1)), "cusp meridian", DegenerateBasisError),
+    ("shape_longitude", lambda x: CuspShape((1, 0), x), "cusp longitude", DegenerateBasisError),
+    ("loaded_meridian", lambda x: _record_error({"meridian": x, "longitude": [0, 1]}),
+     "cusp meridian", ValueError),
+]
+
+
+def _record_error(record):
+    """The one record error of a cusp file holding ``record``, raised."""
+    data = {"format": "cusp-file", "version": "v1", "cusps": [{"name": "x", **record}]}
+    shapes, errors = parse_cusp_records(data)
+    assert shapes == [] and len(errors) == 1
+    raise ValueError(errors[0].message)
+
+
+@pytest.mark.parametrize("x", PAIR_INPUTS, ids=PAIR_IDS)
+@pytest.mark.parametrize(
+    "call, field, error", [pytest.param(c, f, e, id=i) for i, c, f, e in CONTAINER_SLOTS]
+)
+def test_pair_input_refused_with_the_field_named(call, field, error, x):
+    with pytest.raises(ValueError) as excinfo:
+        call(x)
+    _check_refusal(excinfo, error, field)
+
+
+@pytest.mark.parametrize("x", [None, 6.0, "6", b"6", {6.0}, range(6, 7)],
+                         ids=["none", "float", "str", "bytes", "set", "range"])
+def test_audit_lengths_must_be_a_tuple_or_list(x):
+    with pytest.raises(ValueError) as excinfo:
+        SurfaceAudit(SurfaceType(1, 1), x)
+    _check_refusal(excinfo, ValueError, "cusp slope lengths")
+
+
+# (id, call with an in-range-of-floats int that is out of the field's range, field)
+RANGE_SLOTS = [
+    ("next_prime_r", smallest_prime_greater, "r", [-1, -(10**300)]),
+    ("sphere_n", lambda x: punctured_sphere_feasible(x, 7.0), "n", [2, -(10**300)]),
+    ("surface_genus", lambda x: SurfaceType(x, 1), "genus", [-1, -(10**300)]),
+    ("surface_punctures", lambda x: SurfaceType(1, x), "punctures", [-1, -(10**300)]),
+    ("surface_boundary", lambda x: SurfaceType(1, 1, x), "boundary circles", [-1, -(10**300)]),
+    ("boundary_j", boundary_length_lower_bound, "j", [-1, -(10**300)]),
+    ("doubled_j_negative", lambda x: doubled_surface_chain(5, x, 7.0, 0.5), "j",
+     [-1, -(10**300)]),
+    ("doubled_j_past_n", lambda x: doubled_surface_chain(10**300, x, 7.0, 0.5), "j",
+     [10**300 + 1, 10**301]),
+    ("spec_extent", lambda x: DiagramSpec(enumerate_short_slopes(HEX2, 6.0), lattice_extent=x),
+     "lattice_extent", [0, -(10**300)]),
+    ("spec_width", lambda x: DiagramSpec(enumerate_short_slopes(HEX2, 6.0), width=x), "width",
+     [0, -(10**300)]),
+    ("spec_height", lambda x: DiagramSpec(enumerate_short_slopes(HEX2, 6.0), height=x),
+     "height", [0, -(10**300)]),
+]
+
+
+@pytest.mark.parametrize(
+    "call, field, x",
+    [
+        pytest.param(c, f, x, id=f"{i}-{k}")
+        for i, c, f, xs in RANGE_SLOTS
+        for k, x in enumerate(xs)
+    ],
+)
+def test_out_of_range_count_refused_with_a_short_message(call, field, x):
+    with pytest.raises(ValueError) as excinfo:
+        call(x)
+    _check_refusal(excinfo, ValueError, field)
 
 
 @pytest.mark.parametrize("x", REAL_INPUTS + ["y" * 10**6], ids=REAL_IDS + ["long_str"])

@@ -8,6 +8,7 @@ import io
 import json
 import math
 import random
+import reprlib
 import time
 import tracemalloc
 
@@ -196,6 +197,28 @@ def test_report_recomputation_agrees(hex2_report):
     assert loaded.max_delta == 8
     assert loaded.bound.prime == 11
     assert loaded.lemma.injective
+
+
+def test_accepted_report_words_no_message(hex2_report, tmp_path, monkeypatch):
+    # a refusal's message is made only when the loader refuses
+    def no_repr(obj):
+        raise AssertionError(f"reprlib.repr called on an accepted report ({type(obj)})")
+
+    data = report_to_dict(hex2_report)
+    save_report(hex2_report, tmp_path / "hex2.json")
+    monkeypatch.setattr(reprlib, "repr", no_repr)
+    assert report_from_dict(data) == hex2_report
+    assert load_report(tmp_path / "hex2.json") == hex2_report
+
+
+def test_every_slope_record_in_the_other_sign_rejected(hex2_report):
+    # (a, b) and (-a, -b) are one slope; only the canonical sign is written
+    data = report_to_dict(hex2_report)
+    for i, rec in enumerate(data["slopes"]):
+        slopes = list(data["slopes"])
+        slopes[i] = {**rec, "a": -rec["a"], "b": -rec["b"]}
+        with pytest.raises(ReportFormatError, match="'slopes' does not match"):
+            report_from_dict({**data, "slopes": slopes})
 
 
 def _edit(*path, to):

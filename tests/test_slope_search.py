@@ -21,7 +21,14 @@ from cuspslopes.slope_search import (
     search_box,
 )
 
-from conftest import brute_force_short_slopes, change_basis, random_shape, transform_slope, random_unimodular
+from conftest import (
+    brute_force_short_slopes,
+    change_basis,
+    mat_mul,
+    random_shape,
+    random_unimodular,
+    transform_slope,
+)
 
 
 HEX2_EXPECTED = {
@@ -411,3 +418,97 @@ def test_enumeration_cost_flat_in_skew(hex2_shape, monkeypatch):
         assert len(enumerate_short_slopes(change_basis(hex2_shape, m), 6.0)) == 12
         counts.append(len(calls))
     assert counts[0] == counts[1] == counts[2]
+
+
+# ------------------------------------------------------------ row intervals
+
+
+def _counted_scan(monkeypatch, shape: CuspShape, threshold: float):
+    """The report, the number of candidates measured and the number of rows
+    (j = 0 .. jmax of the reduced-basis box) of one enumeration."""
+    candidates, boxes = [], []
+    real_length, real_box = slope_search.slope_length, slope_search.search_box
+    monkeypatch.setattr(slope_search, "slope_length",
+                        lambda *args: candidates.append(args) or real_length(*args))
+    monkeypatch.setattr(slope_search, "search_box",
+                        lambda *args: boxes.append(real_box(*args)) or boxes[-1])
+    report = enumerate_short_slopes(shape, threshold)
+    monkeypatch.undo()
+    (_imax, jmax), = boxes
+    return report, len(candidates), jmax + 1
+
+
+@pytest.mark.parametrize("threshold", [6.0, 20.0, 60.0])
+def test_row_intervals_measure_few_more_than_they_keep(hex2_shape, monkeypatch, threshold):
+    report, candidates, rows = _counted_scan(monkeypatch, hex2_shape, threshold)
+    assert len(report) <= candidates <= len(report) + 2 * rows
+
+
+def test_row_intervals_on_skewed_markings(monkeypatch):
+    rng = random.Random(1616)
+    for k in (1, 7, 10**3, 5 * 10**4, 10**5):
+        for sign in (1, -1):
+            shape = skewed(reduced_shape(rng), sign * k)[0]
+            threshold = rng.uniform(0.5, 12.0)
+            report, candidates, rows = _counted_scan(monkeypatch, shape, threshold)
+            assert len(report) <= candidates <= len(report) + 2 * rows, (k, sign)
+
+
+def test_thresholds_at_a_slope_length_match_marked_box_scan():
+    # a threshold equal to a slope's computed length puts that slope on the
+    # boundary of the disc; the row intervals must still reach it
+    rng = random.Random(1617)
+    for k in (0, 1, 10, 1000, 3000):
+        for sign in (1, -1):
+            shape = skewed(reduced_shape(rng), sign * k)[0]
+            entries = enumerate_short_slopes(shape, 4.0).entries
+            for e in rng.sample(entries, min(4, len(entries))):
+                report = enumerate_short_slopes(shape, e.length)
+                got = [(x.slope, x.length, x.boundary) for x in report.entries]
+                assert got == marked_box_scan(shape, e.length)
+                assert (e.slope, e.length, True) in got
+
+
+def sheared(rng: random.Random, shape: CuspShape) -> CuspShape:
+    """The same torus marked by a word of four shears with entries up to 50,
+    which skews both vectors (coordinates up to about 10^7)."""
+    m = ((1, 0), (0, 1))
+    for _ in range(4):
+        t = rng.randint(-50, 50)
+        m = mat_mul(m, ((1, t), (0, 1)) if rng.random() < 0.5 else ((1, 0), (t, 1)))
+    return change_basis(shape, m)
+
+
+def wide_reduced_scan(shape: CuspShape, threshold: float) -> list[tuple[Slope, float, bool]]:
+    """The library's inclusion and boundary rule and order over the whole
+    reduced-basis box of twice the radius: an oracle for markings too skewed
+    for ``marked_box_scan``."""
+    u, v, U, V = slope_search._reduced_basis(shape)
+    imax, jmax = search_box(CuspShape(u, v), 2.0 * threshold)
+    found = []
+    for j in range(0, jmax + 1):
+        for i in (1,) if j == 0 else range(-imax, imax + 1):
+            if math.gcd(i, j) != 1:
+                continue
+            s = Slope(i * U[0] + j * V[0], i * U[1] + j * V[1])
+            length = slope_length(shape, s)
+            if length <= threshold + BOUNDARY_TOL:
+                found.append((s, length, length >= threshold - BOUNDARY_TOL))
+    found.sort(key=lambda e: (e[1], (e[0].a, e[0].b)))
+    return found
+
+
+def test_heavily_skewed_markings_match_a_wide_reduced_scan():
+    # Both marked vectors are skewed, so u and v, formed in floats from their
+    # integer coordinates, carry relative errors up to about 10^-7: the row
+    # intervals must be widened by that error, not only by the 1e-9 margin.
+    rng = random.Random(1619)
+    for _ in range(400):
+        shape = sheared(rng, reduced_shape(rng))
+        entries = enumerate_short_slopes(shape, 4.0).entries
+        threshold = rng.uniform(0.5, 4.0)
+        if entries and rng.random() < 0.7:
+            threshold = rng.choice(entries).length  # a slope on the boundary
+        report = enumerate_short_slopes(shape, threshold)
+        got = [(e.slope, e.length, e.boundary) for e in report.entries]
+        assert got == wide_reduced_scan(shape, threshold)

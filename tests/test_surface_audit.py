@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -205,6 +206,30 @@ def test_punctured_sphere_infeasible_hypothesis(n, l):
     assert not punctured_sphere_feasible(n, l)
 
 
+def test_punctured_sphere_past_six_infeasible_at_every_size():
+    # 6(n - 2) and (n - 1) * len both overflow a float near n = 10^308
+    for n in (10**6, 10**300, 10**308, 2**1023 - 1):
+        for l in (math.nextafter(6.0, 7.0), 7.0, 1e300):
+            assert not punctured_sphere_feasible(n, l)
+        # 6(n - 2)/(n - 1) = 6 - 6/(n - 1) reaches past 6 - 1e-9 from n = 6e9 + 2 on
+        assert punctured_sphere_feasible(n, 6.0 - 1e-9) == (n >= 6 * 10**9 + 2)
+
+
+def _sizes(rng: random.Random, low: int) -> int:
+    """An int in [low, 10^308], of a random number of digits."""
+    return rng.randint(low, max(low, 10 ** rng.randint(1, 308)))
+
+
+def test_punctured_sphere_matches_a_fraction_oracle():
+    rng = random.Random(8080)
+    for _ in range(3000):
+        n = _sizes(rng, 3)
+        edge = 6 * (n - 2) / (n - 1)  # the float nearest the length of equality
+        l = rng.choice([rng.uniform(0.1, 12.0), edge, math.nextafter(edge, 0.0),
+                        math.nextafter(edge, 7.0)])
+        assert punctured_sphere_feasible(n, l) == (Fraction(6 * (n - 2), n - 1) >= Fraction(l))
+
+
 # ---------------------------------------------------------------- doubling
 
 
@@ -235,3 +260,37 @@ def test_doubled_surface_chain_validation():
         doubled_surface_chain(3, 4, 7.0, 0.5)
     with pytest.raises(ValueError):
         doubled_surface_chain(3, 1, 6.2, 0.5)
+
+
+def test_doubled_surface_chain_exact_near_the_float_range():
+    # 2j(6 + epsilon) overflows a float; the exact ceiling is about 10^307 < n
+    out = doubled_surface_chain(10**308, 10**307, 1e301, 1e300)
+    assert not out.feasible and out.n_ceiling == pytest.approx(1e307, rel=1e-12)
+    # a ceiling past the float range is an infinity of its sign
+    out = doubled_surface_chain(10**300, 10**300, 7.0, 5e-324)
+    assert out.n_ceiling == math.inf and out.feasible
+    assert doubled_surface_chain(10**300, 0, 7.0, 5e-324).n_ceiling == -math.inf
+
+
+def test_doubled_surface_chain_matches_a_fraction_oracle():
+    rng = random.Random(8081)
+    for _ in range(2000):
+        n = _sizes(rng, 0)
+        j = rng.randint(0, n)
+        eps = rng.choice([rng.uniform(1e-6, 10.0), 10.0 ** rng.randint(-300, 300)])
+        E = Fraction(eps)
+        length = rng.choice([float(6 + E), math.nextafter(float(6 + E), 1e308), 6.0 + 2 * eps])
+        if Fraction(length) < 6 + E:
+            with pytest.raises(ValueError, match="below the 6 \\+ epsilon margin"):
+                doubled_surface_chain(n, j, length, eps)
+            continue
+        ceiling = (2 * j * (6 + E) - 12) / (2 * E)
+        if rng.random() < 0.5 and 0 <= ceiling < 10**308:
+            n = max(j, math.floor(ceiling) + rng.choice([0, 1]))
+        out = doubled_surface_chain(n, j, length, eps)
+        assert out.feasible == (n <= ceiling)
+        try:
+            expected = float(ceiling)
+        except OverflowError:
+            expected = math.inf if ceiling > 0 else -math.inf
+        assert out.n_ceiling == expected
