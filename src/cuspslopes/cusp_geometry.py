@@ -97,21 +97,33 @@ def _real(x, what: str, error=ValueError) -> float:
     return x
 
 
+def _is_int(x) -> bool:
+    """An ``int`` that is not a ``bool``."""
+    return type(x) is int or isinstance(x, int) and not isinstance(x, bool)
+
+
+def _shown(x: int) -> str:
+    """At most a few dozen characters of an int for a refusal: past the
+    float range its bit length (``repr`` refuses ints past 4,300 digits)."""
+    return f"a {x.bit_length()}-bit integer" if x.bit_length() > 1023 else reprlib.repr(x)
+
+
 def _count(x, what: str, least: int | None = None) -> int:
     """The one check of an integer a caller passes in: an ``int`` (not a
-    ``bool``) inside the float range, so that turning it into a float never
-    raises ``OverflowError``, and at least ``least`` when that is given.  A
-    refusal is a ``ValueError`` whose message names the field ``what`` and
-    shows at most a few dozen characters of the value."""
-    if type(x) is not int and (isinstance(x, bool) or not isinstance(x, int)):
+    ``bool``) that is at least ``least`` when that is given, and inside the
+    float range, so that turning it into a float never raises
+    ``OverflowError``.  A refusal is a ``ValueError`` whose message names the
+    field ``what`` and, first, its own bound, and shows the value by
+    ``_shown``."""
+    if not _is_int(x):
         raise ValueError(f"{what} must be an integer, got {reprlib.repr(x)}")
+    if least is not None and x < least:
+        raise ValueError(f"{what} must be at least {least}, got {_shown(x)}")
     # |x| < 2**1023 is inside the float range; past it, compare exactly (an
     # int-float comparison does not round)
     if x.bit_length() > 1023 and abs(x) > _FLOAT_MAX:
         limit = f"at most {_FLOAT_MAX!r}" if x > 0 else f"at least {-_FLOAT_MAX!r}"
-        raise ValueError(f"{what} must be {limit}, got a {x.bit_length()}-bit integer")
-    if least is not None and x < least:
-        raise ValueError(f"{what} must be at least {least}, got {reprlib.repr(x)}")
+        raise ValueError(f"{what} must be {limit}, got {_shown(x)}")
     return x
 
 
@@ -162,15 +174,11 @@ class Slope(_Value):
     __slots__ = _fields = ("a", "b")
 
     def __init__(self, a: int, b: int) -> None:
-        if isinstance(a, bool) or isinstance(b, bool):
-            raise NonPrimitiveSlopeError("slope coordinates must be integers")
-        if a != int(a) or b != int(b):
+        if not (_is_int(a) and _is_int(b)):
             raise NonPrimitiveSlopeError("slope coordinates must be integers")
         a, b = int(a), int(b)
         if math.gcd(a, b) != 1:
-            raise NonPrimitiveSlopeError(
-                f"({a}, {b}) is not a primitive class (gcd != 1)"
-            )
+            raise NonPrimitiveSlopeError("slope is not a primitive class (gcd(a, b) != 1)")
         if b < 0 or (b == 0 and a < 0):
             a, b = -a, -b
         _set(self, "a", a)

@@ -109,24 +109,20 @@ def canvas_transform(spec: DiagramSpec) -> CanvasTransform:
     if not math.isfinite(suggested):
         raise ValueError(f"lattice_extent {ext:.6g} needs a canvas past the float range")
     suggested = math.ceil(suggested)
-    if suggested > CANVAS_SIDE_LIMIT_PX:
-        advice = f"lattice_extent {ext:.6g} needs a canvas side past 2**31 px"
-    else:
-        advice = f"use at least {suggested}x{suggested}"
-
-    # a side past the limit is named as the limit, not in full
-    canvas = "x".join(str(side) if side <= CANVAS_SIDE_LIMIT_PX else "(past 2**31)"
-                      for side in (spec.width, spec.height))
     half = min(spec.width, spec.height) / 2.0 - CANVAS_PAD_PX
-    if half <= 0.0:
-        raise CanvasTooSmallError(f"canvas {canvas} leaves no drawing area; {advice}", suggested)
     scale = half / radius
     spacing = min_spacing * scale
-    if spacing < MIN_MARKER_SEPARATION_PX:
-        raise CanvasTooSmallError(
-            f"lattice points would be {spacing:.2f} px apart on a {canvas} canvas; {advice}",
-            suggested,
-        )
+    if half <= 0.0 or spacing < MIN_MARKER_SEPARATION_PX:
+        # a side past the limit is named as the limit, not in full
+        canvas = "x".join(str(side) if side <= CANVAS_SIDE_LIMIT_PX else "(past 2**31)"
+                          for side in (spec.width, spec.height))
+        if suggested > CANVAS_SIDE_LIMIT_PX:
+            advice = f"lattice_extent {ext:.6g} needs a canvas side past 2**31 px"
+        else:
+            advice = f"use at least {suggested}x{suggested}"
+        problem = (f"canvas {canvas} leaves no drawing area" if half <= 0.0 else
+                   f"lattice points would be {spacing:.2f} px apart on a {canvas} canvas")
+        raise CanvasTooSmallError(f"{problem}; {advice}", suggested)
     return CanvasTransform(scale, spec.width / 2.0, spec.height / 2.0)
 
 

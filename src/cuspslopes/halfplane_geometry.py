@@ -32,12 +32,14 @@ class HorodiskPair(_Value):
             raise ValueError(f"smaller radius must be positive, got {self.r}")
         if self.R < self.r:
             raise ValueError(f"expected r <= R, got r={self.r}, R={self.R}")
-        radii = f"radii r={self.r!r} and R={self.R!r}"
         if not math.isfinite(self.R / self.r):
-            raise ValueError(f"R/r overflows for {radii}")
+            raise ValueError(f"R/r overflows for radii r={self.r!r} and R={self.R!r}")
         # 2(R - r)^2 <= 2(R + r)^2, so both sides of the tangency test are finite
         if not math.isfinite(2.0 * (self.R + self.r) * (self.R + self.r)):
-            raise ValueError(f"the tangency test 2(R - r)^2 = (R + r)^2 overflows for {radii}")
+            raise ValueError(
+                "the tangency test 2(R - r)^2 = (R + r)^2 overflows for "
+                f"radii r={self.r!r} and R={self.R!r}"
+            )
 
 
 class WrappingQuery(_Value):

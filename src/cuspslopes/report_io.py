@@ -104,7 +104,7 @@ class RecordError(_Value):
         _set(self, "message", message)
 
     def __str__(self) -> str:
-        who = f"record {self.index}" + (f" ({self.name!r})" if self.name else "")
+        who = f"record {self.index}" + (f" ({reprlib.repr(self.name)})" if self.name else "")
         return f"{who}: {self.message}"
 
 
@@ -192,7 +192,7 @@ def parse_cusp_records(data: dict) -> tuple[list[CuspShape], list[RecordError]]:
             if not isinstance(name, str) or not name:
                 raise CuspFileError("missing or empty 'name'")
             if name in seen_names:
-                raise CuspFileError(f"duplicate name {name!r}")
+                raise CuspFileError(f"duplicate name {reprlib.repr(name)}")
             shape = CuspShape(record.get("meridian"), record.get("longitude"), name=name)
         except (CuspFileError, DegenerateBasisError) as e:
             errors.append(RecordError(i, name if isinstance(name, str) else None, str(e)))
@@ -231,8 +231,11 @@ def find_shape(shapes, name: str) -> CuspShape:
     for shape in shapes:
         if shape.name == name:
             return shape
-    known = ", ".join(sorted(s.name or "?" for s in shapes)) or "none"
-    raise CuspFileError(f"no cusp named {name!r} (available: {known})")
+    known = sorted(s.name or "?" for s in shapes)
+    listed = ", ".join(map(reprlib.repr, known[:3])) + (", ..." if len(known) > 3 else "")
+    raise CuspFileError(
+        f"no cusp named {reprlib.repr(name)} ({len(known)} available: {listed or 'none'})"
+    )
 
 
 # ----------------------------- Analysis reports ----------------------------
@@ -273,18 +276,21 @@ def build_analysis_report(
     census floor to reproduce shape-independent bounds.
     """
     short = enumerate_short_slopes(shape, threshold)
-    bound = slope_count_bound(BoundQuery(threshold, area_floor if area_floor is not None else area(shape)))
-    lemma = verify_counting_lemma(short.slopes, prime if prime is not None else bound.prime)
-    return AnalysisReport(
-        shape_name=shape.name or "unnamed",
-        threshold=float(threshold),
-        entries=short.entries,
-        delta_matrix=short.delta_matrix,
-        max_delta=short.max_delta,
-        bound=bound,
-        lemma=lemma,
-        timestamp=timestamp,
-    )
+    query = BoundQuery(threshold, area_floor if area_floor is not None else area(shape))
+    return _analysis(shape.name or "unnamed", short.threshold, short.entries, short.delta_matrix,
+                     short.max_delta, query, prime, __version__, timestamp)
+
+
+def _analysis(shape_name: str, threshold: float, entries: tuple[SlopeEntry, ...],
+              delta_matrix: CrossingMatrix, max_delta: int, query: BoundQuery,
+              prime: int | None, tool_version: str, timestamp: str | None) -> AnalysisReport:
+    """The report of these slopes: the count bound of ``query`` and the
+    counting lemma at ``prime`` (the bound's prime when it is None)."""
+    bound = slope_count_bound(query)
+    lemma = verify_counting_lemma([e.slope for e in entries],
+                                  bound.prime if prime is None else prime)
+    return AnalysisReport(shape_name, threshold, entries, delta_matrix, max_delta, bound, lemma,
+                          tool_version, timestamp)
 
 
 def bound_to_dict(bound: BoundReport) -> dict:
@@ -462,17 +468,8 @@ def _rebuild(data: dict, text: str, start: int, end: int) -> AnalysisReport:
         _require(text.startswith(piece, pos, end), _MATRIX_MISMATCH)
         pos += len(piece)
     _require(pos == end, _MATRIX_MISMATCH)
-    return AnalysisReport(
-        shape_name=data["shape_name"],
-        threshold=threshold,
-        entries=tuple(entries),
-        delta_matrix=delta_matrix,
-        max_delta=max_delta,
-        bound=slope_count_bound(query),
-        lemma=verify_counting_lemma(slopes, prime),
-        tool_version=tool_version,
-        timestamp=timestamp,
-    )
+    return _analysis(data["shape_name"], threshold, tuple(entries), delta_matrix, max_delta,
+                     query, prime, tool_version, timestamp)
 
 
 def report_from_dict(data: dict) -> AnalysisReport:

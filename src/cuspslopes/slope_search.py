@@ -4,22 +4,22 @@ A slope is short when its geodesic length is at most a threshold (default 6,
 the six-theorem cutoff below which a filling can fail to be hyperbolike).
 The marked basis is first reduced with the 2-D Lagrange-Gauss algorithm
 (Nguyen-Stehle, "Low-dimensional lattice basis reduction revisited", ANTS
-2004), unless it is already reduced, and the search box comes from the
-lattice heights orthogonal to each reduced vector; ``diagram`` draws its
-lattice window in the same basis.  That box depends only on the lattice, so
-its size does not grow with the skew of the marking.  The reduced basis only
-chooses which candidates are checked: every length, and the inclusion
+2004), unless it is already reduced; ``diagram`` draws its lattice window in
+the same basis.  The disc scanned in that basis depends only on the lattice,
+so the work does not grow with the skew of the marking.  The reduced basis
+only chooses which candidates are checked: every length, and the inclusion
 decision, is computed in the marked basis.
 
-Inside the box only the disc is scanned, one row at a time (Fincke-Pohst,
-"Improved methods for calculating vectors of short length in a lattice",
-Math. Comp. 1985, in rank 2).  Row j >= 1 of the reduced lattice, i*u + j*v,
-meets the disc |x| <= R for i in [c - h, c + h], where c = -j (u.v)/|u|^2
-and h = sqrt(R^2 - j^2 A^2/|u|^2)/|u| (A = det(u, v)); row 0 holds the one
-slope u.  R, also the box's radius, is threshold * (1 + margin) + tol
-widened by a relative 8 delta, where delta bounds the rounding of u and v:
-each is formed in floats from its integer coordinates (a, b), off by at most
-4 eps (|a||m| + |b||l|), and delta is that bound over |u| or |v|.  For a
+Only the disc is scanned, one row at a time (Fincke-Pohst, "Improved methods
+for calculating vectors of short length in a lattice", Math. Comp. 1985, in
+rank 2).  Row j >= 1 of the reduced lattice, i*u + j*v, meets the disc
+|x| <= R for i in [c - h, c + h], where c = -j (u.v)/|u|^2 and
+h = sqrt(R^2 - j^2 A^2/|u|^2)/|u| (A = det(u, v)), while
+R^2 - j^2 A^2/|u|^2 >= 0; row 0 holds the one slope u.  R is
+threshold * (1 + margin) + tol widened by a relative 8 delta, where delta
+bounds the rounding of u and v: each is formed in floats from its integer
+coordinates (a, b), off by at most 4 eps (|a||m| + |b||l|), and delta is
+that bound over |u| or |v|.  For a
 reduced basis |i||u| + |j||v| <= 2 |i*u + j*v|, so the rounding of u and v
 moves a lattice point by at most a relative 2 delta, and a marked-basis
 length, whose error is a few ulps of |a||m| + |b||l| <= |i| (|U_a||m| +
@@ -27,10 +27,9 @@ length, whose error is a few ulps of |a||m| + |b||l| <= |i| (|U_a||m| +
 it.  So every slope the length test includes lies in the disc, however
 skewed the marking.  The interval is widened by 1e-9 (|c| + R/|u| + 1),
 far more than the few ulps of |c| + R/|u| by which rounding can move c and
-h, and clipped to the box, so every candidate is one the box scan would
-check.  Rounding in R^2 - j^2 A^2/|u|^2 (a row where it is negative is
-skipped) can only drop points within a relative few ulps of R, which the
-margins leave out.  The scan checks about as many candidates as it keeps,
+h.  Rounding in R^2 - j^2 A^2/|u|^2 (the scan stops at the first row where
+it is negative) can only drop points within a relative few ulps of R, which
+the margins leave out.  The scan checks about as many candidates as it keeps,
 and ``_is_short`` still decides each one.  The map (i, j) -> (a, b) to the
 marked basis is unimodular, so gcd(i, j) = 1 gives a primitive (a, b), and
 each candidate is built by the trusted ``cusp_geometry._slope``, which only
@@ -73,14 +72,15 @@ SIX_THEOREM_LENGTH = 6.0
 # noise cannot silently drop an equality case.
 BOUNDARY_TOL = 1e-12
 
-# Relative widening of the threshold for the reduced-basis box.  A length is
+# Relative widening of the threshold for the reduced-basis disc.  A length is
 # computed in the marked basis as hypot(a*mx + b*lx, a*my + b*ly), whose
 # error is a few ulps of |a||m| + |b||l|.  On a marking skewed to
 # longitude + k*meridian that is about 4|k|*eps of the length (eps = 2.2e-16),
-# so every slope the length test includes lies inside the widened circle
-# while |k| stays below about 10^6.  For any marking, the rounding bound
-# delta of ``enumerate_short_slopes`` covers that error; this margin stays
-# as a floor.
+# so every slope the length test includes lies inside the widened disc that
+# ``enumerate_short_slopes`` scans while |k| stays below about 10^6.  For any
+# marking, the rounding bound delta of the scan covers that error; this
+# margin stays as a floor.  ``search_box``, the tests' marked-basis reference
+# box, takes no margin.
 _REDUCED_BOX_MARGIN = 1e-9
 
 # Relative slack of the test for a marking that is already reduced.  Without
@@ -190,7 +190,9 @@ class ShortSlopeReport(_Value):
 
 
 def search_box(shape: CuspShape, threshold: float) -> tuple[int, int]:
-    """Coefficient bounds (amax, bmax) that contain every short slope.
+    """Coefficient bounds (amax, bmax) that contain every short slope: the
+    marked-basis reference box that the tests scan.  The enumeration does
+    not use it; it scans the disc in a reduced basis.
 
     A vector a*m + b*l sits at distance |a| * area/|l| from the line through
     l, so |a| <= threshold*|l|/area; symmetrically for b.
@@ -262,10 +264,8 @@ def enumerate_short_slopes(shape: CuspShape, threshold: float) -> ShortSlopeRepo
         (abs(V[0]) * norm_m + abs(V[1]) * norm_l) / math.hypot(*v),
     )
     radius = (threshold * (1.0 + _REDUCED_BOX_MARGIN) + BOUNDARY_TOL) * (1.0 + 8.0 * delta)
-    imax, jmax = search_box(CuspShape(u, v), radius - BOUNDARY_TOL)
-    # Row j of the disc of that radius R, the box's radius: |i*u + j*v|^2 =
-    # |u|^2 (i - j*shift)^2 + (j*rise)^2, with rise the height of v over the
-    # line through u.
+    # Row j of the disc of radius R: |i*u + j*v|^2 = |u|^2 (i - j*shift)^2 +
+    # (j*rise)^2, with rise the height of v over the line through u.
     uu = u[0] * u[0] + u[1] * u[1]
     shift = -(u[0] * v[0] + u[1] * v[1]) / uu
     rise2 = (u[0] * v[1] - u[1] * v[0]) ** 2 / uu
@@ -273,17 +273,8 @@ def enumerate_short_slopes(shape: CuspShape, threshold: float) -> ShortSlopeRepo
     rho = math.sqrt(r2 / uu)  # R/|u|, the widest half-row
     (ua, ub), (va, vb) = U, V  # the (a, b) coordinates of u and v
     found: list[SlopeEntry] = []
-    for j in range(0, jmax + 1):
-        if j == 0:
-            lo = hi = 1
-        else:
-            d = r2 - j * j * rise2
-            if d < 0.0:
-                continue
-            c = j * shift
-            # h plus the slack for the rounding of c and h (module docstring)
-            reach_i = math.sqrt(d / uu) + 1e-9 * (abs(c) + rho + 1.0)
-            lo, hi = max(-imax, math.ceil(c - reach_i)), min(imax, math.floor(c + reach_i))
+    j, lo, hi = 0, 1, 1  # row 0 holds the one slope u
+    while True:
         for i in range(lo, hi + 1):
             # (i, j) -> (a, b) is unimodular, so it preserves gcd = 1.
             if math.gcd(i, j) != 1:
@@ -292,6 +283,14 @@ def enumerate_short_slopes(shape: CuspShape, threshold: float) -> ShortSlopeRepo
             length = slope_length(shape, s)
             if _is_short(length, threshold):
                 found.append(SlopeEntry(s, length, length >= threshold - BOUNDARY_TOL))
+        j += 1
+        d = r2 - j * j * rise2  # falls as j grows: the rows past the disc are empty
+        if d < 0.0:
+            break
+        c = j * shift
+        # h plus the slack for the rounding of c and h (module docstring)
+        reach_i = math.sqrt(d / uu) + 1e-9 * (abs(c) + rho + 1.0)
+        lo, hi = math.ceil(c - reach_i), math.floor(c + reach_i)
 
     found.sort(key=_entry_key)
     matrix, max_delta = crossing_data([e.slope for e in found])

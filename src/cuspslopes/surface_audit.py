@@ -72,7 +72,9 @@ class SurfaceAudit(_Value):
         try:
             math.fsum(lengths)
         except OverflowError:
-            raise ValueError(f"cusp slope lengths {lengths} sum past the float range") from None
+            raise ValueError(
+                f"cusp slope lengths {reprlib.repr(lengths)} sum past the float range"
+            ) from None
         if len(lengths) > surface.punctures:
             raise ValueError(
                 f"{len(lengths)} lengths listed for a surface with "

@@ -6,6 +6,7 @@ import math
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -46,6 +47,50 @@ def brute_force_short_slopes(shape: CuspShape, threshold: float, box: int) -> se
             if math.hypot(a * mx + b * lx, a * my + b * ly) <= threshold + 1e-12:
                 found.add(Slope(a, b))
     return found
+
+
+# A slope whose exact squared length is this close (relative) to T^2 is too
+# close to call from binary64 inputs; either decision is accepted for it.
+# The inclusion tolerance, 1e-12 on lengths of at least 0.3, lies inside it.
+AMBIGUOUS_REL = 1e-10
+
+
+def exact_short_slopes(shape: CuspShape, threshold: float, box: int):
+    """Exact oracle of the inclusion decision, apart from the program's
+    ``hypot(...) <= threshold + 1e-12``: the primitive classes with |a|, |b|
+    <= box whose squared length, in ``Fraction`` arithmetic on the binary64
+    coordinates, is below threshold^2 (``sure``), and those within a relative
+    ``AMBIGUOUS_REL`` of it (``ambiguous``).  Lengths more than a relative
+    1e-6 from the threshold are decided in floats.  Returns (sure, ambiguous).
+    """
+    mx, my = shape.meridian
+    lx, ly = shape.longitude
+    exact_m, exact_l = (Fraction(mx), Fraction(my)), (Fraction(lx), Fraction(ly))
+    t2 = Fraction(threshold) ** 2
+    sure: set[Slope] = set()
+    ambiguous: set[Slope] = set()
+    for b in range(0, box + 1):
+        for a in (1,) if b == 0 else range(-box, box + 1):
+            if math.gcd(a, b) != 1:
+                continue
+            length = math.hypot(a * mx + b * lx, a * my + b * ly)
+            if abs(length - threshold) > 1e-6 * threshold:
+                if length < threshold:
+                    sure.add(Slope(a, b))
+                continue
+            exact = sum((a * p + b * q) ** 2 for p, q in zip(exact_m, exact_l))
+            if abs(exact - t2) <= AMBIGUOUS_REL * t2:
+                ambiguous.add(Slope(a, b))
+            elif exact < t2:
+                sure.add(Slope(a, b))
+    return sure, ambiguous
+
+
+def includes_exactly(listed: set[Slope], shape: CuspShape, threshold: float, box: int) -> bool:
+    """Whether ``listed`` holds every slope the exact oracle calls short and
+    nothing it calls long: sure <= listed <= sure | ambiguous."""
+    sure, ambiguous = exact_short_slopes(shape, threshold, box)
+    return sure <= listed <= sure | ambiguous
 
 
 def random_shape(rng: random.Random, name: str | None = None) -> CuspShape:

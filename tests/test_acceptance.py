@@ -28,7 +28,13 @@ from cuspslopes.halfplane_geometry import HorodiskPair, extremal_ratio, tangency
 from cuspslopes.slope_search import enumerate_short_slopes, search_box
 from cuspslopes.surface_audit import SurfaceAudit, SurfaceType, check_cusp_length_inequality, punctured_sphere_feasible
 
-from conftest import FIXTURES, brute_force_short_slopes, random_shape, random_slope
+from conftest import (
+    FIXTURES,
+    brute_force_short_slopes,
+    includes_exactly,
+    random_shape,
+    random_slope,
+)
 
 RESULTS: list[str] = []
 
@@ -252,7 +258,9 @@ def test_acceptance_09_enumeration_oracle():
         report = enumerate_short_slopes(shape, threshold)
         amax, bmax = search_box(shape, threshold)
         box = max(amax, bmax) + 2
-        if set(report.slopes) != brute_force_short_slopes(shape, threshold, box):
+        listed = set(report.slopes)
+        if listed != brute_force_short_slopes(shape, threshold, box) \
+                or not includes_exactly(listed, shape, threshold, box):
             mismatches += 1
     elapsed = time.perf_counter() - t0
     ok = mismatches == 0 and elapsed < 10.0

@@ -73,13 +73,13 @@ def test_slopes_json_is_the_report_text(capsys, hex2_shape, threshold, count):
 
 def test_slopes_json_enumerates_once(capsys, monkeypatch):
     calls = []
-    real_search_box = slope_search.search_box
+    real_reduced_basis = slope_search._reduced_basis
 
-    def counting_search_box(*args):
+    def counting_reduced_basis(*args):
         calls.append(args)
-        return real_search_box(*args)
+        return real_reduced_basis(*args)
 
-    monkeypatch.setattr(slope_search, "search_box", counting_search_box)
+    monkeypatch.setattr(slope_search, "_reduced_basis", counting_reduced_basis)
     code, _, _ = run_cli(capsys, "slopes", "--cusp", HEX2, "--name", "hex2", "--json")
     assert code == 0
     assert len(calls) == 1
@@ -282,6 +282,19 @@ def test_diagram_thin_shell(capsys, tmp_path, hex2_shape):
         DiagramSpec(enumerate_short_slopes(hex2_shape, 6.0), label_slopes=True)
     )
     assert out_path.read_text() == direct
+
+
+def test_sister_diagram_matches_golden(tmp_path):
+    # the golden is regenerated with this command
+    out = tmp_path / "hex2.svg"
+    proc = subprocess.run(
+        [sys.executable, "-m", "cuspslopes", "diagram", "--cusp", HEX2, "--name", "hex2",
+         "--labels", "--out", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_bytes() == (FIXTURES / "goldens" / "hex2_threshold6.svg").read_bytes()
 
 
 def test_diagram_too_small_domain_error(capsys, tmp_path):

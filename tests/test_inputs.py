@@ -24,7 +24,12 @@ from cuspslopes.bound_calculus import (
     verify_counting_lemma,
 )
 from cuspslopes.cli import main
-from cuspslopes.cusp_geometry import CuspShape, DegenerateBasisError, Slope
+from cuspslopes.cusp_geometry import (
+    CuspShape,
+    DegenerateBasisError,
+    NonPrimitiveSlopeError,
+    Slope,
+)
 from cuspslopes.diagram import DiagramSpec
 from cuspslopes.halfplane_geometry import (
     HorodiskPair,
@@ -32,8 +37,10 @@ from cuspslopes.halfplane_geometry import (
     boundary_length_lower_bound,
 )
 from cuspslopes.report_io import (
+    CuspFileError,
     ReportFormatError,
     build_analysis_report,
+    find_shape,
     parse_cusp_records,
     report_from_dict,
     report_to_dict,
@@ -235,6 +242,54 @@ def test_out_of_range_count_refused_with_a_short_message(call, field, x):
     with pytest.raises(ValueError) as excinfo:
         call(x)
     _check_refusal(excinfo, ValueError, field)
+
+
+def _duplicate_record(name: str):
+    """The record error of a cusp file holding two records named ``name``, raised."""
+    record = {"name": name, "meridian": [1, 0], "longitude": [0, 1]}
+    data = {"format": "cusp-file", "version": "v1", "cusps": [record, record]}
+    shapes, errors = parse_cusp_records(data)
+    assert len(shapes) == 1 and len(errors) == 1
+    raise CuspFileError(str(errors[0]))
+
+
+def _find_among(count: int):
+    shapes = [CuspShape((1, 0), (0, 1), name=f"cusp{i:05d}") for i in range(count)]
+    find_shape(shapes, "missing")
+
+
+# (id, call that refuses a large input, error, text the message holds): no
+# refusal prints its input whole, and an int's bound is named before the
+# float range
+LARGE_INPUT_REFUSALS = [
+    ("find_shape_2000_names", lambda: _find_among(2000), CuspFileError,
+     "no cusp named 'missing' (2000 available: 'cusp00000', 'cusp00001', 'cusp00002', ...)"),
+    ("duplicate_long_name", lambda: _duplicate_record("n" * 1000), CuspFileError,
+     "duplicate name 'nnnnnnnnnnnn"),
+    ("audit_5000_lengths", lambda: SurfaceAudit(SurfaceType(0, 10**6), (1e308,) * 5000),
+     ValueError, "cusp slope lengths (1e+308, "),
+    ("slope_5000_digits", lambda: Slope(2 * 10**5000, 4), NonPrimitiveSlopeError,
+     "slope is not a primitive class (gcd(a, b) != 1)"),
+    ("slope_float", lambda: Slope(2.0, 1), NonPrimitiveSlopeError,
+     "slope coordinates must be integers"),
+    ("next_prime_minus_1e400", lambda: smallest_prime_greater(-(10**400)), ValueError,
+     "r must be at least 0, got a 1329-bit integer"),
+    ("next_prime_minus_1e5000", lambda: smallest_prime_greater(-(10**5000)), ValueError,
+     "r must be at least 0, got a 16610-bit integer"),
+    ("genus_minus_1e400", lambda: SurfaceType(-(10**400), 1), ValueError,
+     "genus must be at least 0, got a 1329-bit integer"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, error, text", [pytest.param(c, e, t, id=i) for i, c, e, t in LARGE_INPUT_REFUSALS]
+)
+def test_large_input_refused_with_a_short_message(call, error, text):
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert excinfo.type is error
+    message = str(excinfo.value)
+    assert text in message and len(message) < 200, message[:200]
 
 
 @pytest.mark.parametrize("x", REAL_INPUTS + ["y" * 10**6], ids=REAL_IDS + ["long_str"])

@@ -7,8 +7,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-from conftest import FIXTURES
-
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = REPO_ROOT / "scripts"
 
@@ -30,9 +28,3 @@ def test_reproduce_bounds_headline():
     assert proc.returncode == 0, proc.stderr
     assert "slopes <= 12" in proc.stdout
 
-
-def test_sister_diagram_matches_golden(tmp_path):
-    out = tmp_path / "hex2.svg"
-    proc = run_script("make_sister_diagram.py", "--out", str(out))
-    assert proc.returncode == 0, proc.stderr
-    assert out.read_bytes() == (FIXTURES / "goldens" / "hex2_threshold6.svg").read_bytes()

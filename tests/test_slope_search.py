@@ -24,6 +24,7 @@ from cuspslopes.slope_search import (
 from conftest import (
     brute_force_short_slopes,
     change_basis,
+    includes_exactly,
     mat_mul,
     random_shape,
     random_unimodular,
@@ -265,6 +266,7 @@ def test_oracle_equivalence_fixed_box():
         threshold = rng.uniform(0.5, 10.0)
         report = enumerate_short_slopes(shape, threshold)
         assert set(report.slopes) == brute_force_short_slopes(shape, threshold, 64)
+        assert includes_exactly(set(report.slopes), shape, threshold, 64)
 
 
 def test_monotonicity_in_threshold():
@@ -301,6 +303,7 @@ def test_oracle_equivalence_hypothesis(threshold, seed):
     amax, bmax = search_box(shape, threshold)
     box = max(amax, bmax) + 2
     assert set(report.slopes) == brute_force_short_slopes(shape, threshold, box)
+    assert includes_exactly(set(report.slopes), shape, threshold, box)
 
 
 def test_classify_examples(hex2_shape):
@@ -327,6 +330,7 @@ def test_classify_agrees_with_enumeration():
         shape = random_shape(rng)
         threshold = rng.uniform(0.5, 5.0)
         listed = set(enumerate_short_slopes(shape, threshold).slopes)
+        assert includes_exactly(listed, shape, threshold, max(search_box(shape, threshold)) + 2)
         for s in listed | brute_force_short_slopes(shape, threshold + 1.0, 8):
             expected = (
                 SlopeClass.CANDIDATE_EXCEPTIONAL
@@ -424,18 +428,32 @@ def test_enumeration_cost_flat_in_skew(hex2_shape, monkeypatch):
 
 
 def _counted_scan(monkeypatch, shape: CuspShape, threshold: float):
-    """The report, the number of candidates measured and the number of rows
-    (j = 0 .. jmax of the reduced-basis box) of one enumeration."""
-    candidates, boxes = [], []
-    real_length, real_box = slope_search.slope_length, slope_search.search_box
+    """The report and the number of candidates measured of one enumeration,
+    and the number of rows j = 0 .. jmax of the search box of its reduced
+    basis."""
+    candidates = []
+    real_length = slope_search.slope_length
     monkeypatch.setattr(slope_search, "slope_length",
                         lambda *args: candidates.append(args) or real_length(*args))
-    monkeypatch.setattr(slope_search, "search_box",
-                        lambda *args: boxes.append(real_box(*args)) or boxes[-1])
     report = enumerate_short_slopes(shape, threshold)
     monkeypatch.undo()
-    (_imax, jmax), = boxes
+    u, v = slope_search._reduced_basis(shape)[:2]
+    _imax, jmax = search_box(CuspShape(u, v), threshold)
     return report, len(candidates), jmax + 1
+
+
+def test_enumeration_builds_no_shape_and_no_box(hex2_shape, monkeypatch):
+    # the disc alone bounds the rows: no throwaway shape, no search box
+    calls = []
+    real_init, real_box = CuspShape.__init__, slope_search.search_box
+    monkeypatch.setattr(CuspShape, "__init__",
+                        lambda *args, **kw: calls.append("shape") or real_init(*args, **kw))
+    monkeypatch.setattr(slope_search, "search_box",
+                        lambda *args: calls.append("box") or real_box(*args))
+    for shape, threshold in ((hex2_shape, 6.0), (skewed(hex2_shape, 10**5)[0], 20.0)):
+        calls.clear()
+        assert len(enumerate_short_slopes(shape, threshold)) > 0
+        assert calls == []
 
 
 @pytest.mark.parametrize("threshold", [6.0, 20.0, 60.0])
