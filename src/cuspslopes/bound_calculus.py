@@ -18,9 +18,8 @@ range.
 from __future__ import annotations
 
 import math
-import reprlib
 
-from .cusp_geometry import Slope, _count, _real, _set, _Value, intersection_number
+from .cusp_geometry import Slope, _count, _real, _set, _shown, _Value, intersection_number
 
 # Lower bound for the maximal-cusp torus area of a one-cusped hyperbolic
 # 3-manifold (Cao-Meyerhoff).
@@ -103,7 +102,7 @@ def is_prime(n: int) -> bool:
     k once n < psi_k.  Exact below about 3.3e24; larger n raise
     ``ValueError``."""
     if n >= _MR_LIMIT:
-        raise ValueError(f"primality of {reprlib.repr(n)} is only decided below {_MR_LIMIT}")
+        raise ValueError(f"primality of {_shown(n)} is only decided below {_MR_LIMIT}")
     if n < 2:
         return False
     if n % 2 == 0:

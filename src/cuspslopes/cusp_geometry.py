@@ -81,13 +81,28 @@ class _Value:
         return type(self), self._values()
 
 
+class _Shown(reprlib.Repr):
+    """``reprlib`` that draws an int past the float range by its bit length:
+    ``repr`` refuses ints past 4,300 digits, also inside a container."""
+
+    def repr_int(self, x: int, level: int) -> str:
+        if x.bit_length() > 1023:
+            return f"a {x.bit_length()}-bit integer"
+        return super().repr_int(x, level)
+
+
+# The one way a refusal shows a value: at most a few dozen characters, and it
+# never raises.
+_shown = _Shown().repr
+
+
 def _real(x, what: str, error=ValueError) -> float:
     """The one check of a real number a caller passes in: an ``int`` or
     ``float`` (not a ``bool``) that is finite as a float, returned as a float.
     Each refusal is an ``error`` whose message names the field ``what``."""
     if type(x) is not float:
         if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise error(f"{what} must be a number, got {reprlib.repr(x)}")
+            raise error(f"{what} must be a number, got {_shown(x)}")
         try:
             x = float(x)
         except OverflowError:
@@ -102,21 +117,14 @@ def _is_int(x) -> bool:
     return type(x) is int or isinstance(x, int) and not isinstance(x, bool)
 
 
-def _shown(x: int) -> str:
-    """At most a few dozen characters of an int for a refusal: past the
-    float range its bit length (``repr`` refuses ints past 4,300 digits)."""
-    return f"a {x.bit_length()}-bit integer" if x.bit_length() > 1023 else reprlib.repr(x)
-
-
 def _count(x, what: str, least: int | None = None) -> int:
     """The one check of an integer a caller passes in: an ``int`` (not a
     ``bool``) that is at least ``least`` when that is given, and inside the
     float range, so that turning it into a float never raises
     ``OverflowError``.  A refusal is a ``ValueError`` whose message names the
-    field ``what`` and, first, its own bound, and shows the value by
-    ``_shown``."""
+    field ``what`` and, first, its own bound."""
     if not _is_int(x):
-        raise ValueError(f"{what} must be an integer, got {reprlib.repr(x)}")
+        raise ValueError(f"{what} must be an integer, got {_shown(x)}")
     if least is not None and x < least:
         raise ValueError(f"{what} must be at least {least}, got {_shown(x)}")
     # |x| < 2**1023 is inside the float range; past it, compare exactly (an
@@ -132,7 +140,7 @@ def _pair(v, what: str, error=ValueError) -> Vec2:
     two reals (``_real``, named ``what[0]`` and ``what[1]``), returned as a
     tuple of floats."""
     if not isinstance(v, (tuple, list)) or len(v) != 2:
-        raise error(f"{what} must be a pair of numbers, got {reprlib.repr(v)}")
+        raise error(f"{what} must be a pair of numbers, got {_shown(v)}")
     return (_real(v[0], what + "[0]", error), _real(v[1], what + "[1]", error))
 
 

@@ -1,8 +1,10 @@
 """Cusp-shape files and serialized analysis reports (JSON, schema v1).
 
-Every document is written by ``json_text``: compact one-line JSON whose
-floats are their shortest round-trip ``repr``, so every binary64 value reads
-back exactly; key order is fixed, so identical data produces identical bytes.
+Every document is written by ``json_text``: compact one-line JSON, the
+stdlib's ``json.dumps`` with ``separators=(",", ":")`` (no whitespace between
+tokens, which carries no data), whose floats are their shortest round-trip
+``repr``, so every binary64 value reads back exactly; key order is fixed, so
+identical data produces identical bytes.
 A report's Delta matrix stays packed (``slope_search.CrossingMatrix``, one
 unsigned array per row); its text comes from one generator,
 ``_matrix_pieces``, which makes the row texts from the packed rows with each
@@ -17,18 +19,20 @@ Loading is strict and follows one rule: a report is rebuilt from its inputs
 (the slope records, threshold, area floor and lemma prime, checked as they
 are read by ``_rebuild``), and the stored Delta matrix must be, character
 for character, the writer's text of the rebuilt matrix.  The writer's text
-of an n x n matrix has at least 3n^2 characters, so a shorter one is
-rejected before the matrix is computed and loading work stays bounded by the
-size of the input.  A file in the writer's layout has its matrix cut out of
-the text and compared in place, so its n^2 entries are never parsed, and the
-rest must be the writer's text of the report.  Any other file (another
-layout, or a tampered one) is parsed whole by ``report_from_dict``, which
-encodes the parsed ``delta_matrix`` with the writer's encoder and compares
-that text the same way, so ``true``, ``1.0``, ``null``, ``"1"``, a negated
-entry and a short or long row all fail; it also requires the top-level keys
-to be the written ones (``_REPORT_KEYS``, the one list the writer also
-uses), and ``max_delta``, ``bound`` and ``lemma`` equal in JSON type to the
-rebuilt report's ``max_delta``, ``bound_to_dict`` and ``lemma_to_dict``.
+of an n x n matrix (n >= 1) has at least 2n^2 + 2n + 1 characters, so a
+shorter one is rejected before the matrix is computed and loading work stays
+bounded by the size of the input.  A file in the writer's layout has its
+matrix cut out of the text and compared in place, so its n^2 entries are
+never parsed, and the rest must be the writer's text of the report.  Any
+other file (another layout, such as the spaced ``", "`` and ``": "`` of
+files written before the writer was compact, or a tampered one) is parsed
+whole by ``report_from_dict``, which encodes the parsed ``delta_matrix``
+with the writer's encoder and compares that text the same way, so
+``true``, ``1.0``, ``null``, ``"1"``, a negated entry and a short or long
+row all fail; it also requires the top-level keys to be the written ones
+(``_REPORT_KEYS``, the one list the writer also uses), and ``max_delta``,
+``bound`` and ``lemma`` equal in JSON type to the rebuilt report's
+``max_delta``, ``bound_to_dict`` and ``lemma_to_dict``.
 The slope records are checked as they are read and are not written again
 to be compared, and an error message is made only when the check fails.  A
 file the first way accepts is one the second accepts with an equal report.
@@ -42,7 +46,6 @@ from __future__ import annotations
 import json
 import math
 import operator
-import reprlib
 import sys
 
 from . import __version__
@@ -59,6 +62,7 @@ from .cusp_geometry import (
     DegenerateBasisError,
     _real,
     _set,
+    _shown,
     _slope,
     _Value,
     area,
@@ -80,8 +84,8 @@ _REPORT_KEYS = ("format", "version", "tool_version", "timestamp", "shape_name", 
                 "slopes", "delta_matrix", "max_delta", "bound", "lemma")
 _REPORT_KEY_SET = frozenset(_REPORT_KEYS)
 _SLOPE_KEYS = frozenset(("a", "b", "length", "boundary"))
-_MATRIX_KEY = '"delta_matrix": '
-_ENCODER = json.JSONEncoder(allow_nan=False, check_circular=False)
+_MATRIX_KEY = '"delta_matrix":'
+_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False, check_circular=False)
 _MATRIX_MISMATCH = "'delta_matrix' is not the rebuilt report's matrix of integers"
 
 
@@ -104,16 +108,17 @@ class RecordError(_Value):
         _set(self, "message", message)
 
     def __str__(self) -> str:
-        who = f"record {self.index}" + (f" ({reprlib.repr(self.name)})" if self.name else "")
+        who = f"record {self.index}" + (f" ({_shown(self.name)})" if self.name else "")
         return f"{who}: {self.message}"
 
 
 # ------------------------------ JSON plumbing ------------------------------
 
 def json_text(data) -> str:
-    """The one JSON writer: compact, one line, newline-terminated, made by one
-    encoder (``json.dumps`` with options builds one per call).  Non-finite
-    floats raise ``ValueError``; cycles are not checked (the data are trees)."""
+    """The one JSON writer: ``json.dumps(data, separators=(",", ":"),
+    allow_nan=False)`` and a newline, made by one encoder (``json.dumps``
+    with options builds one per call).  Non-finite floats raise
+    ``ValueError``; cycles are not checked (the data are trees)."""
     return _ENCODER.encode(data) + "\n"
 
 
@@ -134,11 +139,11 @@ def _parse_json(text: str, error_cls) -> dict:
 def _check_header(data: dict, expected_format: str, error_cls) -> None:
     fmt = data.get("format")
     if fmt != expected_format:
-        raise error_cls(f"expected format {expected_format!r}, got {reprlib.repr(fmt)}")
+        raise error_cls(f"expected format {expected_format!r}, got {_shown(fmt)}")
     version = data.get("version")
     if version != SCHEMA_VERSION:
         raise error_cls(
-            f"incompatible {expected_format} version {reprlib.repr(version)} "
+            f"incompatible {expected_format} version {_shown(version)} "
             f"(this tool reads {SCHEMA_VERSION!r})"
         )
 
@@ -192,7 +197,7 @@ def parse_cusp_records(data: dict) -> tuple[list[CuspShape], list[RecordError]]:
             if not isinstance(name, str) or not name:
                 raise CuspFileError("missing or empty 'name'")
             if name in seen_names:
-                raise CuspFileError(f"duplicate name {reprlib.repr(name)}")
+                raise CuspFileError(f"duplicate name {_shown(name)}")
             shape = CuspShape(record.get("meridian"), record.get("longitude"), name=name)
         except (CuspFileError, DegenerateBasisError) as e:
             errors.append(RecordError(i, name if isinstance(name, str) else None, str(e)))
@@ -232,9 +237,9 @@ def find_shape(shapes, name: str) -> CuspShape:
         if shape.name == name:
             return shape
     known = sorted(s.name or "?" for s in shapes)
-    listed = ", ".join(map(reprlib.repr, known[:3])) + (", ..." if len(known) > 3 else "")
+    listed = ", ".join(map(_shown, known[:3])) + (", ..." if len(known) > 3 else "")
     raise CuspFileError(
-        f"no cusp named {reprlib.repr(name)} ({len(known)} available: {listed or 'none'})"
+        f"no cusp named {_shown(name)} ({len(known)} available: {listed or 'none'})"
     )
 
 
@@ -354,14 +359,14 @@ def _matrix_pieces(rows):
     yield "["
     sep = ""
     for row in rows:
-        yield f"{sep}[{', '.join(map(numeral, row))}]"
-        sep = ", "
+        yield f"{sep}[{','.join(map(numeral, row))}]"
+        sep = ","
     yield "]"
 
 
 def report_to_json(report: AnalysisReport) -> str:
     """``json_text(report_to_dict(report))``: the report written with
-    ``delta_matrix`` null, split at its last ``"delta_matrix": null`` (no
+    ``delta_matrix`` null, split at its last ``"delta_matrix":null`` (no
     string value follows it), joined around ``_matrix_pieces``."""
     head, _, tail = json_text(_report_dict(report, None)).rpartition(f"{_MATRIX_KEY}null")
     return "".join((head, _MATRIX_KEY, *_matrix_pieces(report.delta_matrix.rows), tail))
@@ -399,9 +404,11 @@ def _rebuild(data: dict, text: str, start: int, end: int) -> AnalysisReport:
     ``_slope``) and strictly increasing in the enumeration's order,
     ``threshold``, ``bound.area_floor`` and ``lemma.prime``; ``shape_name``,
     ``timestamp`` and ``tool_version`` are taken as they are.  The writer's
-    text of an n x n matrix has at least 3n^2 characters (each row n numerals
-    and n - 1 ``", "``), so a shorter stored matrix is rejected before the
-    matrix is computed: the work done stays bounded by the size of the input.
+    text of an n x n matrix, n >= 1, has at least 2n^2 + 2n + 1 characters:
+    each row is ``[``, n numerals of at least one digit, n - 1 ``,`` and
+    ``]`` (2n + 1), and the matrix is ``[``, n rows, n - 1 ``,`` and ``]``.
+    So a shorter stored matrix is rejected before the matrix is computed: the
+    work done stays bounded by the size of the input.
     """
     _check_header(data, REPORT_FORMAT, ReportFormatError)
     _require(isinstance(data.get("shape_name"), str), "missing shape_name")
@@ -458,7 +465,8 @@ def _rebuild(data: dict, text: str, start: int, end: int) -> AnalysisReport:
     _require(isinstance(tool_version, str), "missing tool_version")
 
     slopes = [e.slope for e in entries]
-    _require(end - start >= 3 * len(slopes) ** 2, _MATRIX_MISMATCH)
+    n = len(slopes)
+    _require(end - start >= 2 * n * n + 2 * n + 1, _MATRIX_MISMATCH)
     try:
         delta_matrix, max_delta = crossing_data(slopes)
     except OverflowError as e:
@@ -485,7 +493,7 @@ def report_from_dict(data: dict) -> AnalysisReport:
     report = _rebuild(data, matrix, 0, len(matrix))
     if data.keys() != _REPORT_KEY_SET:
         raise ReportFormatError(
-            f"top-level keys {reprlib.repr(list(data))} are not {list(_REPORT_KEYS)}"
+            f"top-level keys {_shown(list(data))} are not {list(_REPORT_KEYS)}"
         )
     # The slope records were checked as they were read; the derived fields
     # must also match in JSON type.
@@ -500,13 +508,15 @@ def _load_written(text: str) -> AnalysisReport | None:
     """The report whose ``report_to_json`` text is exactly ``text``, else None.
 
     The text is parsed with its ``delta_matrix`` value cut out (in the
-    writer's layout it runs from ``"delta_matrix": [`` to ``, "max_delta": ``),
-    and the report is rebuilt from the inputs with the cut-out matrix checked
-    in place, so the n^2 matrix is never parsed into ints; the rest must be
-    the writer's text of the report with the matrix null.
+    writer's compact layout it runs from ``"delta_matrix":[`` to
+    ``,"max_delta":``), and the report is rebuilt from the inputs with the
+    cut-out matrix checked in place, so the n^2 matrix is never parsed into
+    ints; the rest must be the writer's text of the report with the matrix
+    null.  A file in another layout, such as the spaced one written before
+    the writer was compact, has no such markers and gives None.
     """
     start = text.find(_MATRIX_KEY + "[")
-    end = text.rfind(', "max_delta": ')
+    end = text.rfind(',"max_delta":')
     if not 0 <= start < end:
         return None
     start += len(_MATRIX_KEY)

@@ -50,7 +50,7 @@ packed: a ``CrossingMatrix`` holds one unsigned array per row and reads its
 rows back as tuples of ints, so a report keeps n^2 lane-sized entries, not
 n^2 Python ints.  A saved matrix is not compared here: ``report_io``
 recomputes the rows and checks the stored matrix as text, against the
-writer's text of them (at least 3n^2 characters).  Slopes with
+writer's text of them (at least 2n^2 + 2n + 1 characters).  Slopes with
 2*max|a|*max|b| >= 2^63 raise ``OverflowError``; they need markings skewed
 far past what ``_REDUCED_BOX_MARGIN`` covers.
 """

@@ -15,11 +15,10 @@ actually essential is out of scope.
 from __future__ import annotations
 
 import math
-import reprlib
 import sys
 from fractions import Fraction
 
-from .cusp_geometry import _count, _real, _set, _Value
+from .cusp_geometry import _count, _real, _set, _shown, _Value
 
 INEQUALITY_TOL = 1e-9
 
@@ -62,7 +61,7 @@ class SurfaceAudit(_Value):
         if not isinstance(cusp_slope_lengths, (tuple, list)):
             raise ValueError(
                 f"cusp slope lengths must be a tuple or list of numbers, "
-                f"got {reprlib.repr(cusp_slope_lengths)}"
+                f"got {_shown(cusp_slope_lengths)}"
             )
         lengths = tuple([_real(x, "cusp slope length") for x in cusp_slope_lengths])
         _set(self, "surface", surface)
@@ -73,7 +72,7 @@ class SurfaceAudit(_Value):
             math.fsum(lengths)
         except OverflowError:
             raise ValueError(
-                f"cusp slope lengths {reprlib.repr(lengths)} sum past the float range"
+                f"cusp slope lengths {_shown(lengths)} sum past the float range"
             ) from None
         if len(lengths) > surface.punctures:
             raise ValueError(
@@ -185,7 +184,7 @@ def doubled_surface_chain(
     if epsilon <= 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if not 0 <= j <= n:
-        raise ValueError(f"j must be in [0, n], got j={reprlib.repr(j)}, n={reprlib.repr(n)}")
+        raise ValueError(f"j must be in [0, n], got j={_shown(j)}, n={_shown(n)}")
     eps = Fraction(epsilon)
     if Fraction(slope_length) < 6 + eps:
         raise ValueError(

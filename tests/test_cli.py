@@ -18,6 +18,7 @@ from cuspslopes.cusp_geometry import CuspShape
 from cuspslopes.diagram import DiagramSpec, emit_lattice_svg
 from cuspslopes.halfplane_geometry import extremal_ratio
 from cuspslopes.report_io import (
+    bound_to_dict,
     build_analysis_report,
     json_text,
     load_report,
@@ -118,6 +119,13 @@ def test_bound_json_thin_shell(capsys):
     assert data["delta_max"] == lib.delta_max
     assert data["prime"] == lib.prime
     assert data["count_bound"] == lib.count_bound
+
+
+def test_bound_json_is_the_stdlib_compact_json(capsys):
+    code, out, err = run_cli(capsys, "bound", "--json")
+    expected = bound_to_dict(slope_count_bound(BoundQuery(6.0, 3.35)))
+    assert (code, err) == (0, "")
+    assert out == json.dumps(expected, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def test_bound_defaults(capsys):
@@ -501,7 +509,7 @@ def test_closed_stdout_pipe_stops_quietly():
 @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv", [["slopes", "--json"], ["report"]], ids=["slopes_json", "report"])
 def test_cut_off_report_exits_1(argv, unbuffered):
-    # hex2 at T = 60 is a 4.7 MB report written in one call; the reader
+    # hex2 at T = 60 is a 3.7 MB report written in one call; the reader
     # leaves after 11 bytes.  Unbuffered stdout must not hide the short write.
     env = dict(os.environ)
     env.pop("PYTHONUNBUFFERED", None)
@@ -514,7 +522,7 @@ def test_cut_off_report_exits_1(argv, unbuffered):
         stderr=subprocess.PIPE,
         env=env,
     )
-    assert proc.stdout.read(11) == b'{"format": '
+    assert proc.stdout.read(11) == b'{"format":"'
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()

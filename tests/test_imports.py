@@ -65,7 +65,7 @@ def test_bound_subcommand_imports_only_its_modules():
         (["audit", "--surface", "1,1,0", "--lengths", "6"], "pass (sharp)"),
         (["horodisk", "--ratio"], "extremal radius ratio R/r = 5.82842712475"),
         (["diagram", "--cusp", HEX2, "--name", "hex2", "--out", "-"], "</svg>"),
-        (["report", "--cusp", HEX2, "--name", "hex2", "--stamp"], '"timestamp": "'),
+        (["report", "--cusp", HEX2, "--name", "hex2", "--stamp"], '"timestamp":"'),
     ],
     ids=["audit", "horodisk_ratio", "diagram_stdout", "report_stamp"],
 )

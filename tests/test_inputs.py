@@ -60,10 +60,14 @@ from cuspslopes.surface_audit import (
 HEX2 = CuspShape((2.0, 0.0), (1.0, math.sqrt(3.0)), name="hex2")
 HEX2_DICT = report_to_dict(build_analysis_report(HEX2, 6.0))
 
-REAL_INPUTS = [True, "2", None, [0] * 10**5, 10**400, -(10**400), math.nan, math.inf]
-REAL_IDS = ["bool", "str", "none", "long_list", "int_1e400", "int_minus_1e400", "nan", "inf"]
-COUNT_INPUTS = [True, 2.5, "2", 10**400, -(10**400)]
-COUNT_IDS = ["bool", "float", "str", "int_1e400", "int_minus_1e400"]
+# the last input of each list here and of PAIR_INPUTS: a container holding an
+# int past 4,300 digits, which ``repr`` refuses to show
+REAL_INPUTS = [True, "2", None, [0] * 10**5, 10**400, -(10**400), math.nan, math.inf,
+               [10**5000]]
+REAL_IDS = ["bool", "str", "none", "long_list", "int_1e400", "int_minus_1e400", "nan", "inf",
+            "list_int_1e5000"]
+COUNT_INPUTS = [True, 2.5, "2", 10**400, -(10**400), [10**5000]]
+COUNT_IDS = ["bool", "float", "str", "int_1e400", "int_minus_1e400", "list_int_1e5000"]
 
 
 def _with_threshold(x):
@@ -170,9 +174,10 @@ def test_int_gives_the_result_of_the_equal_float(call, value):
 
 
 # containers of reals: a tuple or list, of exactly two for a cusp vector
-PAIR_INPUTS = [None, (1,), (1, 0, 5), [0] * 10**5, 6.0, "12", b"12", {0: 1, 1: 0}, range(1, 3)]
+PAIR_INPUTS = [None, (1,), (1, 0, 5), [0] * 10**5, 6.0, "12", b"12", {0: 1, 1: 0}, range(1, 3),
+               [10**5000, 0, 0]]
 PAIR_IDS = ["none", "one_tuple", "three_tuple", "long_list", "float", "str", "bytes", "dict",
-            "range"]
+            "range", "list_int_1e5000"]
 
 # (id, call with the input in one container slot, field, error)
 CONTAINER_SLOTS = [

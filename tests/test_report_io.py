@@ -146,7 +146,23 @@ def test_save_cusp_file_round_trip(tmp_path):
     loaded, errors = load_cusp_file(path)
     assert errors == []
     assert loaded == shapes
-    assert '"source": "reconstructed"' in path.read_text()
+    assert '"source":"reconstructed"' in path.read_text()
+
+
+def _stdlib_compact(data) -> str:
+    """The stdlib's compact JSON of ``data``, one line, newline-terminated."""
+    return json.dumps(data, separators=(",", ":"), allow_nan=False) + "\n"
+
+
+def test_cusp_file_is_the_stdlib_compact_json(tmp_path):
+    path = tmp_path / "out.json"
+    save_cusp_file([CuspShape((2.0, 0.0), (1.0, math.sqrt(3.0)), name="hexy"),
+                    CuspShape((1, 0), (0, 1))], path, sources={"hexy": "reconstructed"})
+    assert path.read_text() == _stdlib_compact({"format": "cusp-file", "version": "v1", "cusps": [
+        {"name": "hexy", "meridian": [2.0, 0.0], "longitude": [1.0, math.sqrt(3.0)],
+         "source": "reconstructed"},
+        {"name": "cusp1", "meridian": [1.0, 0.0], "longitude": [0.0, 1.0]},
+    ]})
 
 
 def test_stdin_ingestion(monkeypatch, fixtures_dir):
@@ -201,12 +217,13 @@ def test_report_recomputation_agrees(hex2_report):
 
 def test_accepted_report_words_no_message(hex2_report, tmp_path, monkeypatch):
     # a refusal's message is made only when the loader refuses
-    def no_repr(obj):
-        raise AssertionError(f"reprlib.repr called on an accepted report ({type(obj)})")
+    def no_repr(self, obj, level):
+        raise AssertionError(f"a value was shown for an accepted report ({type(obj)})")
 
     data = report_to_dict(hex2_report)
     save_report(hex2_report, tmp_path / "hex2.json")
-    monkeypatch.setattr(reprlib, "repr", no_repr)
+    # every refusal shows its values through a reprlib.Repr
+    monkeypatch.setattr(reprlib.Repr, "repr1", no_repr)
     assert report_from_dict(data) == hex2_report
     assert load_report(tmp_path / "hex2.json") == hex2_report
 
@@ -356,13 +373,13 @@ def _verdict(load):
 TEXT_EDITS = [
     (
         "second_matrix_null",
-        lambda t: t.replace(', "max_delta": ', ', "delta_matrix": null, "max_delta": '),
+        lambda t: t.replace(',"max_delta":', ',"delta_matrix":null,"max_delta":'),
         "delta_matrix",
     ),
     ("trailing_bytes", lambda t: t + "x", "not valid JSON"),
     ("trailing_space", lambda t: t + " ", None),
-    ("row_spacing", lambda t: t.replace("[[0, ", "[[0,", 1), None),
-    ("matrix_cut_short", lambda t: t.replace("]], ", "], ", 1), "not valid JSON"),
+    ("row_spacing", lambda t: t.replace("[[0,", "[[0, ", 1), None),
+    ("matrix_cut_short", lambda t: t.replace("]],", "],", 1), "not valid JSON"),
 ]
 
 
@@ -452,24 +469,72 @@ def test_edited_matrix_rejected_at_every_size(tmp_path):
 
 
 def test_short_matrix_rejected_before_it_is_computed(hex2_shape, tmp_path, monkeypatch):
-    # hex2 at T = 104 has 2,982 slopes; its writer's matrix text has at least
-    # 3 * 2982^2 characters, so "[]" is refused without computing the matrix
+    # The writer's text of an n x n matrix has at least 2n^2 + 2n + 1
+    # characters; a shorter one is refused without computing the matrix.
+    # hex2 at T = 104 has 2,982 slopes, stored as "[]".  hex2 at T = 6 has 12,
+    # stored one character under the floor: 11 rows of n zeros and a row one
+    # entry short whose first entry has two digits.
     report = build_analysis_report(hex2_shape, 104.0)
     assert len(report.entries) == 2982
-    data = report_io._report_dict(report, [])
-    path = tmp_path / "short.json"
-    path.write_text(json_text(data))
+    empty = report_io._report_dict(report, [])
     del report
+    under = report_to_dict(build_analysis_report(hex2_shape, 6.0))
+    n = len(under["slopes"])
+    under["delta_matrix"] = [[0] * n] * (n - 1) + [[10] + [0] * (n - 2)]
+    assert len(json_text(under["delta_matrix"]).rstrip("\n")) == 2 * n * n + 2 * n
 
     def refuse(slopes):
         raise AssertionError("the crossing matrix was computed")
 
     monkeypatch.setattr(report_io, "crossing_data", refuse)
-    for load in (lambda: load_report(path), lambda: report_from_dict(data)):
-        start = time.perf_counter()
-        with pytest.raises(ReportFormatError, match="delta_matrix.*integers"):
-            load()
-        assert time.perf_counter() - start < 1.0
+    for data in (empty, under):
+        path = tmp_path / "short.json"
+        path.write_text(json_text(data))
+        for load in (lambda: load_report(path), lambda: report_from_dict(data)):
+            start = time.perf_counter()
+            with pytest.raises(ReportFormatError, match="delta_matrix.*integers"):
+                load()
+            assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("threshold, n", [(4.0, 6), (6.0, 12)], ids=["hex2@4", "hex2@6"])
+def test_matrix_at_the_floor_loads_without_the_full_parse(
+    hex2_shape, tmp_path, monkeypatch, threshold, n
+):
+    # every entry has one digit, so the stored matrix is exactly 2n^2 + 2n + 1
+    # characters: the floor refuses no valid report
+    report = build_analysis_report(hex2_shape, threshold)
+    assert len(report.entries) == n
+    matrix = json_text(report_to_dict(report)["delta_matrix"]).rstrip("\n")
+    assert len(matrix) == 2 * n * n + 2 * n + 1
+    path = tmp_path / "floor.json"
+    save_report(report, path)
+
+    def refuse(data):
+        raise AssertionError("the writer's text went through the full parse")
+
+    monkeypatch.setattr(report_io, "report_from_dict", refuse)
+    assert load_report(path) == report
+
+
+@pytest.mark.parametrize(
+    "make", [lambda h: build_analysis_report(h, 6.0), lambda _: _shortest_slopes_report(0)],
+    ids=["hex2@6", "0_slopes"],
+)
+def test_spaced_layout_loads(hex2_shape, tmp_path, monkeypatch, make):
+    # files written before the writer was compact put ", " and ": " between
+    # tokens; they load through the whole parse to an equal report
+    report = make(hex2_shape)
+    text = json.dumps(report_to_dict(report), allow_nan=False) + "\n"
+    assert '"delta_matrix": [' in text and ', "max_delta": ' in text
+    path = tmp_path / "spaced.json"
+    path.write_text(text)
+    full = []
+    monkeypatch.setattr(
+        report_io, "report_from_dict", lambda data: full.append(data) or report_from_dict(data)
+    )
+    assert load_report(path) == report
+    assert len(full) == 1
 
 
 def _deeply_nested(fmt: str) -> str:
@@ -640,14 +705,16 @@ def _named(name: str):
         (lambda _: _loaded_report_far_out(2**40), 8),
         (_named('"delta_matrix": null'), 1),
         (_named('x", "delta_matrix": null, "y": "'), 1),
+        (_named('"delta_matrix":null'), 1),
+        (_named('x","delta_matrix":null,"y":"'), 1),
         (_named('say "hi"'), 1),
         (_named("back\\slash\\"), 1),
         (_named("Möbius Δ 双曲 \U0001d6ab"), 1),
     ],
     ids=[
         "0_slopes", "1_slope", "below_packed", "at_packed", "32_bit_lanes", "64_bit_lanes",
-        "name_matrix_null", "name_closing_quote", "name_quotes", "name_backslash",
-        "name_non_ascii",
+        "name_matrix_null", "name_closing_quote", "name_compact_matrix_null",
+        "name_compact_closing_quote", "name_quotes", "name_backslash", "name_non_ascii",
     ],
 )
 def test_writer_edge_cases(hex2_shape, tmp_path, monkeypatch, make, lane_bytes):
@@ -669,22 +736,24 @@ def test_writer_edge_cases(hex2_shape, tmp_path, monkeypatch, make, lane_bytes):
     assert load_report(path) == report
 
 
-# sha256 of report_to_json with tool_version "0", taken with the writer that
-# handed the matrix to json.dumps a row at a time; any drift in the bytes
-# written fails here.  Census regimes: (6, 3.35) and (2 pi, sqrt 3).
+# sha256 of report_to_json with tool_version "0", taken with the compact
+# writer; each equals the sha256 of the spaced writer's text before it with
+# ", " made "," and ": " made ":", so the data written are the same.  Any
+# drift in the bytes written fails here.  Census regimes: (6, 3.35) and
+# (2 pi, sqrt 3).
 PINNED_DIGESTS = [
-    ("hex2", 6.0, None, "7ab3f1136e9815330f72417176246cd0b0c079f5bf6a97f0f5bbfcbb42befa68"),
-    ("hex2", 20.0, None, "983c8eedb21a0d65eeca1fa9c918d69568da9dfa0402d7cfc22b4eff560f1f10"),
-    ("hex2", 60.0, None, "18ba6de6d9c300ef19b1832df9f9212ff17775e440502f57d04ed41a9a803f5b"),
-    (1, 6.0, 3.35, "5c3dab9f55637eca15e3d6c2473fcdf8f4520b79f880b71378decf6e453910c4"),
+    ("hex2", 6.0, None, "b5af69c7dfaec8c061172efa1bbb6ae606404210dfb28b1e86f2fa888b5a32e6"),
+    ("hex2", 20.0, None, "6f909cb96e93edfd9c99443e7418e58d9f059dd299c6b4b4e0f95a42f00daa91"),
+    ("hex2", 60.0, None, "aad17167e106d16a26800ce4df80b9e6490726afcafb0a58a4ed85b9e2d6eca8"),
+    (1, 6.0, 3.35, "ee45b097fc5a518012aa5d41c26c9b16544ad20364233120763508308b7219c0"),
     (1, 2 * math.pi, math.sqrt(3.0),
-     "853564ad6ec7873ef11869e770e161b94d0879ef8ba5a9e22e2d3b84aa060f8b"),
-    (2, 6.0, 3.35, "f1579adaaa08e62dcf37bf6f3a3e6562b35f932d8dbda4826e7f40fc9d26cba3"),
+     "dfbf3a38ca0e81fb8ae0ab89394579be3985ac3392e1a63b9e25e19c74d6e3a9"),
+    (2, 6.0, 3.35, "672d1efaf445eda473679eaae9b69949b229873596e78dd67eab141c3bc66dbf"),
     (2, 2 * math.pi, math.sqrt(3.0),
-     "c36059320daea4b4cee23ac05252dd8c58b73129863ebc1aeb158e98a4147054"),
-    (3, 6.0, 3.35, "f6eb799b674bfcf9b9eeda74b94c3f54efc19db7961da94f27131c44aa6367f3"),
+     "1e28b6e72ff086bb20f82739435ca1b8b9d6bd29647563808ca58ff7410a272f"),
+    (3, 6.0, 3.35, "496cff3edf786a61dcdab652940c7fb2a37ed3f03f4d75fe3c61e0972d1472c3"),
     (3, 2 * math.pi, math.sqrt(3.0),
-     "50d7b9c66ad36104b1305bddb01da89be7b802e8114aa8df4549363911cb9346"),
+     "596060509bb112b296de6b0095267b5757f724acacb745b640b985ddf58c56fc"),
 ]
 
 
@@ -693,24 +762,31 @@ PINNED_DIGESTS = [
     PINNED_DIGESTS,
     ids=[f"{s}@{t:.4g}" for s, t, _f, _d in PINNED_DIGESTS],
 )
-def test_report_bytes_pinned(hex2_shape, shape_seed, threshold, area_floor, digest):
+def test_report_bytes_pinned(hex2_shape, tmp_path, shape_seed, threshold, area_floor, digest):
     shape = (
         hex2_shape
         if shape_seed == "hex2"
         else random_shape(random.Random(shape_seed), name=f"random{shape_seed}")
     )
     report = build_analysis_report(shape, threshold, area_floor=area_floor)
-    text = report_to_json(AnalysisReport(
+    report = AnalysisReport(
         report.shape_name, report.threshold, report.entries, report.delta_matrix,
         report.max_delta, report.bound, report.lemma, tool_version="0",
-    ))
+    )
+    text = report_to_json(report)
+    save_report(report, tmp_path / "r.json")
+    on_disk = (tmp_path / "r.json").read_text()
+    # the writer is the stdlib's compact JSON of the public dict, in memory
+    # and on disk; compared as flags, since pytest's diff of two unequal
+    # multi-MB lines takes minutes
+    assert [text == _stdlib_compact(report_to_dict(report)), on_disk == text] == [True, True]
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_reports_keep_the_matrix_packed(hex2_shape, tmp_path):
     # hex2 at T = 60 has 990 slopes; held as Python ints its matrix took
     # about 22 MiB, packed in 16-bit lanes it takes about 2 MiB.  Parsing the
-    # whole 4.7 MB file makes the matrix's ints and peaks near 26 MiB, so
+    # whole 3.7 MB file makes the matrix's ints and peaks near 28 MiB, so
     # load_report must not parse the matrix of a file it wrote.
     path = tmp_path / "h60.json"
     save_report(build_analysis_report(hex2_shape, 60.0), path)
@@ -737,7 +813,7 @@ def test_reports_keep_the_matrix_packed(hex2_shape, tmp_path):
 
 
 def test_json_text_one_line_and_finite_only():
-    assert json_text({"x": [0.1, 2.0], "y": None}) == '{"x": [0.1, 2.0], "y": null}\n'
+    assert json_text({"x": [0.1, 2.0], "y": None}) == '{"x":[0.1,2.0],"y":null}\n'
     with pytest.raises(ValueError):
         json_text({"x": math.nan})
     with pytest.raises(ValueError):
