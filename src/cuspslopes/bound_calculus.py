@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 
-from .cusp_geometry import Slope, _count, _real, _set, _shown, _Value, intersection_number
+from .cusp_geometry import Slope, _count, _positive, _set, _shown, _Value, intersection_number
 
 # Lower bound for the maximal-cusp torus area of a one-cusped hyperbolic
 # 3-manifold (Cao-Meyerhoff).
@@ -68,12 +68,10 @@ class BoundQuery(_Value):
     __slots__ = _fields = ("length_threshold", "area_floor")
 
     def __init__(self, length_threshold: float, area_floor: float) -> None:
-        L = _real(length_threshold, "length threshold")
-        A = _real(area_floor, "area floor")
+        L = _positive(length_threshold, "length threshold")
+        A = _positive(area_floor, "area floor")
         _set(self, "length_threshold", L)
         _set(self, "area_floor", A)
-        if L <= 0.0 or A <= 0.0:
-            raise ValueError("length threshold and area floor must be positive")
         ratio = L * L / A
         if not math.isfinite(ratio):
             raise ValueError(f"L^2/A overflows for length threshold {L!r} and area floor {A!r}")
@@ -131,6 +129,20 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _modulus(p, what: str = "modulus", error=ValueError) -> int:
+    """The one check of a prime modulus a caller passes in: a ``_count`` that
+    ``is_prime`` decides is prime.  Each refusal is an ``error`` whose
+    message names the field ``what``."""
+    p = _count(p, what, error=error)
+    try:
+        prime = is_prime(p)
+    except ValueError as e:
+        raise error(f"{what} is out of range: {e}") from None
+    if not prime:
+        raise error(f"{what} {p} is not prime")
+    return p
+
+
 def smallest_prime_greater(r: int) -> int:
     """Smallest prime strictly greater than r >= 0."""
     n = _count(r, "r", 0) + 1
@@ -157,9 +169,7 @@ def _residue(a: int, b: int, p: int) -> tuple[int, int]:
 def project_to_fp(s: Slope, p: int) -> tuple[int, int]:
     """The point of F_p P^1 of a primitive slope (a, b) for prime p, as
     (1, b/a mod p), or (0, 1) when p | a; gcd(a, b) = 1 rules out (0, 0)."""
-    if not is_prime(_count(p, "modulus")):
-        raise ValueError(f"modulus {p} is not prime")
-    return _residue(s.a, s.b, p)
+    return _residue(s.a, s.b, _modulus(p))
 
 
 class LemmaVerdict(_Value):
@@ -183,8 +193,7 @@ def verify_counting_lemma(slopes, p: int) -> LemmaVerdict:
     number is a positive multiple of p.  The modulus is checked once; slopes
     are sorted and deduplicated by their (a, b) pairs.
     """
-    if not is_prime(_count(p, "modulus")):
-        raise ValueError(f"modulus {p} is not prime")
+    p = _modulus(p)
     by_pair = {(s.a, s.b): s for s in slopes}
     seen: dict[tuple[int, int], Slope] = {}
     for pair in sorted(by_pair):

@@ -36,29 +36,26 @@ from .report_io import (
 from .slope_search import SIX_THEOREM_LENGTH, enumerate_short_slopes
 
 
-def _parse_threshold(text: str) -> float:
-    if text.strip().lower() == "2pi":
-        return 2.0 * math.pi
-    try:
-        return float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"threshold must be a number or '2pi', got {text!r}"
-        ) from None
+def _number(what: str, names: dict[str, float]):
+    """The parser of a number argument: a float, or one of the ``names``
+    (in any case, with spaces around it)."""
+    *most, last = ["a number", *map(repr, names)]
+    expected = f"{', '.join(most)} or {last}"
+
+    def parse(text: str) -> float:
+        named = names.get(text.strip().lower())
+        if named is not None:
+            return named
+        try:
+            return float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{what} must be {expected}, got {text!r}") from None
+
+    return parse
 
 
-def _parse_area(text: str) -> float:
-    lowered = text.strip().lower()
-    if lowered == "adams":
-        return ADAMS_AREA
-    if lowered == "cao-meyerhoff":
-        return CAO_MEYERHOFF_AREA
-    try:
-        return float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"area must be a number, 'adams' or 'cao-meyerhoff', got {text!r}"
-        ) from None
+_threshold = _number("threshold", {"2pi": 2.0 * math.pi})
+_area = _number("area", {"adams": ADAMS_AREA, "cao-meyerhoff": CAO_MEYERHOFF_AREA})
 
 
 def _parse_surface(text: str) -> tuple[int, int, int]:
@@ -280,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--name", required=True, help="cusp name within the file")
         p.add_argument(
             "--threshold",
-            type=_parse_threshold,
+            type=_threshold,
             default=SIX_THEOREM_LENGTH,
             help="length threshold (number or '2pi'; default 6)",
         )
@@ -291,10 +288,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_slopes)
 
     p = sub.add_parser("bound", help="crossing ceiling, next prime, count bound")
-    p.add_argument("--length", type=_parse_threshold, default=SIX_THEOREM_LENGTH)
+    p.add_argument("--length", type=_threshold, default=SIX_THEOREM_LENGTH)
     p.add_argument(
         "--area",
-        type=_parse_area,
+        type=_area,
         default=CAO_MEYERHOFF_AREA,
         help="area floor (number, 'adams' or 'cao-meyerhoff'; default 3.35)",
     )
@@ -334,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="full analysis report for a cusp")
     add_cusp_args(p)
     p.add_argument("--out", help="output path ('-' or default: stdout)")
-    p.add_argument("--area", type=_parse_area, help="area floor (default: shape area)")
+    p.add_argument("--area", type=_area, help="area floor (default: shape area)")
     p.add_argument("--prime", type=int, help="override the pipeline prime")
     p.add_argument("--stamp", action="store_true", help="include a UTC timestamp")
     p.set_defaults(func=_cmd_report)

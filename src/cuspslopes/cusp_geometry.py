@@ -112,26 +112,37 @@ def _real(x, what: str, error=ValueError) -> float:
     return x
 
 
+def _positive(x, what: str, error=ValueError) -> float:
+    """``_real`` that is also positive (so not 0.0 or -0.0): the one check of
+    a length, an area, a radius or a margin a caller passes in."""
+    if type(x) is float and 0.0 < x <= _FLOAT_MAX:  # the common case, in one call
+        return x
+    x = _real(x, what, error)
+    if not x > 0.0:
+        raise error(f"{what} must be positive, got {x!r}")
+    return x
+
+
 def _is_int(x) -> bool:
     """An ``int`` that is not a ``bool``."""
     return type(x) is int or isinstance(x, int) and not isinstance(x, bool)
 
 
-def _count(x, what: str, least: int | None = None) -> int:
+def _count(x, what: str, least: int | None = None, error=ValueError) -> int:
     """The one check of an integer a caller passes in: an ``int`` (not a
     ``bool``) that is at least ``least`` when that is given, and inside the
     float range, so that turning it into a float never raises
-    ``OverflowError``.  A refusal is a ``ValueError`` whose message names the
+    ``OverflowError``.  A refusal is an ``error`` whose message names the
     field ``what`` and, first, its own bound."""
     if not _is_int(x):
-        raise ValueError(f"{what} must be an integer, got {_shown(x)}")
+        raise error(f"{what} must be an integer, got {_shown(x)}")
     if least is not None and x < least:
-        raise ValueError(f"{what} must be at least {least}, got {_shown(x)}")
+        raise error(f"{what} must be at least {least}, got {_shown(x)}")
     # |x| < 2**1023 is inside the float range; past it, compare exactly (an
     # int-float comparison does not round)
     if x.bit_length() > 1023 and abs(x) > _FLOAT_MAX:
         limit = f"at most {_FLOAT_MAX!r}" if x > 0 else f"at least {-_FLOAT_MAX!r}"
-        raise ValueError(f"{what} must be {limit}, got {_shown(x)}")
+        raise error(f"{what} must be {limit}, got {_shown(x)}")
     return x
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .cusp_geometry import _count, _real, _set, _Value
+from .cusp_geometry import _count, _positive, _real, _set, _Value
 
 _LOG_1_PLUS_SQRT2 = math.log(1.0 + math.sqrt(2.0))
 
@@ -26,10 +26,8 @@ class HorodiskPair(_Value):
     __slots__ = _fields = ("r", "R")
 
     def __init__(self, r: float, R: float) -> None:
-        _set(self, "r", _real(r, "radius r"))
+        _set(self, "r", _positive(r, "radius r"))
         _set(self, "R", _real(R, "radius R"))
-        if self.r <= 0.0:
-            raise ValueError(f"smaller radius must be positive, got {self.r}")
         if self.R < self.r:
             raise ValueError(f"expected r <= R, got r={self.r}, R={self.R}")
         if not math.isfinite(self.R / self.r):
@@ -49,13 +47,8 @@ class WrappingQuery(_Value):
     __slots__ = _fields = ("epsilon", "loop_length")
 
     def __init__(self, epsilon: float, loop_length: float) -> None:
-        _set(self, "epsilon", _real(epsilon, "epsilon"))
+        _set(self, "epsilon", _positive(epsilon, "epsilon"))
         _set(self, "loop_length", _real(loop_length, "loop length"))
-        if self.epsilon <= 0.0:
-            raise ValueError(
-                f"epsilon must be positive, got {self.epsilon} "
-                "(no slope-length margin above 6)"
-            )
         if self.loop_length < 0.0:
             raise ValueError(f"loop length must be nonnegative, got {self.loop_length}")
         if not math.isfinite(wrapping_bound(self)):

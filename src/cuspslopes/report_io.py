@@ -37,8 +37,11 @@ The slope records are checked as they are read and are not written again
 to be compared, and an error message is made only when the check fails.  A
 file the first way accepts is one the second accepts with an equal report.
 The loaded report keeps the packed rows and takes ``max_delta`` from them;
-slopes too large for a 64-bit lane are a ``ReportFormatError``.  v1 does not
-store the cusp basis, so the slope list itself cannot be re-derived.
+slopes too large for a 64-bit lane are a ``ReportFormatError``.  Whether a
+record is listed at all, and its boundary flag, are derived from its length
+and the threshold by the enumeration's own decision (``slope_search._entry``).
+v1 does not store the cusp basis, so the lengths and the slope list
+themselves cannot be re-derived.
 """
 
 from __future__ import annotations
@@ -53,14 +56,14 @@ from .bound_calculus import (
     BoundQuery,
     BoundReport,
     LemmaVerdict,
-    is_prime,
+    _modulus,
     slope_count_bound,
     verify_counting_lemma,
 )
 from .cusp_geometry import (
     CuspShape,
     DegenerateBasisError,
-    _real,
+    _positive,
     _set,
     _shown,
     _slope,
@@ -70,6 +73,7 @@ from .cusp_geometry import (
 from .slope_search import (
     CrossingMatrix,
     SlopeEntry,
+    _entry,
     _entry_key,
     crossing_data,
     enumerate_short_slopes,
@@ -402,17 +406,24 @@ def _rebuild(data: dict, text: str, start: int, end: int) -> AnalysisReport:
     (keys ``a, b, length, boundary``; ``a`` and ``b`` ints with gcd 1 in
     canonical sign, checked here, so each slope is built by the trusted
     ``_slope``) and strictly increasing in the enumeration's order,
-    ``threshold``, ``bound.area_floor`` and ``lemma.prime``; ``shape_name``,
-    ``timestamp`` and ``tool_version`` are taken as they are.  The writer's
-    text of an n x n matrix, n >= 1, has at least 2n^2 + 2n + 1 characters:
-    each row is ``[``, n numerals of at least one digit, n - 1 ``,`` and
-    ``]`` (2n + 1), and the matrix is ``[``, n rows, n - 1 ``,`` and ``]``.
-    So a shorter stored matrix is rejected before the matrix is computed: the
-    work done stays bounded by the size of the input.
+    ``threshold``, ``bound.area_floor`` and ``lemma.prime`` (``_modulus``).
+    The threshold, lengths and area floor must be positive (``_positive``).
+    Each record's entry is made by the enumeration's ``_entry`` from its
+    length and the threshold, so a slope past the threshold, or a
+    ``boundary`` flag other than the one ``_entry`` derives, is refused; the
+    length itself cannot be re-derived without the cusp basis, which v1 does
+    not store.  ``shape_name``, ``timestamp`` and ``tool_version`` are taken
+    as they are.
+
+    The writer's text of an n x n matrix, n >= 1, has at least 2n^2 + 2n + 1
+    characters: each row is ``[``, n numerals of at least one digit, n - 1
+    ``,`` and ``]`` (2n + 1), and the matrix is ``[``, n rows, n - 1 ``,``
+    and ``]``.  So a shorter stored matrix is rejected before the matrix is
+    computed: the work done stays bounded by the size of the input.
     """
     _check_header(data, REPORT_FORMAT, ReportFormatError)
     _require(isinstance(data.get("shape_name"), str), "missing shape_name")
-    threshold = _real(data.get("threshold"), "threshold", ReportFormatError)
+    threshold = _positive(data.get("threshold"), "threshold", ReportFormatError)
 
     raw_slopes = data.get("slopes")
     _require(isinstance(raw_slopes, list), "missing 'slopes' list")
@@ -423,10 +434,7 @@ def _rebuild(data: dict, text: str, start: int, end: int) -> AnalysisReport:
         a, b, raw_length = rec.get("a"), rec.get("b"), rec.get("length")
         if type(a) is not int or type(b) is not int:
             raise ReportFormatError("slope coordinates must be integers")
-        length = _real(raw_length, "slope length", ReportFormatError)
-        boundary = rec.get("boundary", False)
-        if type(boundary) is not bool:
-            raise ReportFormatError("boundary flag must be a boolean")
+        length = _positive(raw_length, "slope length", ReportFormatError)
         if math.gcd(a, b) != 1:
             raise ReportFormatError("slope record is not a primitive class (gcd(a, b) != 1)")
         # exactly the written record: these keys, canonical (a, b) (b > 0, or
@@ -434,14 +442,20 @@ def _rebuild(data: dict, text: str, start: int, end: int) -> AnalysisReport:
         if rec.keys() != _SLOPE_KEYS or not (b > 0 or b == 0 and a == 1) \
                 or length != raw_length:
             raise ReportFormatError("'slopes' does not match the rebuilt report")
-        entries.append(SlopeEntry(_slope(a, b), length, boundary))
+        # inclusion and the boundary flag are the scan's own decision
+        entry = _entry(_slope(a, b), length, threshold)
+        if entry is None:
+            raise ReportFormatError(f"slope length {length!r} is past the threshold {threshold!r}")
+        if rec["boundary"] is not entry.boundary:
+            raise ReportFormatError(f"boundary flag does not match the slope length {length!r}")
+        entries.append(entry)
     keys = [_entry_key(e) for e in entries]
     ordered = all(map(operator.lt, keys, keys[1:]))
     _require(ordered, "slopes must be distinct and sorted by (length, (a, b))")
 
     raw_bound = data.get("bound")
     _require(isinstance(raw_bound, dict), "missing bound section")
-    area_floor = _real(raw_bound.get("area_floor"), "bound area", ReportFormatError)
+    area_floor = _positive(raw_bound.get("area_floor"), "bound area", ReportFormatError)
     try:
         query = BoundQuery(threshold, area_floor)
     except ValueError as e:
@@ -449,13 +463,7 @@ def _rebuild(data: dict, text: str, start: int, end: int) -> AnalysisReport:
 
     raw_lemma = data.get("lemma")
     _require(isinstance(raw_lemma, dict), "missing lemma section")
-    prime = raw_lemma.get("prime")
-    _require(type(prime) is int, "lemma prime must be an integer")
-    try:
-        prime_ok = is_prime(prime)
-    except ValueError as e:
-        raise ReportFormatError(f"lemma prime: {e}") from None
-    _require(prime_ok, f"lemma modulus {prime} is not prime")
+    prime = _modulus(raw_lemma.get("prime"), "lemma prime", ReportFormatError)
 
     timestamp = data.get("timestamp")
     _require(

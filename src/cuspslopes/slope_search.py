@@ -30,7 +30,7 @@ far more than the few ulps of |c| + R/|u| by which rounding can move c and
 h.  Rounding in R^2 - j^2 A^2/|u|^2 (the scan stops at the first row where
 it is negative) can only drop points within a relative few ulps of R, which
 the margins leave out.  The scan checks about as many candidates as it keeps,
-and ``_is_short`` still decides each one.  The map (i, j) -> (a, b) to the
+and ``_entry`` still decides each one.  The map (i, j) -> (a, b) to the
 marked basis is unimodular, so gcd(i, j) = 1 gives a primitive (a, b), and
 each candidate is built by the trusted ``cusp_geometry._slope``, which only
 puts the sign in canonical form (j >= 0 does not make b >= 0).
@@ -63,7 +63,8 @@ import sys
 from array import array
 from collections.abc import Sequence
 
-from .cusp_geometry import CuspShape, Slope, Vec2, _real, _set, _slope, _Value, area, slope_length
+from .cusp_geometry import (CuspShape, Slope, Vec2, _positive, _set, _slope, _Value, area,
+                            slope_length)
 
 # Slopes strictly longer than this have hyperbolike fillings.
 SIX_THEOREM_LENGTH = 6.0
@@ -92,11 +93,6 @@ _REDUCED_SLACK = 1e-9
 _LANES = tuple(sorted({array(code).itemsize * 8: code for code in "BHILQ"}.items()))
 
 
-def _is_short(length: float, threshold: float) -> bool:
-    """The inclusion test, shared by enumeration and classification."""
-    return length <= threshold + BOUNDARY_TOL
-
-
 class SlopeClass(enum.Enum):
     CANDIDATE_EXCEPTIONAL = "candidate_exceptional"
     HYPERBOLIKE_GUARANTEED = "hyperbolike_guaranteed"
@@ -109,6 +105,17 @@ class SlopeEntry(_Value):
         _set(self, "slope", slope)
         _set(self, "length", length)
         _set(self, "boundary", boundary)
+
+
+def _entry(s: Slope, length: float, threshold: float) -> SlopeEntry | None:
+    """The one inclusion and boundary decision, shared by the enumeration,
+    classification and the report loader: the entry of slope s of this
+    length, flagged boundary when the length is within BOUNDARY_TOL of the
+    threshold, or None when s is not short (longer than threshold +
+    BOUNDARY_TOL)."""
+    if length <= threshold + BOUNDARY_TOL:
+        return SlopeEntry(s, length, length >= threshold - BOUNDARY_TOL)
+    return None
 
 
 def _entry_key(e: SlopeEntry) -> tuple[float, tuple[int, int]]:
@@ -250,9 +257,7 @@ def enumerate_short_slopes(shape: CuspShape, threshold: float) -> ShortSlopeRepo
 
     Included slopes longer than threshold - BOUNDARY_TOL are flagged boundary.
     """
-    threshold = _real(threshold, "threshold")
-    if threshold <= 0.0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
+    threshold = _positive(threshold, "threshold")
 
     u, v, U, V = _reduced_basis(shape)
     # u and v are formed from U and V in floats, each off by at most 4 eps
@@ -280,9 +285,9 @@ def enumerate_short_slopes(shape: CuspShape, threshold: float) -> ShortSlopeRepo
             if math.gcd(i, j) != 1:
                 continue
             s = _slope(i * ua + j * va, i * ub + j * vb)
-            length = slope_length(shape, s)
-            if _is_short(length, threshold):
-                found.append(SlopeEntry(s, length, length >= threshold - BOUNDARY_TOL))
+            entry = _entry(s, slope_length(shape, s), threshold)
+            if entry is not None:
+                found.append(entry)
         j += 1
         d = r2 - j * j * rise2  # falls as j grows: the rows past the disc are empty
         if d < 0.0:
@@ -352,6 +357,6 @@ def classify_slope(
 ) -> SlopeClass:
     """Slopes the enumeration leaves out (longer than threshold + BOUNDARY_TOL)
     have hyperbolike fillings; every slope it lists is a candidate."""
-    if _is_short(slope_length(shape, s), threshold):
-        return SlopeClass.CANDIDATE_EXCEPTIONAL
-    return SlopeClass.HYPERBOLIKE_GUARANTEED
+    if _entry(s, slope_length(shape, s), _positive(threshold, "threshold")) is None:
+        return SlopeClass.HYPERBOLIKE_GUARANTEED
+    return SlopeClass.CANDIDATE_EXCEPTIONAL

@@ -18,7 +18,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .cusp_geometry import _count, _real, _set, _shown, _Value
+from .cusp_geometry import _count, _positive, _real, _set, _shown, _Value
 
 INEQUALITY_TOL = 1e-9
 
@@ -63,11 +63,9 @@ class SurfaceAudit(_Value):
                 f"cusp slope lengths must be a tuple or list of numbers, "
                 f"got {_shown(cusp_slope_lengths)}"
             )
-        lengths = tuple([_real(x, "cusp slope length") for x in cusp_slope_lengths])
+        lengths = tuple([_positive(x, "cusp slope length") for x in cusp_slope_lengths])
         _set(self, "surface", surface)
         _set(self, "cusp_slope_lengths", lengths)
-        if any(x <= 0.0 for x in lengths):
-            raise ValueError("cusp slope lengths must be positive")
         try:
             math.fsum(lengths)
         except OverflowError:
@@ -110,32 +108,32 @@ def euler_characteristic(s: SurfaceType) -> int:
     return 2 - 2 * s.genus - s.punctures - s.boundary_circles
 
 
+def _hyperbolic_chi(s: SurfaceType) -> int:
+    """The Euler characteristic of a surface the caller needs hyperbolic
+    (chi < 0); any other surface is refused."""
+    chi = euler_characteristic(s)
+    if chi >= 0:
+        raise ValueError(f"surface must have chi < 0, got chi = {chi}")
+    return chi
+
+
 def check_cusp_length_inequality(audit: SurfaceAudit) -> AuditVerdict:
     """Total listed slope length against the 6|chi| budget (chi < 0 required)."""
-    chi = euler_characteristic(audit.surface)
-    if chi >= 0:
-        raise ValueError(
-            f"inequality applies only to surfaces with chi < 0, got chi = {chi}"
-        )
+    chi = _hyperbolic_chi(audit.surface)
     total = math.fsum(audit.cusp_slope_lengths)
     return _verdict("cusp_length_budget", total, CUSP_LENGTH_BUDGET_PER_CHI * abs(chi))
 
 
 def boroczky_check(horocusp_area: float, surface_area: float) -> AuditVerdict:
     """Packing bound: horocusp area at most (3/pi) of the surface area."""
-    horocusp_area = _real(horocusp_area, "horocusp area")
-    surface_area = _real(surface_area, "surface area")
-    if not (horocusp_area > 0.0 and surface_area > 0.0):
-        raise ValueError(f"areas must be positive, got {horocusp_area!r} and {surface_area!r}")
+    horocusp_area = _positive(horocusp_area, "horocusp area")
+    surface_area = _positive(surface_area, "surface area")
     return _verdict("horocusp_area_ratio", horocusp_area, HOROCUSP_AREA_RATIO * surface_area)
 
 
 def gauss_bonnet_area(s: SurfaceType) -> float:
     """Hyperbolic area 2*pi*|chi| of a finite-area surface with chi < 0."""
-    chi = euler_characteristic(s)
-    if chi >= 0:
-        raise ValueError(f"no hyperbolic area for chi = {chi} >= 0")
-    return 2.0 * math.pi * abs(chi)
+    return 2.0 * math.pi * abs(_hyperbolic_chi(s))
 
 
 def punctured_sphere_feasible(n: int, slope_length: float) -> bool:
@@ -147,9 +145,7 @@ def punctured_sphere_feasible(n: int, slope_length: float) -> bool:
     sides against the ``Fraction`` of the binary64 length.
     """
     n = _count(n, "n", 3)
-    slope_length = _real(slope_length, "slope length")
-    if slope_length <= 0.0:
-        raise ValueError(f"slope length must be positive, got {slope_length}")
+    slope_length = _positive(slope_length, "slope length")
     # 6(n-2)/(n-1) < 6 for every n, so a length past 6 settles it at once
     return slope_length <= 6.0 and 6 * (n - 2) >= (n - 1) * Fraction(slope_length)
 
@@ -180,9 +176,7 @@ def doubled_surface_chain(
     (an infinity past the float range).
     """
     n, j = _count(n, "n"), _count(j, "j")
-    slope_length, epsilon = _real(slope_length, "slope length"), _real(epsilon, "epsilon")
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    slope_length, epsilon = _real(slope_length, "slope length"), _positive(epsilon, "epsilon")
     if not 0 <= j <= n:
         raise ValueError(f"j must be in [0, n], got j={_shown(j)}, n={_shown(n)}")
     eps = Fraction(epsilon)

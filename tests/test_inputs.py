@@ -45,7 +45,7 @@ from cuspslopes.report_io import (
     report_from_dict,
     report_to_dict,
 )
-from cuspslopes.slope_search import enumerate_short_slopes
+from cuspslopes.slope_search import classify_slope, enumerate_short_slopes
 from cuspslopes.surface_audit import (
     SurfaceAudit,
     SurfaceType,
@@ -84,6 +84,10 @@ def _with_area_floor(x):
     return report_from_dict({**HEX2_DICT, "bound": {**HEX2_DICT["bound"], "area_floor": x}})
 
 
+def _with_lemma_prime(x):
+    return report_from_dict({**HEX2_DICT, "lemma": {**HEX2_DICT["lemma"], "prime": x}})
+
+
 # (id, call with the input in one real slot, field, error, an int the slot accepts or None)
 REAL_SLOTS = [
     ("shape_meridian", lambda x: CuspShape((x, 0), (0, 1)), "cusp meridian[0]",
@@ -109,6 +113,8 @@ REAL_SLOTS = [
     ("doubled_length", lambda x: doubled_surface_chain(5, 3, x, 0.5), "slope length",
      ValueError, 7),
     ("doubled_epsilon", lambda x: doubled_surface_chain(8, 2, 7.0, x), "epsilon", ValueError, 1),
+    ("classify_threshold", lambda x: classify_slope(HEX2, Slope(1, 0), x), "threshold",
+     ValueError, 6),
     ("loaded_threshold", _with_threshold, "threshold", ReportFormatError, None),
     ("loaded_length", _with_first_length, "slope length", ReportFormatError, None),
     ("loaded_area_floor", _with_area_floor, "bound area", ReportFormatError, None),
@@ -247,6 +253,45 @@ def test_out_of_range_count_refused_with_a_short_message(call, field, x):
     with pytest.raises(ValueError) as excinfo:
         call(x)
     _check_refusal(excinfo, ValueError, field)
+
+
+# The REAL_SLOTS whose field must also be positive (``_positive``); the
+# others have their own range: a cusp coordinate is any real, R is at least
+# r, a loop length is nonnegative and a doubled surface's slope length is past
+# 6 + epsilon.
+_POSITIVE_IDS = {
+    "query_length", "query_area", "enumerate_threshold", "report_threshold",
+    "report_area_floor", "pair_r", "wrapping_epsilon", "audit_length", "boroczky_horocusp",
+    "boroczky_surface", "sphere_length", "doubled_epsilon", "classify_threshold",
+    "loaded_threshold", "loaded_length", "loaded_area_floor",
+}
+
+# (id, call with one input in a slot, field, error, finite inputs out of the
+# field's range): reals that are not positive, and a prime past the range
+# where ``is_prime`` decides primality
+REAL_RANGE_SLOTS = [
+    (i, c, f, e, [0.0, -0.0, -1.0]) for i, c, f, e, _ in REAL_SLOTS if i in _POSITIVE_IDS
+] + [
+    ("lemma_modulus", lambda x: verify_counting_lemma([Slope(1, 0)], x), "modulus",
+     ValueError, [2**89 - 1]),
+    ("fp_modulus", lambda x: project_to_fp(Slope(1, 0), x), "modulus", ValueError,
+     [2**89 - 1]),
+    ("loaded_lemma_prime", _with_lemma_prime, "lemma prime", ReportFormatError, [2**89 - 1]),
+]
+
+
+@pytest.mark.parametrize(
+    "call, field, error, x",
+    [
+        pytest.param(c, f, e, x, id=f"{i}-{x!r}")
+        for i, c, f, e, xs in REAL_RANGE_SLOTS
+        for x in xs
+    ],
+)
+def test_out_of_range_real_or_modulus_refused_with_a_short_message(call, field, error, x):
+    with pytest.raises(ValueError) as excinfo:
+        call(x)
+    _check_refusal(excinfo, error, field)
 
 
 def _duplicate_record(name: str):

@@ -269,6 +269,15 @@ def _swap_first_and_last_slopes(data):
     data["delta_matrix"] = [[matrix[i][j] for j in order] for i in order]
 
 
+def _sharp_square_unflagged(data):
+    """Replace the report by the sharp 6 x 6 square's at T = 6, whose two
+    slopes have length exactly 6, with the first one's boundary flag cleared."""
+    data.clear()
+    data.update(report_to_dict(build_analysis_report(CuspShape((6.0, 0.0), (0.0, 6.0)), 6.0)))
+    assert data["slopes"][0]["boundary"] is True
+    data["slopes"][0]["boundary"] = False
+
+
 # (id, mutation of hex2's report dict, fragment of the expected error)
 TAMPERS = [
     ("delta_matrix", _edit("delta_matrix", 0, 1, to=lambda d: d + 1), "delta_matrix"),
@@ -320,6 +329,14 @@ TAMPERS = [
         _edit("delta_matrix", 0, to=lambda row: [True if d == 1 else d for d in row]),
         "integers",
     ),
+    # inclusion and the boundary flag are derived from the length and threshold
+    ("boundary_set", _edit("slopes", 0, "boundary", to=lambda _: True), "boundary flag"),
+    ("sharp_boundary_cleared", _sharp_square_unflagged, "boundary flag"),
+    ("length_past_threshold", _edit("slopes", -1, "length", to=lambda _: 100.0),
+     "slope length 100.0 is past the threshold"),
+    ("zero_length", _edit("slopes", 0, "length", to=lambda _: 0.0), "slope length must be positive"),
+    ("negative_length", _edit("slopes", 0, "length", to=lambda _: -1.0),
+     "slope length must be positive"),
     # the top-level key set is exactly the written one
     ("unknown_key", lambda d: d.update(note="x"), "top-level keys"),
     ("misspelled_extra_key", lambda d: d.update(delta_matrx=d["delta_matrix"]), "top-level keys"),
@@ -668,13 +685,15 @@ def _shortest_slopes_report(n: int):
 
 def _loaded_report_far_out(k: int):
     """A report loaded from a dict whose slopes (1, 0), (0, 1) and (k + j, 1)
-    need wide lanes: Delta((0, 1), (k + j, 1)) = k + j."""
+    need wide lanes: Delta((0, 1), (k + j, 1)) = k + j.  Their lengths
+    1/16, ..., 14/16 sit under the threshold 1 and away from it, so the
+    loader includes each slope and flags none."""
     slopes = [Slope(1, 0), Slope(0, 1)] + [Slope(k + j, 1) for j in range(12)]
     data = report_to_dict(build_analysis_report(CuspShape((1.0, 0.0), (0.0, 1.0)), 1.0))
     matrix, max_delta = slope_search.crossing_data(slopes)
     data.update(
         slopes=[
-            {"a": s.a, "b": s.b, "length": float(i + 1), "boundary": False}
+            {"a": s.a, "b": s.b, "length": (i + 1) / 16, "boundary": False}
             for i, s in enumerate(slopes)
         ],
         delta_matrix=[list(row) for row in matrix],
