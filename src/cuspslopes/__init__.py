@@ -7,9 +7,9 @@ calculus, surface cusp-length audits, and deterministic lattice diagrams.
 ``import cuspslopes`` runs only this file.  Each public name, and each
 submodule, is imported on first use through the module ``__getattr__``
 (PEP 562), so a call loads only the modules it needs: loading a cusp file
-imports ``report_io`` and what it imports (``bound_calculus``,
-``cusp_geometry``, ``slope_search``), but not ``diagram``,
-``halfplane_geometry`` or ``surface_audit``.
+imports ``report_io`` and ``cusp_geometry`` and nothing else.  ``report_io``
+reaches ``slope_search`` and ``bound_calculus`` through this namespace too,
+so they are imported by the first report built or loaded.
 """
 
 __version__ = "0.1.0"

@@ -29,7 +29,9 @@ class HorodiskPair(_Value):
         _set(self, "r", _positive(r, "radius r"))
         _set(self, "R", _real(R, "radius R"))
         if self.R < self.r:
-            raise ValueError(f"expected r <= R, got r={self.r}, R={self.R}")
+            raise ValueError(
+                f"radius R must be at least radius r, got R={self.R!r} and r={self.r!r}"
+            )
         if not math.isfinite(self.R / self.r):
             raise ValueError(f"R/r overflows for radii r={self.r!r} and R={self.R!r}")
         # 2(R - r)^2 <= 2(R + r)^2, so both sides of the tangency test are finite

@@ -42,6 +42,12 @@ record is listed at all, and its boundary flag, are derived from its length
 and the threshold by the enumeration's own decision (``slope_search._entry``).
 v1 does not store the cusp basis, so the lengths and the slope list
 themselves cannot be re-derived.
+
+The module imports only ``cusp_geometry`` of the package.  The report code
+reaches ``slope_search`` and ``bound_calculus`` as attributes of the package
+(``_pkg.slope_search``), whose ``__getattr__`` imports each on first use; so
+a process that only loads cusp files never loads them, and a report call
+pays an attribute read, not an import statement.
 """
 
 from __future__ import annotations
@@ -51,15 +57,9 @@ import math
 import operator
 import sys
 
+import cuspslopes as _pkg
+
 from . import __version__
-from .bound_calculus import (
-    BoundQuery,
-    BoundReport,
-    LemmaVerdict,
-    _modulus,
-    slope_count_bound,
-    verify_counting_lemma,
-)
 from .cusp_geometry import (
     CuspShape,
     DegenerateBasisError,
@@ -70,14 +70,11 @@ from .cusp_geometry import (
     _Value,
     area,
 )
-from .slope_search import (
-    CrossingMatrix,
-    SlopeEntry,
-    _entry,
-    _entry_key,
-    crossing_data,
-    enumerate_short_slopes,
-)
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
+if TYPE_CHECKING:
+    from .bound_calculus import BoundQuery, BoundReport, LemmaVerdict
+    from .slope_search import CrossingMatrix, SlopeEntry
 
 CUSP_FILE_FORMAT = "cusp-file"
 REPORT_FORMAT = "slope-analysis-report"
@@ -284,8 +281,9 @@ def build_analysis_report(
     The area floor defaults to the shape's own torus area; pass an explicit
     census floor to reproduce shape-independent bounds.
     """
-    short = enumerate_short_slopes(shape, threshold)
-    query = BoundQuery(threshold, area_floor if area_floor is not None else area(shape))
+    short = _pkg.slope_search.enumerate_short_slopes(shape, threshold)
+    floor = area_floor if area_floor is not None else area(shape)
+    query = _pkg.bound_calculus.BoundQuery(threshold, floor)
     return _analysis(shape.name or "unnamed", short.threshold, short.entries, short.delta_matrix,
                      short.max_delta, query, prime, __version__, timestamp)
 
@@ -295,9 +293,9 @@ def _analysis(shape_name: str, threshold: float, entries: tuple[SlopeEntry, ...]
               prime: int | None, tool_version: str, timestamp: str | None) -> AnalysisReport:
     """The report of these slopes: the count bound of ``query`` and the
     counting lemma at ``prime`` (the bound's prime when it is None)."""
-    bound = slope_count_bound(query)
-    lemma = verify_counting_lemma([e.slope for e in entries],
-                                  bound.prime if prime is None else prime)
+    bound = _pkg.bound_calculus.slope_count_bound(query)
+    lemma = _pkg.bound_calculus.verify_counting_lemma([e.slope for e in entries],
+                                                      bound.prime if prime is None else prime)
     return AnalysisReport(shape_name, threshold, entries, delta_matrix, max_delta, bound, lemma,
                           tool_version, timestamp)
 
@@ -422,6 +420,7 @@ def _rebuild(data: dict, text: str, start: int, end: int) -> AnalysisReport:
     computed: the work done stays bounded by the size of the input.
     """
     _check_header(data, REPORT_FORMAT, ReportFormatError)
+    slope_search, bound_calculus = _pkg.slope_search, _pkg.bound_calculus
     _require(isinstance(data.get("shape_name"), str), "missing shape_name")
     threshold = _positive(data.get("threshold"), "threshold", ReportFormatError)
 
@@ -443,13 +442,13 @@ def _rebuild(data: dict, text: str, start: int, end: int) -> AnalysisReport:
                 or length != raw_length:
             raise ReportFormatError("'slopes' does not match the rebuilt report")
         # inclusion and the boundary flag are the scan's own decision
-        entry = _entry(_slope(a, b), length, threshold)
+        entry = slope_search._entry(_slope(a, b), length, threshold)
         if entry is None:
             raise ReportFormatError(f"slope length {length!r} is past the threshold {threshold!r}")
         if rec["boundary"] is not entry.boundary:
             raise ReportFormatError(f"boundary flag does not match the slope length {length!r}")
         entries.append(entry)
-    keys = [_entry_key(e) for e in entries]
+    keys = [slope_search._entry_key(e) for e in entries]
     ordered = all(map(operator.lt, keys, keys[1:]))
     _require(ordered, "slopes must be distinct and sorted by (length, (a, b))")
 
@@ -457,13 +456,13 @@ def _rebuild(data: dict, text: str, start: int, end: int) -> AnalysisReport:
     _require(isinstance(raw_bound, dict), "missing bound section")
     area_floor = _positive(raw_bound.get("area_floor"), "bound area", ReportFormatError)
     try:
-        query = BoundQuery(threshold, area_floor)
+        query = bound_calculus.BoundQuery(threshold, area_floor)
     except ValueError as e:
         raise ReportFormatError(f"bound: {e}") from None
 
     raw_lemma = data.get("lemma")
     _require(isinstance(raw_lemma, dict), "missing lemma section")
-    prime = _modulus(raw_lemma.get("prime"), "lemma prime", ReportFormatError)
+    prime = bound_calculus._modulus(raw_lemma.get("prime"), "lemma prime", ReportFormatError)
 
     timestamp = data.get("timestamp")
     _require(
@@ -476,7 +475,7 @@ def _rebuild(data: dict, text: str, start: int, end: int) -> AnalysisReport:
     n = len(slopes)
     _require(end - start >= 2 * n * n + 2 * n + 1, _MATRIX_MISMATCH)
     try:
-        delta_matrix, max_delta = crossing_data(slopes)
+        delta_matrix, max_delta = slope_search.crossing_data(slopes)
     except OverflowError as e:
         raise ReportFormatError(f"slopes: {e}") from None
     pos = start

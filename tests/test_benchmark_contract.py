@@ -7,9 +7,11 @@ contract fail the test suite, not only the benchmark.  The workload test
 builds each benchmark workload and runs its operation and its check on a
 few items, so a change to the calls the benchmark makes (the cusp-file
 loader, ``ShortSlopeReport``'s constructor, report save, load and rebuild)
-fails here too.  The tracer test installs the benchmark's tracer, which
+fails here too.  The tracer tests install the benchmark's tracer, which
 counts built cusp shapes by replacing ``CuspShape.__post_init__`` on the
-class, so ``CuspShape`` must keep that method and call it on every build.
+class, so ``CuspShape`` must keep that method and call it on every build,
+and wraps each public function where its module defines it, so a report
+must reach the scan, the count bound and the lemma through those modules.
 """
 
 from __future__ import annotations
@@ -63,3 +65,29 @@ def test_benchmark_tracer_counts_built_shapes(monkeypatch):
     assert tracer.call_counts()["report_io.load_cusp_file"] == 1
     assert cusp_geometry.CuspShape.__post_init__ is original
     assert report_io.load_cusp_file.__module__ == "cuspslopes.report_io"
+
+
+def test_benchmark_tracer_counts_the_pipeline_of_a_report(monkeypatch, hex2_shape):
+    # report_io calls the scan, the count bound and the lemma through the
+    # package namespace; the tracer must still see each call, or the
+    # per-layer enumerate_s, count_bound_s and lemma_s read 0
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        report = report_io.build_analysis_report(hex2_shape, 6.0)
+        back = report_io.report_from_dict(report_io.report_to_dict(report))
+    finally:
+        tracer.uninstall()
+    assert back == report and len(report.entries) == 12
+    # one scan to build; a bound and a lemma to build and again to rebuild
+    calls = tracer.call_counts()
+    assert [calls[name] for name in ("slope_search.enumerate_short_slopes",
+                                     "bound_calculus.slope_count_bound",
+                                     "bound_calculus.verify_counting_lemma")] == [1, 2, 2]
+    layers = tracer.layer_metrics()
+    for name in ("slope_search.enumerate_s", "bound_calculus.count_bound_s",
+                 "bound_calculus.lemma_s"):
+        assert layers[name] > 0, name

@@ -10,18 +10,18 @@ import sys
 
 import pytest
 
+from cuspslopes.report_io import build_analysis_report, save_report
+
 from conftest import FIXTURES
 
 HEX2 = str(FIXTURES / "hex2.json")
 
-# What loading a cusp file needs: report_io and the modules it imports.
-CUSP_LOAD_MODULES = {
-    "cuspslopes",
-    "cuspslopes.bound_calculus",
-    "cuspslopes.cusp_geometry",
-    "cuspslopes.report_io",
-    "cuspslopes.slope_search",
-}
+# What loading a cusp file needs: report_io and the one module it imports.
+CUSP_LOAD_MODULES = {"cuspslopes", "cuspslopes.cusp_geometry", "cuspslopes.report_io"}
+# What building or loading a report needs: the cusp-file modules and the
+# pipeline that report_io reaches through the package namespace.
+REPORT_MODULES = CUSP_LOAD_MODULES | {"cuspslopes.bound_calculus", "cuspslopes.slope_search"}
+_LIST_MODULES = "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'cuspslopes'))"
 
 
 def run_python(*args: str) -> subprocess.CompletedProcess:
@@ -36,10 +36,43 @@ def test_cusp_file_load_imports_only_its_modules():
         "import sys, cuspslopes\n"
         "shapes, errors = cuspslopes.load_cusp_file(sys.argv[1])\n"
         "assert [s.name for s in shapes] == ['hex2', 'square'] and not errors\n"
-        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'cuspslopes'))",
+        + _LIST_MODULES,
         HEX2,
     )
     assert set(proc.stdout.split()) == CUSP_LOAD_MODULES
+
+
+@pytest.fixture
+def hex2_report_path(hex2_shape, tmp_path):
+    path = tmp_path / "hex2-report.json"
+    save_report(build_analysis_report(hex2_shape, 6.0), path)
+    return str(path)
+
+
+# Each a first call into the package in a fresh interpreter that needs the
+# pipeline modules report_io does not import.
+FIRST_REPORT_CALLS = {
+    "load_report": "import cuspslopes\n"
+                   "report = cuspslopes.load_report(sys.argv[1])\n",
+    "build_analysis_report": "from cuspslopes.report_io import build_analysis_report\n"
+                             "from cuspslopes.cusp_geometry import CuspShape\n"
+                             "shape = CuspShape((2.0, 0.0), (1.0, 3.0 ** 0.5), name='hex2')\n"
+                             "report = build_analysis_report(shape, 6.0)\n",
+}
+
+
+@pytest.mark.parametrize("first", list(FIRST_REPORT_CALLS))
+def test_first_report_call_imports_the_pipeline(hex2_report_path, first):
+    proc = run_python(
+        "-c",
+        "import sys\n"
+        + FIRST_REPORT_CALLS[first]
+        + "assert len(report.entries) == 12 and report.bound.count_bound == 12\n"
+        + "assert report.lemma.injective\n"
+        + _LIST_MODULES,
+        hex2_report_path,
+    )
+    assert set(proc.stdout.split()) == REPORT_MODULES
 
 
 def test_bound_subcommand_imports_only_its_modules():
@@ -52,11 +85,18 @@ def test_bound_subcommand_imports_only_its_modules():
         "    runpy.run_module('cuspslopes', run_name='__main__', alter_sys=True)\n"
         "except SystemExit as e:\n"
         "    assert e.code == 0\n"
-        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'cuspslopes'))",
+        + _LIST_MODULES,
     )
     *output, modules = proc.stdout.splitlines()
     assert "slopes ≤ 12" in output[-1]
-    assert set(modules.split()) == CUSP_LOAD_MODULES | {"cuspslopes.cli"}
+    assert set(modules.split()) == {
+        "cuspslopes",
+        "cuspslopes.bound_calculus",
+        "cuspslopes.cli",
+        "cuspslopes.cusp_geometry",
+        "cuspslopes.report_io",
+        "cuspslopes.slope_search",
+    }
 
 
 @pytest.mark.parametrize(

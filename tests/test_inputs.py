@@ -267,8 +267,8 @@ _POSITIVE_IDS = {
 }
 
 # (id, call with one input in a slot, field, error, finite inputs out of the
-# field's range): reals that are not positive, and a prime past the range
-# where ``is_prime`` decides primality
+# field's range): reals that are not positive, a prime past the range where
+# ``is_prime`` decides primality, and an R below r
 REAL_RANGE_SLOTS = [
     (i, c, f, e, [0.0, -0.0, -1.0]) for i, c, f, e, _ in REAL_SLOTS if i in _POSITIVE_IDS
 ] + [
@@ -277,6 +277,7 @@ REAL_RANGE_SLOTS = [
     ("fp_modulus", lambda x: project_to_fp(Slope(1, 0), x), "modulus", ValueError,
      [2**89 - 1]),
     ("loaded_lemma_prime", _with_lemma_prime, "lemma prime", ReportFormatError, [2**89 - 1]),
+    ("pair_R_below_r", lambda x: HorodiskPair(1.0, x), "radius R", ValueError, [0.5]),
 ]
 
 
@@ -372,10 +373,12 @@ def test_largest_surfaces_audit_without_overflow():
     [
         (["audit", "--surface", f"{10**400},1,0", "--lengths", "6"], "genus"),
         (["horodisk", "--separation", "1", "1e999"], "radius R"),
+        (["horodisk", "--separation", "1", "0.5"], "radius R"),
         (["horodisk", "--wrapping", "nan", "1"], "epsilon"),
         (["bound", "--length", "inf"], "length threshold"),
     ],
-    ids=["audit_genus", "horodisk_radius", "wrapping_epsilon", "bound_length"],
+    ids=["audit_genus", "horodisk_radius", "horodisk_R_below_r", "wrapping_epsilon",
+         "bound_length"],
 )
 def test_cli_refusal_is_one_short_line_naming_the_field(capsys, argv, field):
     code = main(argv)

@@ -499,11 +499,14 @@ def test_short_matrix_rejected_before_it_is_computed(hex2_shape, tmp_path, monke
     n = len(under["slopes"])
     under["delta_matrix"] = [[0] * n] * (n - 1) + [[10] + [0] * (n - 2)]
     assert len(json_text(under["delta_matrix"]).rstrip("\n")) == 2 * n * n + 2 * n
+    valid = report_to_dict(build_analysis_report(hex2_shape, 4.0))
 
     def refuse(slopes):
         raise AssertionError("the crossing matrix was computed")
 
-    monkeypatch.setattr(report_io, "crossing_data", refuse)
+    # report_io reaches the kernel through the package namespace, so patching
+    # the module that defines it patches the loader's call
+    monkeypatch.setattr(slope_search, "crossing_data", refuse)
     for data in (empty, under):
         path = tmp_path / "short.json"
         path.write_text(json_text(data))
@@ -512,6 +515,8 @@ def test_short_matrix_rejected_before_it_is_computed(hex2_shape, tmp_path, monke
             with pytest.raises(ReportFormatError, match="delta_matrix.*integers"):
                 load()
             assert time.perf_counter() - start < 1.0
+    with pytest.raises(AssertionError, match="crossing matrix was computed"):
+        report_from_dict(valid)
 
 
 @pytest.mark.parametrize("threshold, n", [(4.0, 6), (6.0, 12)], ids=["hex2@4", "hex2@6"])
