@@ -9,7 +9,9 @@ submodule, is imported on first use through the module ``__getattr__``
 (PEP 562), so a call loads only the modules it needs: loading a cusp file
 imports ``report_io`` and ``cusp_geometry`` and nothing else.  ``report_io``
 reaches ``slope_search`` and ``bound_calculus`` through this namespace too,
-so they are imported by the first report built or loaded.
+so they are imported by the first report built or loaded.  The CLI reaches
+every submodule through this namespace as well, so a subcommand loads only
+its own modules.
 """
 
 __version__ = "0.1.0"

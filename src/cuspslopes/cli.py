@@ -7,10 +7,11 @@ deterministic (timestamps only with --stamp); exit codes are 0 on success,
 1 on domain errors, 2 on usage errors.  When the reader of standard output
 goes away (``| head``), a command stops quietly with exit code 1.
 
-The module imports only what building the parser needs; ``diagram``,
-``halfplane_geometry``, ``surface_audit`` and ``datetime`` are imported in
-the subcommands that use them, so a process loads only its own command's
-modules.
+The module imports only ``argparse``, ``math``, ``os``, ``sys`` and the
+package; each subcommand reaches its modules through the package namespace
+(``_pkg.report_io.load_cusp_file``), which imports a module on first use.
+The parser's defaults are strings that argparse converts only for the
+subcommand that runs, so a process loads only its own command's modules.
 """
 
 from __future__ import annotations
@@ -20,32 +21,20 @@ import math
 import os
 import sys
 
-from . import __version__
-from .bound_calculus import ADAMS_AREA, CAO_MEYERHOFF_AREA, BoundQuery, slope_count_bound
-from .cusp_geometry import area
-from .report_io import (
-    _write_text,
-    bound_to_dict,
-    build_analysis_report,
-    find_shape,
-    json_text,
-    lemma_to_dict,
-    load_cusp_file,
-    save_report,
-)
-from .slope_search import SIX_THEOREM_LENGTH, enumerate_short_slopes
+import cuspslopes as _pkg
 
 
-def _number(what: str, names: dict[str, float]):
+def _number(what: str, names):
     """The parser of a number argument: a float, or one of the ``names``
-    (in any case, with spaces around it)."""
+    (in any case, with spaces around it), each mapped to a function that
+    gives its value, so a named constant's module is imported on use."""
     *most, last = ["a number", *map(repr, names)]
     expected = f"{', '.join(most)} or {last}"
 
     def parse(text: str) -> float:
         named = names.get(text.strip().lower())
         if named is not None:
-            return named
+            return named()
         try:
             return float(text)
         except ValueError:
@@ -54,8 +43,9 @@ def _number(what: str, names: dict[str, float]):
     return parse
 
 
-_threshold = _number("threshold", {"2pi": 2.0 * math.pi})
-_area = _number("area", {"adams": ADAMS_AREA, "cao-meyerhoff": CAO_MEYERHOFF_AREA})
+_threshold = _number("threshold", {"2pi": lambda: 2.0 * math.pi})
+_area = _number("area", {"adams": lambda: _pkg.bound_calculus.ADAMS_AREA,
+                         "cao-meyerhoff": lambda: _pkg.bound_calculus.CAO_MEYERHOFF_AREA})
 
 
 def _parse_surface(text: str) -> tuple[int, int, int]:
@@ -78,23 +68,25 @@ def _parse_lengths(text: str) -> tuple[float, ...]:
 
 
 def _load_named_shape(args):
-    shapes, errors = load_cusp_file(args.cusp)
+    shapes, errors = _pkg.report_io.load_cusp_file(args.cusp)
     for err in errors:
         print(f"warning: skipped {err}", file=sys.stderr)
-    return find_shape(shapes, args.name)
+    return _pkg.report_io.find_shape(shapes, args.name)
 
 
 def _print_json(data) -> None:
-    _write_text("-", json_text(data))
+    _pkg.report_io._write_text("-", _pkg.report_io.json_text(data))
 
 
 def _cmd_slopes(args) -> int:
     shape = _load_named_shape(args)
     if args.json:
-        save_report(build_analysis_report(shape, args.threshold), "-")
+        report = _pkg.report_io.build_analysis_report(shape, args.threshold)
+        _pkg.report_io.save_report(report, "-")
         return 0
-    report = enumerate_short_slopes(shape, args.threshold)
-    print(f"# cusp {shape.name}  threshold {args.threshold:.12g}  area {area(shape):.12g}")
+    report = _pkg.slope_search.enumerate_short_slopes(shape, args.threshold)
+    print(f"# cusp {shape.name}  threshold {args.threshold:.12g}  "
+          f"area {_pkg.cusp_geometry.area(shape):.12g}")
     print(f"# {len(report)} slopes, max pairwise intersection {report.max_delta}")
     for i, entry in enumerate(report.entries, start=1):
         flag = "  boundary" if entry.boundary else ""
@@ -103,9 +95,10 @@ def _cmd_slopes(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    report = slope_count_bound(BoundQuery(args.length, args.area))
+    query = _pkg.bound_calculus.BoundQuery(args.length, args.area)
+    report = _pkg.bound_calculus.slope_count_bound(query)
     if args.json:
-        _print_json(bound_to_dict(report))
+        _print_json(_pkg.report_io.bound_to_dict(report))
         return 0
     ratio = report.query.length_threshold**2 / report.query.area_floor
     print(f"L^2/A = {ratio:.12g}")
@@ -115,7 +108,7 @@ def _cmd_bound(args) -> int:
 
 def _cmd_lemma_verify(args) -> int:
     shape = _load_named_shape(args)
-    report = build_analysis_report(shape, args.threshold, prime=args.prime)
+    report = _pkg.report_io.build_analysis_report(shape, args.threshold, prime=args.prime)
     count, verdict = len(report.entries), report.lemma
     if args.json:
         _print_json(
@@ -124,7 +117,7 @@ def _cmd_lemma_verify(args) -> int:
                 "threshold": args.threshold,
                 "slope_count": count,
                 "max_delta": report.max_delta,
-                **lemma_to_dict(verdict),
+                **_pkg.report_io.lemma_to_dict(verdict),
             }
         )
         return 0
@@ -139,17 +132,11 @@ def _cmd_lemma_verify(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    from .surface_audit import (
-        SurfaceAudit,
-        SurfaceType,
-        check_cusp_length_inequality,
-        euler_characteristic,
-    )
-
     # built here, not by the parser, so that a bad surface is a domain error
-    surface = SurfaceType(*args.surface)
-    verdict = check_cusp_length_inequality(SurfaceAudit(surface, args.lengths))
-    chi = euler_characteristic(surface)
+    surface = _pkg.surface_audit.SurfaceType(*args.surface)
+    audit = _pkg.surface_audit.SurfaceAudit(surface, args.lengths)
+    verdict = _pkg.surface_audit.check_cusp_length_inequality(audit)
+    chi = _pkg.surface_audit.euler_characteristic(surface)
     if args.json:
         _print_json(
             {
@@ -178,18 +165,10 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_horodisk(args) -> int:
-    from .halfplane_geometry import (
-        HorodiskPair,
-        WrappingQuery,
-        extremal_ratio,
-        mutually_tangent,
-        tangency_separation,
-        wrapping_bound,
-    )
-
     if args.ratio:
-        ratio = extremal_ratio()
-        separation = tangency_separation(HorodiskPair(1.0, ratio))
+        ratio = _pkg.halfplane_geometry.extremal_ratio()
+        pair = _pkg.halfplane_geometry.HorodiskPair(1.0, ratio)
+        separation = _pkg.halfplane_geometry.tangency_separation(pair)
         if args.json:
             _print_json({"extremal_ratio": ratio, "tangency_separation": separation})
         else:
@@ -197,9 +176,9 @@ def _cmd_horodisk(args) -> int:
             print(f"tangency separation at that ratio = {separation:.12g}")
     elif args.separation is not None:
         r, big_r = args.separation
-        pair = HorodiskPair(r, big_r)
-        check = mutually_tangent(pair)
-        sep = tangency_separation(pair)
+        pair = _pkg.halfplane_geometry.HorodiskPair(r, big_r)
+        check = _pkg.halfplane_geometry.mutually_tangent(pair)
+        sep = _pkg.halfplane_geometry.tangency_separation(pair)
         if args.json:
             _print_json(
                 {
@@ -216,7 +195,8 @@ def _cmd_horodisk(args) -> int:
             print(f"mutually tangent: {touch} (residual {check.residual:.12g})")
     else:
         eps, length = args.wrapping
-        bound = wrapping_bound(WrappingQuery(eps, length))
+        query = _pkg.halfplane_geometry.WrappingQuery(eps, length)
+        bound = _pkg.halfplane_geometry.wrapping_bound(query)
         if args.json:
             _print_json({"epsilon": eps, "loop_length": length, "wrapping_bound": bound})
         else:
@@ -225,11 +205,9 @@ def _cmd_horodisk(args) -> int:
 
 
 def _cmd_diagram(args) -> int:
-    from .diagram import DiagramSpec, emit_lattice_svg
-
     shape = _load_named_shape(args)
-    report = enumerate_short_slopes(shape, args.threshold)
-    spec = DiagramSpec(
+    report = _pkg.slope_search.enumerate_short_slopes(shape, args.threshold)
+    spec = _pkg.diagram.DiagramSpec(
         report,
         radius_circle=not args.no_circle,
         lattice_extent=args.extent,
@@ -237,7 +215,7 @@ def _cmd_diagram(args) -> int:
         width=args.width,
         height=args.height,
     )
-    _write_text(args.out, emit_lattice_svg(spec))
+    _pkg.report_io._write_text(args.out, _pkg.diagram.emit_lattice_svg(spec))
     if args.out != "-":
         print(f"wrote {args.out}: {len(report)} slopes, {2 * len(report)} highlighted markers")
     return 0
@@ -250,7 +228,7 @@ def _cmd_report(args) -> int:
         from datetime import datetime, timezone
 
         stamp = datetime.now(timezone.utc).isoformat()
-    report = build_analysis_report(
+    report = _pkg.report_io.build_analysis_report(
         shape,
         args.threshold,
         area_floor=args.area,
@@ -258,7 +236,7 @@ def _cmd_report(args) -> int:
         timestamp=stamp,
     )
     out = args.out or "-"
-    save_report(report, out)
+    _pkg.report_io.save_report(report, out)
     if out != "-":
         print(f"wrote {out}: {len(report.entries)} slopes, count bound {report.bound.count_bound}")
     return 0
@@ -269,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cuspslopes",
         description="Slope geometry on hyperbolic cusp tori.",
     )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    parser.add_argument("--version", action="version", version=f"%(prog)s {_pkg.__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_cusp_args(p):
@@ -278,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--threshold",
             type=_threshold,
-            default=SIX_THEOREM_LENGTH,
+            default="6",
             help="length threshold (number or '2pi'; default 6)",
         )
 
@@ -288,11 +266,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_slopes)
 
     p = sub.add_parser("bound", help="crossing ceiling, next prime, count bound")
-    p.add_argument("--length", type=_threshold, default=SIX_THEOREM_LENGTH)
+    p.add_argument("--length", type=_threshold, default="6")
     p.add_argument(
         "--area",
         type=_area,
-        default=CAO_MEYERHOFF_AREA,
+        default="cao-meyerhoff",
         help="area floor (number, 'adams' or 'cao-meyerhoff'; default 3.35)",
     )
     p.add_argument("--json", action="store_true")

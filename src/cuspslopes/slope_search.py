@@ -63,8 +63,7 @@ import sys
 from array import array
 from collections.abc import Sequence
 
-from .cusp_geometry import (CuspShape, Slope, Vec2, _positive, _set, _slope, _Value, area,
-                            slope_length)
+from .cusp_geometry import CuspShape, Slope, Vec2, _positive, _set, _slope, _Value, slope_length
 
 # Slopes strictly longer than this have hyperbolike fillings.
 SIX_THEOREM_LENGTH = 6.0
@@ -80,8 +79,7 @@ BOUNDARY_TOL = 1e-12
 # so every slope the length test includes lies inside the widened disc that
 # ``enumerate_short_slopes`` scans while |k| stays below about 10^6.  For any
 # marking, the rounding bound delta of the scan covers that error; this
-# margin stays as a floor.  ``search_box``, the tests' marked-basis reference
-# box, takes no margin.
+# margin stays as a floor.
 _REDUCED_BOX_MARGIN = 1e-9
 
 # Relative slack of the test for a marking that is already reduced.  Without
@@ -194,23 +192,6 @@ class ShortSlopeReport(_Value):
 
     def __len__(self) -> int:
         return len(self.entries)
-
-
-def search_box(shape: CuspShape, threshold: float) -> tuple[int, int]:
-    """Coefficient bounds (amax, bmax) that contain every short slope: the
-    marked-basis reference box that the tests scan.  The enumeration does
-    not use it; it scans the disc in a reduced basis.
-
-    A vector a*m + b*l sits at distance |a| * area/|l| from the line through
-    l, so |a| <= threshold*|l|/area; symmetrically for b.
-    """
-    a = area(shape)
-    norm_m = math.hypot(*shape.meridian)
-    norm_l = math.hypot(*shape.longitude)
-    reach = threshold + BOUNDARY_TOL
-    amax = math.ceil(reach * norm_l / a + 1e-9)
-    bmax = math.ceil(reach * norm_m / a + 1e-9)
-    return amax, bmax
 
 
 def _reduced_basis(shape: CuspShape) -> tuple[Vec2, Vec2, tuple[int, int], tuple[int, int]]:

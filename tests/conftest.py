@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from cuspslopes.cusp_geometry import CuspShape, Slope
+from cuspslopes.cusp_geometry import CuspShape, Slope, area
+from cuspslopes.slope_search import BOUNDARY_TOL
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -47,6 +48,21 @@ def brute_force_short_slopes(shape: CuspShape, threshold: float, box: int) -> se
             if math.hypot(a * mx + b * lx, a * my + b * ly) <= threshold + 1e-12:
                 found.add(Slope(a, b))
     return found
+
+
+def search_box(shape: CuspShape, threshold: float) -> tuple[int, int]:
+    """Coefficient bounds (amax, bmax) that contain every short slope: the
+    marked-basis reference box that the oracles scan.  The enumeration does
+    not use it; it scans the disc in a reduced basis.
+
+    A vector a*m + b*l sits at distance |a| * area/|l| from the line through
+    l, so |a| <= threshold*|l|/area; symmetrically for b.
+    """
+    a = area(shape)
+    reach = threshold + BOUNDARY_TOL
+    amax = math.ceil(reach * math.hypot(*shape.longitude) / a + 1e-9)
+    bmax = math.ceil(reach * math.hypot(*shape.meridian) / a + 1e-9)
+    return amax, bmax
 
 
 # A slope whose exact squared length is this close (relative) to T^2 is too

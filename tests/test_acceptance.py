@@ -25,7 +25,7 @@ from cuspslopes.cusp_geometry import (
 )
 from cuspslopes.diagram import DiagramSpec, emit_lattice_svg
 from cuspslopes.halfplane_geometry import HorodiskPair, extremal_ratio, tangency_separation
-from cuspslopes.slope_search import enumerate_short_slopes, search_box
+from cuspslopes.slope_search import enumerate_short_slopes
 from cuspslopes.surface_audit import SurfaceAudit, SurfaceType, check_cusp_length_inequality, punctured_sphere_feasible
 
 from conftest import (
@@ -34,6 +34,7 @@ from conftest import (
     includes_exactly,
     random_shape,
     random_slope,
+    search_box,
 )
 
 RESULTS: list[str] = []

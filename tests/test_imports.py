@@ -1,16 +1,22 @@
 """Fresh-interpreter tests of the lazy package namespace and the CLI's
 per-subcommand imports.  In-process tests run after every module is already
-imported, so only a new interpreter shows what a call loads."""
+imported, so only a new interpreter shows what a call loads.  The CLI's
+string defaults, which keep the parser from importing the constants' modules,
+are checked against those constants in process."""
 
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
+from cuspslopes.bound_calculus import ADAMS_AREA, CAO_MEYERHOFF_AREA
+from cuspslopes.cli import build_parser
 from cuspslopes.report_io import build_analysis_report, save_report
+from cuspslopes.slope_search import SIX_THEOREM_LENGTH
 
 from conftest import FIXTURES
 
@@ -75,28 +81,73 @@ def test_first_report_call_imports_the_pipeline(hex2_report_path, first):
     assert set(proc.stdout.split()) == REPORT_MODULES
 
 
-def test_bound_subcommand_imports_only_its_modules():
-    # `python -m cuspslopes bound`, then the modules it left loaded
-    proc = run_python(
-        "-c",
-        "import runpy, sys\n"
-        "sys.argv = ['cuspslopes', 'bound']\n"
-        "try:\n"
-        "    runpy.run_module('cuspslopes', run_name='__main__', alter_sys=True)\n"
-        "except SystemExit as e:\n"
-        "    assert e.code == 0\n"
-        + _LIST_MODULES,
-    )
-    *output, modules = proc.stdout.splitlines()
-    assert "slopes ≤ 12" in output[-1]
-    assert set(modules.split()) == {
-        "cuspslopes",
-        "cuspslopes.bound_calculus",
-        "cuspslopes.cli",
-        "cuspslopes.cusp_geometry",
-        "cuspslopes.report_io",
-        "cuspslopes.slope_search",
-    }
+# The CLI's own modules: every subcommand also loads cusp_geometry, which
+# each other module imports.
+CLI_MODULES = {"cuspslopes", "cuspslopes.cli", "cuspslopes.cusp_geometry"}
+HEX2_ARGS = ["--cusp", HEX2, "--name", "hex2"]
+
+# `python -m cuspslopes` with sys.argv[1:] as its arguments, in process, so
+# that the modules it left loaded can be listed after it.
+_RUN_CLI = ("sys.argv = ['cuspslopes', *sys.argv[1:]]\n"
+            "try:\n"
+            "    runpy.run_module('cuspslopes', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as e:\n"
+            "    assert e.code == 0\n")
+
+
+def _subcommand(name, argv, *modules):
+    return pytest.param(argv, CLI_MODULES | {f"cuspslopes.{m}" for m in modules}, id=name)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        _subcommand("slopes", ["slopes", *HEX2_ARGS], "report_io", "slope_search"),
+        _subcommand("slopes_json", ["slopes", *HEX2_ARGS, "--json"],
+                    "report_io", "slope_search", "bound_calculus"),
+        _subcommand("bound", ["bound"], "bound_calculus"),
+        _subcommand("bound_json", ["bound", "--json"], "bound_calculus", "report_io"),
+        _subcommand("lemma_verify", ["lemma-verify", *HEX2_ARGS],
+                    "report_io", "slope_search", "bound_calculus"),
+        _subcommand("audit", ["audit", "--surface", "1,1,0", "--lengths", "6"], "surface_audit"),
+        _subcommand("horodisk_ratio", ["horodisk", "--ratio"], "halfplane_geometry"),
+        _subcommand("horodisk_separation", ["horodisk", "--separation", "1", "2"],
+                    "halfplane_geometry"),
+        _subcommand("horodisk_wrapping", ["horodisk", "--wrapping", "0.1", "6"],
+                    "halfplane_geometry"),
+        _subcommand("diagram", ["diagram", *HEX2_ARGS, "--out", "-"],
+                    "report_io", "slope_search", "diagram"),
+        _subcommand("report", ["report", *HEX2_ARGS],
+                    "report_io", "slope_search", "bound_calculus"),
+    ],
+)
+def test_subcommand_imports_only_its_modules(argv, expected):
+    proc = run_python("-c", "import runpy, sys\n" + _RUN_CLI + _LIST_MODULES, *argv)
+    assert set(proc.stdout.splitlines()[-1].split()) == expected
+
+
+def test_parser_defaults_are_the_library_constants():
+    parser = build_parser()
+    for argv in (["slopes", *HEX2_ARGS], ["lemma-verify", *HEX2_ARGS],
+                 ["diagram", *HEX2_ARGS, "--out", "-"], ["report", *HEX2_ARGS]):
+        assert parser.parse_args(argv).threshold == SIX_THEOREM_LENGTH, argv
+    bound = parser.parse_args(["bound"])
+    assert (bound.length, bound.area) == (SIX_THEOREM_LENGTH, CAO_MEYERHOFF_AREA)
+
+
+@pytest.mark.parametrize(
+    "option, name, value",
+    [
+        ("--area", "adams", ADAMS_AREA),
+        ("--area", "cao-meyerhoff", CAO_MEYERHOFF_AREA),
+        ("--length", "2pi", 2.0 * math.pi),
+    ],
+    ids=["adams", "cao_meyerhoff", "2pi"],
+)
+def test_parser_names_are_the_library_constants(option, name, value):
+    parser, dest = build_parser(), option.lstrip("-")
+    for text in (name, name.upper(), name.title(), f" {name} ", f"\t{name.upper()}  "):
+        assert getattr(parser.parse_args(["bound", option, text]), dest) == value, text
 
 
 @pytest.mark.parametrize(
@@ -109,6 +160,7 @@ def test_bound_subcommand_imports_only_its_modules():
     ],
     ids=["audit", "horodisk_ratio", "diagram_stdout", "report_stamp"],
 )
+# Through `python -m`: each module a subcommand reaches on first use works.
 def test_deferred_subcommand_imports_work(argv, expected):
     proc = run_python("-m", "cuspslopes", *argv)
     assert expected in proc.stdout and proc.stderr == ""
@@ -139,12 +191,7 @@ def test_no_dataclasses_or_inspect_import(argv):
                 "assert len(shapes) == 2 and not errors\n")
         args = [HEX2]
     else:
-        body = ("sys.argv = ['cuspslopes', *sys.argv[1:]]\n"
-                "try:\n"
-                "    runpy.run_module('cuspslopes', run_name='__main__', alter_sys=True)\n"
-                "except SystemExit as e:\n"
-                "    assert e.code == 0\n")
-        args = argv
+        body, args = _RUN_CLI, argv
     proc = run_python("-c", "import runpy, sys\n" + body + _LIST_SLOW_MODULES, *args)
     assert proc.stdout.splitlines()[-1] == ""
 

@@ -18,7 +18,6 @@ from cuspslopes.slope_search import (
     classify_slope,
     crossing_data,
     enumerate_short_slopes,
-    search_box,
 )
 
 from conftest import (
@@ -28,6 +27,7 @@ from conftest import (
     mat_mul,
     random_shape,
     random_unimodular,
+    search_box,
     transform_slope,
 )
 
@@ -442,14 +442,12 @@ def _counted_scan(monkeypatch, shape: CuspShape, threshold: float):
     return report, len(candidates), jmax + 1
 
 
-def test_enumeration_builds_no_shape_and_no_box(hex2_shape, monkeypatch):
-    # the disc alone bounds the rows: no throwaway shape, no search box
+def test_enumeration_builds_no_shape(hex2_shape, monkeypatch):
+    # the disc alone bounds the rows: no throwaway shape of the reduced basis
     calls = []
-    real_init, real_box = CuspShape.__init__, slope_search.search_box
+    real_init = CuspShape.__init__
     monkeypatch.setattr(CuspShape, "__init__",
                         lambda *args, **kw: calls.append("shape") or real_init(*args, **kw))
-    monkeypatch.setattr(slope_search, "search_box",
-                        lambda *args: calls.append("box") or real_box(*args))
     for shape, threshold in ((hex2_shape, 6.0), (skewed(hex2_shape, 10**5)[0], 20.0)):
         calls.clear()
         assert len(enumerate_short_slopes(shape, threshold)) > 0
