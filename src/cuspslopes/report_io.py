@@ -127,17 +127,20 @@ def _reject_constant(token: str):
     raise ValueError(f"non-finite numeric literal {token!r} is not allowed")
 
 
-def _parse_json(text: str, error_cls) -> dict:
+def _parse_json(text: str, error_cls):
+    """The JSON value of ``text``; what it must be is checked by its parser
+    (``_check_header``)."""
     try:
-        data = json.loads(text, parse_constant=_reject_constant)
+        return json.loads(text, parse_constant=_reject_constant)
     except (ValueError, RecursionError) as e:  # RecursionError: nested too deeply
         raise error_cls(f"not valid JSON: {e}") from None
+
+
+def _check_header(data, expected_format: str, error_cls) -> None:
+    """Require ``data`` to be an object with the given format and version;
+    each parser's first check of its data."""
     if not isinstance(data, dict):
         raise error_cls("top level must be a JSON object")
-    return data
-
-
-def _check_header(data: dict, expected_format: str, error_cls) -> None:
     fmt = data.get("format")
     if fmt != expected_format:
         raise error_cls(f"expected format {expected_format!r}, got {_shown(fmt)}")
@@ -417,9 +420,9 @@ def _rebuild(data: dict, text: str, start: int, end: int) -> AnalysisReport:
     characters: each row is ``[``, n numerals of at least one digit, n - 1
     ``,`` and ``]`` (2n + 1), and the matrix is ``[``, n rows, n - 1 ``,``
     and ``]``.  So a shorter stored matrix is rejected before the matrix is
-    computed: the work done stays bounded by the size of the input.
+    computed: the work done stays bounded by the size of the input.  The
+    caller has checked the header (``_check_header``).
     """
-    _check_header(data, REPORT_FORMAT, ReportFormatError)
     slope_search, bound_calculus = _pkg.slope_search, _pkg.bound_calculus
     _require(isinstance(data.get("shape_name"), str), "missing shape_name")
     threshold = _positive(data.get("threshold"), "threshold", ReportFormatError)
@@ -493,6 +496,7 @@ def report_from_dict(data: dict) -> AnalysisReport:
     text of the rebuilt matrix, the top-level keys must be ``_REPORT_KEYS``,
     and ``max_delta``, ``bound`` and ``lemma`` must equal the rebuilt
     report's, section by section."""
+    _check_header(data, REPORT_FORMAT, ReportFormatError)
     try:
         matrix = _ENCODER.encode(data.get("delta_matrix"))
     except (TypeError, ValueError, RecursionError):  # not JSON data, so not the writer's
@@ -521,6 +525,11 @@ def _load_written(text: str) -> AnalysisReport | None:
     ints; the rest must be the writer's text of the report with the matrix
     null.  A file in another layout, such as the spaced one written before
     the writer was compact, has no such markers and gives None.
+
+    The rest is compared as text, not as parsed data: ``json.loads`` keeps
+    the last of duplicate keys, so a second ``"delta_matrix"`` key after
+    ``lemma`` would hide from a comparison of the parsed rest, while the
+    whole parse takes that second value as the matrix and refuses it.
     """
     start = text.find(_MATRIX_KEY + "[")
     end = text.rfind(',"max_delta":')
@@ -529,7 +538,9 @@ def _load_written(text: str) -> AnalysisReport | None:
     start += len(_MATRIX_KEY)
     rest = f"{text[:start]}null{text[end:]}"
     try:
-        report = _rebuild(_parse_json(rest, ReportFormatError), text, start, end)
+        data = _parse_json(rest, ReportFormatError)
+        _check_header(data, REPORT_FORMAT, ReportFormatError)
+        report = _rebuild(data, text, start, end)
     except ValueError:
         return None
     return report if json_text(_report_dict(report, None)) == rest else None

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -547,6 +550,22 @@ def test_nonpositive_threshold_domain_error(capsys):
 def test_version_flag(capsys):
     code, out, _ = run_cli(capsys, "--version")
     assert code == 0
+
+
+def test_console_script_target_prints_the_version(capsys, monkeypatch):
+    # the `cuspslopes` script that pip installs calls pyproject's
+    # [project.scripts] target; read with a regex, since tomllib is 3.11+
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text(
+        encoding="utf-8")
+    version = re.search(r'^version = "([^"]+)"$', pyproject, re.M).group(1)
+    module, function = re.search(
+        r'^\[project\.scripts\]\ncuspslopes = "([\w.]+):(\w+)"$', pyproject, re.M
+    ).groups()
+    monkeypatch.setattr(sys, "argv", ["cuspslopes", "--version"])
+    with pytest.raises(SystemExit) as excinfo:
+        getattr(importlib.import_module(module), function)()
+    assert excinfo.value.code == 0
+    assert capsys.readouterr().out == f"cuspslopes {version}\n"
 
 
 def test_module_entry_point():

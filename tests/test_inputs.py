@@ -295,6 +295,20 @@ def test_out_of_range_real_or_modulus_refused_with_a_short_message(call, field, 
     _check_refusal(excinfo, error, field)
 
 
+@pytest.mark.parametrize("x", [[], None, "x", 5], ids=["list", "none", "str", "int"])
+@pytest.mark.parametrize(
+    "parse, error",
+    [(report_from_dict, ReportFormatError), (parse_cusp_records, CuspFileError)],
+    ids=["report", "cusp_file"],
+)
+def test_parser_refuses_a_non_object_with_its_own_error(parse, error, x):
+    # the check a loaded file meets, also when the caller parsed the JSON
+    with pytest.raises(ValueError) as excinfo:
+        parse(x)
+    assert excinfo.type is error
+    assert str(excinfo.value) == "top level must be a JSON object"
+
+
 def _duplicate_record(name: str):
     """The record error of a cusp file holding two records named ``name``, raised."""
     record = {"name": name, "meridian": [1, 0], "longitude": [0, 1]}
@@ -376,9 +390,11 @@ def test_largest_surfaces_audit_without_overflow():
         (["horodisk", "--separation", "1", "0.5"], "radius R"),
         (["horodisk", "--wrapping", "nan", "1"], "epsilon"),
         (["bound", "--length", "inf"], "length threshold"),
+        (["bound", "--area", "-1"], "area floor"),
+        (["horodisk", "--separation", "-1", "2"], "radius r"),
     ],
     ids=["audit_genus", "horodisk_radius", "horodisk_R_below_r", "wrapping_epsilon",
-         "bound_length"],
+         "bound_length", "bound_area", "horodisk_negative_r"],
 )
 def test_cli_refusal_is_one_short_line_naming_the_field(capsys, argv, field):
     code = main(argv)

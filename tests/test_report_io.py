@@ -385,16 +385,29 @@ def _verdict(load):
         return str(e)
 
 
+def _after_lemma(member: str):
+    """An edit appending ``member`` to the report's object, after ``lemma``."""
+    return lambda t: f"{t[:-2]},{member}}}\n"
+
+
 # (id, edit of hex2's report text, fragment of the expected error or None when
-# the edited text must load); only a text path can meet these files
+# the edited text must load); only a text path can meet these files.  The
+# second_matrix_after_lemma rows: json.loads keeps the last of duplicate keys,
+# so the parsed rest of such a file equals the writer's, and only the loader's
+# comparison of the rest as text sends it to the whole parse.
 TEXT_EDITS = [
     (
         "second_matrix_null",
         lambda t: t.replace(',"max_delta":', ',"delta_matrix":null,"max_delta":'),
         "delta_matrix",
     ),
+    ("second_matrix_after_lemma", _after_lemma('"delta_matrix":[[9]]'), "delta_matrix"),
+    ("second_matrix_after_lemma_spaced", _after_lemma('"delta_matrix" :null'), "delta_matrix"),
+    ("second_matrix_after_lemma_escaped", _after_lemma('"delta\\u005fmatrix":[[0]]'),
+     "delta_matrix"),
     ("trailing_bytes", lambda t: t + "x", "not valid JSON"),
     ("trailing_space", lambda t: t + " ", None),
+    ("no_final_newline", lambda t: t[:-1], None),
     ("row_spacing", lambda t: t.replace("[[0,", "[[0, ", 1), None),
     ("matrix_cut_short", lambda t: t.replace("]],", "],", 1), "not valid JSON"),
 ]
@@ -424,6 +437,37 @@ def test_edited_report_text_gets_the_full_verdict(
         assert verdict == hex2_report
     else:
         assert match in verdict
+
+
+def _single_character_edits(text: str, count: int, seed: int):
+    """``count`` seeded copies of ``text``, each with one character inserted,
+    replaced or deleted."""
+    rng = random.Random(seed)
+    # digits, JSON's punctuation, a backslash and the letters of true, false, null
+    alphabet = '0123456789-+.eE,:[]{}" \\aflnrstu'
+    for _ in range(count):
+        i = rng.randrange(len(text))
+        kind = rng.randrange(3)  # 0 inserts, 1 replaces, 2 deletes
+        new = rng.choice(alphabet) if kind < 2 else ""
+        yield text[:i] + new + text[i + (kind > 0):]
+
+
+def test_load_report_route_gives_the_whole_parse_verdict(hex2_shape, tmp_path):
+    # on seeded edits of a small report's text, load_report's cut-out route
+    # (_load_written) accepts only what the whole parse accepts, and otherwise
+    # gives the whole parse's verdict
+    text = report_to_json(build_analysis_report(hex2_shape, 4.0))
+    path = tmp_path / "edited.json"
+    accepted = 0
+    for edited in _single_character_edits(text, 3000, seed=1):
+        path.write_text(edited, encoding="utf-8")
+        expected = _verdict(
+            lambda: report_from_dict(report_io._parse_json(edited, ReportFormatError))
+        )
+        verdict = _verdict(lambda: load_report(path))
+        assert verdict == expected, edited
+        accepted += isinstance(verdict, AnalysisReport)
+    assert 0 < accepted < 3000
 
 
 @pytest.mark.parametrize(
