@@ -9,39 +9,42 @@ A report's Delta matrix stays packed (``slope_search.CrossingMatrix``, one
 unsigned array per row); its text comes from one generator,
 ``_matrix_pieces``, which makes the row texts from the packed rows with each
 distinct entry converted to decimal once, and ``report_to_json`` joins it
-into the rest of the report.  A path of ``-`` reads standard input and
-writes standard output, every byte of it: a write that a closing pipe cuts
-short ends in ``BrokenPipeError``, also when stdout is unbuffered.  A file
-that is not UTF-8 or not JSON (also one nested too deeply to parse) is a
-``CuspFileError`` or ``ReportFormatError``.
+into the rest of the report.  A path of ``-`` reads standard input, whose
+bytes must be UTF-8 as a file's must, and writes standard output, every byte
+of it: a write that a closing pipe cuts short ends in ``BrokenPipeError``,
+also when stdout is unbuffered.  A file that is not UTF-8 or not JSON (also
+one nested too deeply to parse) is a ``CuspFileError`` or
+``ReportFormatError``.  ``save_cusp_file`` refuses a name its loader would
+refuse as repeated.
 
-Loading is strict and follows one rule: a report is rebuilt from its inputs
-(the slope records, threshold, area floor and lemma prime, checked as they
-are read by ``_rebuild``), and the stored Delta matrix must be, character
-for character, the writer's text of the rebuilt matrix.  The writer's text
-of an n x n matrix (n >= 1) has at least 2n^2 + 2n + 1 characters, so a
-shorter one is rejected before the matrix is computed and loading work stays
-bounded by the size of the input.  A file in the writer's layout has its
-matrix cut out of the text and compared in place, so its n^2 entries are
-never parsed, and the rest must be the writer's text of the report.  Any
-other file (another layout, such as the spaced ``", "`` and ``": "`` of
-files written before the writer was compact, or a tampered one) is parsed
-whole by ``report_from_dict``, which encodes the parsed ``delta_matrix``
-with the writer's encoder and compares that text the same way, so
-``true``, ``1.0``, ``null``, ``"1"``, a negated entry and a short or long
-row all fail; it also requires the top-level keys to be the written ones
-(``_REPORT_KEYS``, the one list the writer also uses), and ``max_delta``,
-``bound`` and ``lemma`` equal in JSON type to the rebuilt report's
-``max_delta``, ``bound_to_dict`` and ``lemma_to_dict``.
-The slope records are checked as they are read and are not written again
-to be compared, and an error message is made only when the check fails.  A
-file the first way accepts is one the second accepts with an equal report.
-The loaded report keeps the packed rows and takes ``max_delta`` from them;
-slopes too large for a 64-bit lane are a ``ReportFormatError``.  Whether a
-record is listed at all, and its boundary flag, are derived from its length
-and the threshold by the enumeration's own decision (``slope_search._entry``).
-v1 does not store the cusp basis, so the lengths and the slope list
-themselves cannot be re-derived.
+Loading a report follows one rule, ``_verdict``: the report is rebuilt from
+its inputs (the slope records, threshold, area floor and lemma prime,
+checked as they are read by ``_inputs``), and the data must be what the
+writer makes of it.  The stored Delta matrix must be, character for
+character, the writer's text of the rebuilt matrix; the top-level keys must
+be the written ones (``_REPORT_KEYS``, the one list the writer also uses);
+and ``max_delta``, ``bound`` and ``lemma`` must equal the rebuilt report's
+in JSON type.  Whether a record is listed at all, and its boundary flag,
+are derived from its length and the threshold by the enumeration's own
+decision (``slope_search._entry``); v1 does not store the cusp basis, so the
+lengths and the slope list themselves cannot be re-derived.  The writer's
+text of an n x n matrix (n >= 1) has at least 2n^2 + 2n + 1 characters, so
+a shorter one is refused before the matrix is computed, and loading work
+stays bounded by the size of the input.  A message is made only when a
+check fails.
+
+The two ways in differ only in where the matrix text comes from.
+``report_from_dict`` encodes the parsed ``delta_matrix`` with the writer's
+encoder, so ``true``, ``1.0``, ``null``, ``"1"``, a negated entry and a
+short or long row all fail.  ``load_report`` cuts the matrix out of the
+file's text, and when the rest is exactly the writer's text of what it
+parses to, it judges that data with the cut-out text compared in place, so
+the n^2 entries are never parsed; the data is the whole parse's but for the
+matrix, so this accepts what the whole parse accepts, with an equal report.
+Any other file, or any refusal, gets ``report_from_dict``'s verdict on the
+whole parse.  The loaded report keeps the packed rows and takes
+``max_delta`` from them; slopes too large for a 64-bit lane are a
+``ReportFormatError``.
 
 The module imports only ``cusp_geometry`` of the package.  The report code
 reaches ``slope_search`` and ``bound_calculus`` as attributes of the package
@@ -154,8 +157,9 @@ def _check_header(data, expected_format: str, error_cls) -> None:
 
 def _read_text(path, error_cls) -> str:
     try:
-        if str(path) == "-":
-            return sys.stdin.read()
+        if str(path) == "-":  # bytes held to UTF-8 as a file's are
+            buffer = getattr(sys.stdin, "buffer", None)  # None: a text-only stream
+            return sys.stdin.read() if buffer is None else buffer.read().decode("utf-8")
         with open(path, "r", encoding="utf-8") as f:
             return f.read()
     except UnicodeDecodeError as e:
@@ -221,18 +225,22 @@ def load_cusp_file(path) -> tuple[list[CuspShape], list[RecordError]]:
 
 
 def save_cusp_file(shapes, path, *, sources: dict[str, str] | None = None) -> None:
-    records = []
+    """Write ``shapes`` as a cusp file ('-' writes stdout); an unnamed shape
+    is written as ``cusp<i>``.  A written name that repeats is refused, as
+    the loader would refuse it, before anything is written."""
+    records = {}
     for i, shape in enumerate(shapes):
         name = shape.name or f"cusp{i}"
-        rec = {
+        if name in records:
+            raise CuspFileError(f"duplicate name {_shown(name)}")
+        rec = records[name] = {
             "name": name,
             "meridian": list(shape.meridian),
             "longitude": list(shape.longitude),
         }
         if sources and name in sources:
             rec["source"] = sources[name]
-        records.append(rec)
-    data = {"format": CUSP_FILE_FORMAT, "version": SCHEMA_VERSION, "cusps": records}
+    data = {"format": CUSP_FILE_FORMAT, "version": SCHEMA_VERSION, "cusps": list(records.values())}
     _write_text(path, json_text(data))
 
 
@@ -397,11 +405,10 @@ def _same(x, y) -> bool:
     return x == y
 
 
-def _rebuild(data: dict, text: str, start: int, end: int) -> AnalysisReport:
-    """Check the inputs of a report's data, build the report they determine,
-    and require ``text[start:end]``, the stored Delta matrix, to be exactly
-    the writer's text of the rebuilt matrix (``_matrix_pieces``), compared in
-    place.
+def _inputs(data: dict, matrix_length: int) -> tuple:
+    """The checked inputs of a report's data: ``(shape_name, threshold,
+    entries, query, prime, tool_version, timestamp)``, the arguments of
+    ``_analysis`` but the Delta matrix and ``max_delta``.
 
     The inputs are the slope records, which must be exactly the written ones
     (keys ``a, b, length, boundary``; ``a`` and ``b`` ints with gcd 1 in
@@ -419,9 +426,9 @@ def _rebuild(data: dict, text: str, start: int, end: int) -> AnalysisReport:
     The writer's text of an n x n matrix, n >= 1, has at least 2n^2 + 2n + 1
     characters: each row is ``[``, n numerals of at least one digit, n - 1
     ``,`` and ``]`` (2n + 1), and the matrix is ``[``, n rows, n - 1 ``,``
-    and ``]``.  So a shorter stored matrix is rejected before the matrix is
-    computed: the work done stays bounded by the size of the input.  The
-    caller has checked the header (``_check_header``).
+    and ``]``.  So a stored matrix of fewer than that many characters
+    (``matrix_length``) is refused here, before the matrix is computed: the
+    work done stays bounded by the size of the input.
     """
     slope_search, bound_calculus = _pkg.slope_search, _pkg.bound_calculus
     _require(isinstance(data.get("shape_name"), str), "missing shape_name")
@@ -468,17 +475,33 @@ def _rebuild(data: dict, text: str, start: int, end: int) -> AnalysisReport:
     prime = bound_calculus._modulus(raw_lemma.get("prime"), "lemma prime", ReportFormatError)
 
     timestamp = data.get("timestamp")
-    _require(
-        timestamp is None or isinstance(timestamp, str), "timestamp must be a string"
-    )
+    _require(timestamp is None or isinstance(timestamp, str), "timestamp must be a string")
     tool_version = data.get("tool_version")
     _require(isinstance(tool_version, str), "missing tool_version")
 
-    slopes = [e.slope for e in entries]
-    n = len(slopes)
-    _require(end - start >= 2 * n * n + 2 * n + 1, _MATRIX_MISMATCH)
+    n = len(entries)
+    _require(matrix_length >= 2 * n * n + 2 * n + 1, _MATRIX_MISMATCH)
+    return data["shape_name"], threshold, tuple(entries), query, prime, tool_version, timestamp
+
+
+def _verdict(data: dict, text: str, start: int, end: int) -> AnalysisReport:
+    """The report that ``data``, with ``text[start:end]`` as its stored Delta
+    matrix, determines, or the ``ReportFormatError`` that refuses it; the one
+    verdict of both ``report_from_dict`` and ``load_report``.  The caller has
+    checked the header (``_check_header``).
+
+    The inputs are checked (``_inputs``), the report is rebuilt from them,
+    and the data must match it: the stored matrix must be exactly the
+    writer's text of the rebuilt one (``_matrix_pieces``, compared in
+    place), the top-level keys must be ``_REPORT_KEYS``, and ``max_delta``,
+    ``bound`` and ``lemma`` must equal the rebuilt report's in JSON type
+    (``_same``), section by section.  The value of ``data["delta_matrix"]``
+    is not read.
+    """
+    shape_name, threshold, entries, query, prime, tool_version, timestamp = _inputs(
+        data, end - start)
     try:
-        delta_matrix, max_delta = slope_search.crossing_data(slopes)
+        delta_matrix, max_delta = _pkg.slope_search.crossing_data([e.slope for e in entries])
     except OverflowError as e:
         raise ReportFormatError(f"slopes: {e}") from None
     pos = start
@@ -486,22 +509,8 @@ def _rebuild(data: dict, text: str, start: int, end: int) -> AnalysisReport:
         _require(text.startswith(piece, pos, end), _MATRIX_MISMATCH)
         pos += len(piece)
     _require(pos == end, _MATRIX_MISMATCH)
-    return _analysis(data["shape_name"], threshold, tuple(entries), delta_matrix, max_delta,
-                     query, prime, tool_version, timestamp)
-
-
-def report_from_dict(data: dict) -> AnalysisReport:
-    """Rebuild a report from its inputs (``_rebuild``) and require the data to
-    match it: ``delta_matrix`` must encode (``json_text``) to the writer's
-    text of the rebuilt matrix, the top-level keys must be ``_REPORT_KEYS``,
-    and ``max_delta``, ``bound`` and ``lemma`` must equal the rebuilt
-    report's, section by section."""
-    _check_header(data, REPORT_FORMAT, ReportFormatError)
-    try:
-        matrix = _ENCODER.encode(data.get("delta_matrix"))
-    except (TypeError, ValueError, RecursionError):  # not JSON data, so not the writer's
-        matrix = ""
-    report = _rebuild(data, matrix, 0, len(matrix))
+    report = _analysis(shape_name, threshold, entries, delta_matrix, max_delta, query, prime,
+                       tool_version, timestamp)
     if data.keys() != _REPORT_KEY_SET:
         raise ReportFormatError(
             f"top-level keys {_shown(list(data))} are not {list(_REPORT_KEYS)}"
@@ -515,41 +524,45 @@ def report_from_dict(data: dict) -> AnalysisReport:
     return report
 
 
-def _load_written(text: str) -> AnalysisReport | None:
-    """The report whose ``report_to_json`` text is exactly ``text``, else None.
-
-    The text is parsed with its ``delta_matrix`` value cut out (in the
-    writer's compact layout it runs from ``"delta_matrix":[`` to
-    ``,"max_delta":``), and the report is rebuilt from the inputs with the
-    cut-out matrix checked in place, so the n^2 matrix is never parsed into
-    ints; the rest must be the writer's text of the report with the matrix
-    null.  A file in another layout, such as the spaced one written before
-    the writer was compact, has no such markers and gives None.
-
-    The rest is compared as text, not as parsed data: ``json.loads`` keeps
-    the last of duplicate keys, so a second ``"delta_matrix"`` key after
-    ``lemma`` would hide from a comparison of the parsed rest, while the
-    whole parse takes that second value as the matrix and refuses it.
-    """
-    start = text.find(_MATRIX_KEY + "[")
-    end = text.rfind(',"max_delta":')
-    if not 0 <= start < end:
-        return None
-    start += len(_MATRIX_KEY)
-    rest = f"{text[:start]}null{text[end:]}"
+def report_from_dict(data: dict) -> AnalysisReport:
+    """Rebuild a report from parsed JSON data and require the data to match
+    it (``_verdict``); the stored matrix is ``delta_matrix`` encoded by the
+    writer's encoder, so any value but the rebuilt matrix of ints fails."""
+    _check_header(data, REPORT_FORMAT, ReportFormatError)
     try:
-        data = _parse_json(rest, ReportFormatError)
-        _check_header(data, REPORT_FORMAT, ReportFormatError)
-        report = _rebuild(data, text, start, end)
-    except ValueError:
-        return None
-    return report if json_text(_report_dict(report, None)) == rest else None
+        matrix = _ENCODER.encode(data.get("delta_matrix"))
+    except (TypeError, ValueError, RecursionError):  # not JSON data, so not the writer's
+        matrix = ""
+    return _verdict(data, matrix, 0, len(matrix))
 
 
 def load_report(path) -> AnalysisReport:
-    """Read a saved report.  A file that is exactly the writer's text of the
-    report its inputs determine is accepted as such (``_load_written``); any
-    other file is parsed whole and checked by ``report_from_dict``."""
+    """Read a saved report and give ``report_from_dict``'s verdict on the
+    whole parse of its text.
+
+    The stored matrix is first cut out of the text: in the writer's compact
+    layout its value runs from ``"delta_matrix":[`` to ``,"max_delta":``.
+    When the rest of the text, with ``null`` for the matrix, parses and is
+    exactly the writer's text of what it parses to (``json_text``), the
+    verdict is ``_verdict`` on that data with the cut-out matrix compared in
+    place, so the n^2 entries are never parsed.  The rest is the whole
+    parse's data but for the matrix, so a report this route accepts is the
+    one the whole parse gives; on any refusal the whole text is parsed and
+    judged by ``report_from_dict``, whose message the caller sees.  The rest
+    is compared as text, before anything is rebuilt: ``json.loads`` keeps
+    the last of duplicate keys, so a second ``"delta_matrix"`` after
+    ``lemma`` parses to data whose writer's text is not the rest.
+    """
     text = _read_text(path, ReportFormatError)
-    report = _load_written(text)
-    return report if report is not None else report_from_dict(_parse_json(text, ReportFormatError))
+    start = text.find(_MATRIX_KEY + "[") + len(_MATRIX_KEY)
+    end = text.rfind(',"max_delta":')
+    if len(_MATRIX_KEY) <= start < end:
+        rest = f"{text[:start]}null{text[end:]}"
+        try:
+            data = _parse_json(rest, ReportFormatError)
+            if json_text(data) == rest:
+                _check_header(data, REPORT_FORMAT, ReportFormatError)
+                return _verdict(data, text, start, end)
+        except (ValueError, RecursionError):
+            pass  # the whole parse gives the verdict
+    return report_from_dict(_parse_json(text, ReportFormatError))

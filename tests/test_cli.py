@@ -492,6 +492,21 @@ def test_malformed_cusp_file_is_one_error_line(capsys, tmp_path, content):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_cusp_file_on_stdin_is_held_to_utf8():
+    # a Latin-1 name is refused on standard input as it is in a file given
+    # by path, whatever encoding the interpreter gives its stdin
+    cusp = '{"format":"cusp-file","version":"v1","cusps":[{"name":"M\xf6",' \
+           '"meridian":[1.0,0.0],"longitude":[0.0,1.0]}]}\n'
+    proc = subprocess.run(
+        [sys.executable, "-m", "cuspslopes", "slopes", "--cusp", "-", "--name", "M\xf6"],
+        input=cusp.encode("latin-1"),
+        capture_output=True,
+        env={**os.environ, "PYTHONIOENCODING": "latin-1"},
+    )
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr.startswith(b"error: not UTF-8")
+
+
 def test_closed_stdout_pipe_stops_quietly():
     # as `cuspslopes slopes ... | head -1`: 3,974 table lines, about 125 kB,
     # are past a pipe's buffer, so the writer meets the closed pipe

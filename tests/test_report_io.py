@@ -165,10 +165,56 @@ def test_cusp_file_is_the_stdlib_compact_json(tmp_path):
     ]})
 
 
+@pytest.mark.parametrize(
+    "shapes",
+    [
+        [CuspShape((2.0, 0.0), (1.0, math.sqrt(3.0)), name="cusp1"), CuspShape((1, 0), (0, 1))],
+        [CuspShape((2.0, 0.0), (1.0, math.sqrt(3.0)), name="cusp1"),
+         CuspShape((1, 0), (0, 1), name="cusp1")],
+    ],
+    ids=["generated_name_repeats", "explicit_name_repeats"],
+)
+def test_save_cusp_file_refuses_repeated_names(tmp_path, capsys, shapes):
+    # the loader refuses the second record of such a file; the writer
+    # refuses the file, in the loader's words, before writing anything
+    path = tmp_path / "out.json"
+    save_cusp_file(shapes[:1], path)
+    data = json.loads(path.read_text())
+    data["cusps"].append({**data["cusps"][0]})
+    path.write_text(json_text(data))
+    _, errors = load_cusp_file(path)
+    assert [(e.index, e.message) for e in errors] == [(1, "duplicate name 'cusp1'")]
+    path.unlink()
+    for out in (path, "-"):
+        with pytest.raises(CuspFileError, match="^duplicate name 'cusp1'$"):
+            save_cusp_file(shapes, out)
+    assert not path.exists()
+    assert capsys.readouterr().out == ""
+
+
 def test_stdin_ingestion(monkeypatch, fixtures_dir):
     monkeypatch.setattr("sys.stdin", io.StringIO((fixtures_dir / "hex2.json").read_text()))
     shapes, errors = load_cusp_file("-")
     assert errors == [] and len(shapes) == 2
+
+
+def _stdin_bytes(monkeypatch, data: bytes, encoding: str) -> None:
+    """Make standard input a text stream of ``encoding`` over ``data``."""
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding=encoding))
+
+
+def test_stdin_is_held_to_utf8(hex2_shape, monkeypatch):
+    # standard input is decoded as UTF-8, whatever the stream's own encoding,
+    # as a file given by path is
+    report = build_analysis_report(CuspShape(hex2_shape.meridian, hex2_shape.longitude,
+                                             name="M\xf6bius"), 4.0)
+    text = report_to_json(report).replace("\\u00f6", "\xf6")  # the name's letter unescaped
+    assert "M\xf6bius" in text
+    _stdin_bytes(monkeypatch, text.encode("utf-8"), "latin-1")
+    assert load_report("-") == report
+    _stdin_bytes(monkeypatch, text.encode("latin-1"), "latin-1")
+    with pytest.raises(ReportFormatError, match="not UTF-8"):
+        load_report("-")
 
 
 def test_find_shape_error_lists_names():
@@ -485,6 +531,47 @@ def test_other_layouts_load(hex2_report, tmp_path, layout):
     path = tmp_path / "layout.json"
     path.write_text(text)
     assert load_report(path) == report_from_dict(json.loads(text)) == hex2_report
+
+
+@pytest.fixture(scope="module")
+def hex2_at_60_text():
+    """The writer's text of hex2's report at T = 60 (990 slopes, 3.7 MB)."""
+    shapes, _ = load_cusp_file(FIXTURES / "hex2.json")
+    return report_to_json(build_analysis_report(find_shape(shapes, "hex2"), 60.0))
+
+
+def _second_matrix_after_lemma(text: str) -> str:
+    matrix = text[text.index('"delta_matrix":'):text.rindex(',"max_delta":')]
+    return _after_lemma(matrix)(text)
+
+
+# Layout-only edits of a report's text: each must be rebuilt once by
+# load_report.  A second "delta_matrix" after lemma may be refused before.
+LAYOUTS = [
+    ("writer", lambda t: t),
+    ("no_final_newline", lambda t: t[:-1]),
+    ("trailing_space", lambda t: t + " "),
+    ("int_threshold", lambda t: t.replace('"threshold":60.0,', '"threshold":60,', 1)),
+    ("spaced", lambda t: json.dumps(json.loads(t))),
+    ("indent_2", lambda t: json.dumps(json.loads(t), indent=2)),
+    ("reversed_keys", lambda t: json_text(dict(reversed(json.loads(t).items())))),
+    ("second_matrix_after_lemma", _second_matrix_after_lemma),
+]
+
+
+@pytest.mark.parametrize("name, layout", LAYOUTS, ids=[name for name, _ in LAYOUTS])
+def test_loadable_file_is_rebuilt_once(hex2_at_60_text, tmp_path, monkeypatch, name, layout):
+    text = layout(hex2_at_60_text)
+    assert (text == hex2_at_60_text) == (name == "writer")
+    path = tmp_path / "layout.json"
+    path.write_text(text)
+    expected = _verdict(lambda: report_from_dict(json.loads(text)))
+    calls = []
+    crossing_data = slope_search.crossing_data
+    monkeypatch.setattr(slope_search, "crossing_data",
+                        lambda slopes: calls.append(len(slopes)) or crossing_data(slopes))
+    assert _verdict(lambda: load_report(path)) == expected
+    assert calls == [990] or name == "second_matrix_after_lemma" and calls in ([], [990])
 
 
 # A stored matrix must be exactly the writer's text of the rebuilt one, and

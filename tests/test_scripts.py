@@ -28,3 +28,21 @@ def test_reproduce_bounds_headline():
     assert proc.returncode == 0, proc.stderr
     assert "slopes <= 12" in proc.stdout
 
+
+
+def test_code_lines_counts_each_module(tmp_path):
+    # a docstring, a comment, a blank line and a bare string statement are not
+    # code; a string inside an expression is, on every line it spans
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "a.py").write_text('"""Doc."""\n\n# note\nx = 1  # one\n"bare"\n')
+    (tmp_path / "sub" / "b.py").write_text('def f():\n    """Doc\n    more."""\n'
+                                           '    return """two\nlines"""\n')
+    proc = run_script("code_lines.py", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == ["     1  a.py", "     3  sub/b.py", "     4  total", ""]
+    package = run_script("code_lines.py")
+    assert package.returncode == 0, package.stderr
+    modules = package.stdout.splitlines()
+    assert any(m.endswith("  report_io.py") for m in modules)
+    assert modules[-1].endswith("  total")
+    assert sum(int(m.split()[0]) for m in modules[:-1]) == int(modules[-1].split()[0])
