@@ -37,10 +37,11 @@ The two ways in differ only in where the matrix text comes from.
 ``report_from_dict`` encodes the parsed ``delta_matrix`` with the writer's
 encoder, so ``true``, ``1.0``, ``null``, ``"1"``, a negated entry and a
 short or long row all fail.  ``load_report`` cuts the matrix out of the
-file's text, and when the rest is exactly the writer's text of what it
-parses to, it judges that data with the cut-out text compared in place, so
-the n^2 entries are never parsed; the data is the whole parse's but for the
-matrix, so this accepts what the whole parse accepts, with an equal report.
+file's text, and when the rest is the writer's text of what it parses to
+(up to the whitespace after the value, which carries no data), it judges
+that data with the cut-out text compared in place, so the n^2 entries are
+never parsed; the data is the whole parse's but for the matrix, so this
+accepts what the whole parse accepts, with an equal report.
 Any other file, or any refusal, gets ``report_from_dict``'s verdict on the
 whole parse.  The loaded report keeps the packed rows and takes
 ``max_delta`` from them; slopes too large for a 64-bit lane are a
@@ -543,15 +544,17 @@ def load_report(path) -> AnalysisReport:
     The stored matrix is first cut out of the text: in the writer's compact
     layout its value runs from ``"delta_matrix":[`` to ``,"max_delta":``.
     When the rest of the text, with ``null`` for the matrix, parses and is
-    exactly the writer's text of what it parses to (``json_text``), the
-    verdict is ``_verdict`` on that data with the cut-out matrix compared in
-    place, so the n^2 entries are never parsed.  The rest is the whole
-    parse's data but for the matrix, so a report this route accepts is the
-    one the whole parse gives; on any refusal the whole text is parsed and
-    judged by ``report_from_dict``, whose message the caller sees.  The rest
-    is compared as text, before anything is rebuilt: ``json.loads`` keeps
-    the last of duplicate keys, so a second ``"delta_matrix"`` after
-    ``lemma`` parses to data whose writer's text is not the rest.
+    the writer's text of what it parses to (``json_text``), up to the JSON
+    whitespace (space, tab, LF, CR) after the value, which carries no data
+    (RFC 8259, section 2), the verdict is ``_verdict`` on that data with the
+    cut-out matrix compared in place, so the n^2 entries are never parsed.
+    The rest is the whole parse's data but for the matrix, so a report this
+    route accepts is the one the whole parse gives; on any refusal the whole
+    text is parsed and judged by ``report_from_dict``, whose message the
+    caller sees.  The rest is compared as text, before anything is rebuilt:
+    ``json.loads`` keeps the last of duplicate keys, so a second
+    ``"delta_matrix"`` after ``lemma`` parses to data whose writer's text is
+    not the rest.
     """
     text = _read_text(path, ReportFormatError)
     start = text.find(_MATRIX_KEY + "[") + len(_MATRIX_KEY)
@@ -560,7 +563,7 @@ def load_report(path) -> AnalysisReport:
         rest = f"{text[:start]}null{text[end:]}"
         try:
             data = _parse_json(rest, ReportFormatError)
-            if json_text(data) == rest:
+            if json_text(data) == rest.rstrip(" \t\n\r") + "\n":
                 _check_header(data, REPORT_FORMAT, ReportFormatError)
                 return _verdict(data, text, start, end)
         except (ValueError, RecursionError):

@@ -10,30 +10,42 @@ so the work does not grow with the skew of the marking.  The reduced basis
 only chooses which candidates are checked: every length, and the inclusion
 decision, is computed in the marked basis.
 
+Every length is compared with the threshold T relatively, through one
+constant, ``LENGTH_RTOL`` (rho = 2^-40 = 4096 eps): ``_entry`` keeps a
+slope whose computed length is at most T + T*rho and flags it boundary when
+that length is at least T - T*rho, so rounding cannot silently drop an
+equality case.  The scan's other tests compare lengths that scale together
+(R^2 against j^2 A^2/|u|^2) or ratios of lengths (c, h, delta).
+Multiplying by a power of two is exact in binary64, so scaling the shape and
+T by 2^k (short of overflow and subnormals) scales every length by exactly
+2^k and changes no decision.  The rows are found in units of a power of two
+near |u|, so their squares neither overflow nor underflow on a shape far
+from unit scale.
+
 Only the disc is scanned, one row at a time (Fincke-Pohst, "Improved methods
 for calculating vectors of short length in a lattice", Math. Comp. 1985, in
 rank 2).  Row j >= 1 of the reduced lattice, i*u + j*v, meets the disc
 |x| <= R for i in [c - h, c + h], where c = -j (u.v)/|u|^2 and
 h = sqrt(R^2 - j^2 A^2/|u|^2)/|u| (A = det(u, v)), while
-R^2 - j^2 A^2/|u|^2 >= 0; row 0 holds the one slope u.  R is
-threshold * (1 + margin) + tol widened by a relative 8 delta, where delta
-bounds the rounding of u and v: each is formed in floats from its integer
-coordinates (a, b), off by at most 4 eps (|a||m| + |b||l|), and delta is
-that bound over |u| or |v|.  For a
-reduced basis |i||u| + |j||v| <= 2 |i*u + j*v|, so the rounding of u and v
-moves a lattice point by at most a relative 2 delta, and a marked-basis
-length, whose error is a few ulps of |a||m| + |b||l| <= |i| (|U_a||m| +
-|U_b||l|) + |j| (|V_a||m| + |V_b||l|), is off by at most about delta/2 of
-it.  So every slope the length test includes lies in the disc, however
-skewed the marking.  The interval is widened by 1e-9 (|c| + R/|u| + 1),
+R^2 - j^2 A^2/|u|^2 >= 0; row 0 holds the one slope u.  R is T (1 + rho)
+widened by a relative 8 delta, where delta bounds the rounding of u and v:
+each is formed in floats from its integer coordinates (a, b), off by at most
+4 eps (|a||m| + |b||l|), and delta is that bound over |u| or |v|, so
+delta >= 4 eps.  For a reduced basis |i||u| + |j||v| <= 2 |i*u + j*v|, so the
+rounding of u and v moves a lattice point by at most a relative 2 delta, and
+a marked-basis length, whose error is a few ulps of |a||m| + |b||l| <=
+|i| (|U_a||m| + |U_b||l|) + |j| (|V_a||m| + |V_b||l|), is off by at most
+about delta/2 of it.  So every slope ``_entry`` keeps lies within
+T (1 + rho)(1 + 3 delta) of the origin in the scanned basis, however skewed
+the marking.  The rest of the widening, at least 20 eps, covers the few ulps
+by which R^2 - j^2 A^2/|u|^2 is rounded (the scan stops at the first row
+where it is negative).  Each interval is widened by rho (|c| + R/|u| + 1),
 far more than the few ulps of |c| + R/|u| by which rounding can move c and
-h.  Rounding in R^2 - j^2 A^2/|u|^2 (the scan stops at the first row where
-it is negative) can only drop points within a relative few ulps of R, which
-the margins leave out.  The scan checks about as many candidates as it keeps,
-and ``_entry`` still decides each one.  The map (i, j) -> (a, b) to the
-marked basis is unimodular, so gcd(i, j) = 1 gives a primitive (a, b), and
-each candidate is built by the trusted ``cusp_geometry._slope``, which only
-puts the sign in canonical form (j >= 0 does not make b >= 0).
+h.  The scan checks about as many candidates as it keeps, and ``_entry``
+decides each one.  The map (i, j) -> (a, b) to the marked basis is
+unimodular, so gcd(i, j) = 1 gives a primitive (a, b), and each candidate is
+built by the trusted ``cusp_geometry._slope``, which only puts the sign in
+canonical form (j >= 0 does not make b >= 0).
 
 The crossing matrix Delta(s, t) = |ad - bc| is computed a whole row at a
 time with full-word lane arithmetic (Lamport, "Multiple byte processing with
@@ -52,7 +64,7 @@ n^2 Python ints.  A saved matrix is not compared here: ``report_io``
 recomputes the rows and checks the stored matrix as text, against the
 writer's text of them (at least 2n^2 + 2n + 1 characters).  Slopes with
 2*max|a|*max|b| >= 2^63 raise ``OverflowError``; they need markings skewed
-far past what ``_REDUCED_BOX_MARGIN`` covers.
+far past any census marking.
 """
 
 from __future__ import annotations
@@ -68,24 +80,11 @@ from .cusp_geometry import CuspShape, Slope, Vec2, _positive, _set, _slope, _Val
 # Slopes strictly longer than this have hyperbolike fillings.
 SIX_THEOREM_LENGTH = 6.0
 
-# Lengths within this of the threshold are included and flagged, so census
-# noise cannot silently drop an equality case.
-BOUNDARY_TOL = 1e-12
-
-# Relative widening of the threshold for the reduced-basis disc.  A length is
-# computed in the marked basis as hypot(a*mx + b*lx, a*my + b*ly), whose
-# error is a few ulps of |a||m| + |b||l|.  On a marking skewed to
-# longitude + k*meridian that is about 4|k|*eps of the length (eps = 2.2e-16),
-# so every slope the length test includes lies inside the widened disc that
-# ``enumerate_short_slopes`` scans while |k| stays below about 10^6.  For any
-# marking, the rounding bound delta of the scan covers that error; this
-# margin stays as a floor.
-_REDUCED_BOX_MARGIN = 1e-9
-
-# Relative slack of the test for a marking that is already reduced.  Without
-# it, rounding puts |(1, sqrt 3)|^2 just under 4, so the reduced hexagonal
-# marking ((2, 0), (1, sqrt 3)) would be swapped for another basis.
-_REDUCED_SLACK = 1e-9
+# The one length tolerance, relative to the threshold, a power of two so that
+# T*rho is exact: the boundary band of ``_entry``, the widening of the scanned
+# disc and of its rows, and the slack of the already-reduced test (module
+# docstring).  At T = 6 the band is 5.5e-12 wide on either side.
+LENGTH_RTOL = 2.0 ** -40
 
 # (lane bits, typecode of the unsigned array item of that size), narrowest first.
 _LANES = tuple(sorted({array(code).itemsize * 8: code for code in "BHILQ"}.items()))
@@ -108,11 +107,11 @@ class SlopeEntry(_Value):
 def _entry(s: Slope, length: float, threshold: float) -> SlopeEntry | None:
     """The one inclusion and boundary decision, shared by the enumeration,
     classification and the report loader: the entry of slope s of this
-    length, flagged boundary when the length is within BOUNDARY_TOL of the
-    threshold, or None when s is not short (longer than threshold +
-    BOUNDARY_TOL)."""
-    if length <= threshold + BOUNDARY_TOL:
-        return SlopeEntry(s, length, length >= threshold - BOUNDARY_TOL)
+    length, flagged boundary when the length is within a relative
+    LENGTH_RTOL of the threshold, or None when s is not short (longer than
+    threshold * (1 + LENGTH_RTOL), computed as T + T*rho)."""
+    if length <= threshold + threshold * LENGTH_RTOL:
+        return SlopeEntry(s, length, length >= threshold - threshold * LENGTH_RTOL)
     return None
 
 
@@ -198,10 +197,12 @@ def _reduced_basis(shape: CuspShape) -> tuple[Vec2, Vec2, tuple[int, int], tuple
     """Reduced basis u, v of the cusp lattice (det(u, v) > 0) and the exact
     integer coordinates U, V of u and v in the marked basis.
 
-    A marking already reduced within a relative ``_REDUCED_SLACK``, that is
-    with 2|m.l| <= (1 + slack) * min(|m|^2, |l|^2), is kept as it is: then
+    A marking already reduced within a relative ``LENGTH_RTOL``, that is
+    with 2|m.l| <= (1 + rho) * min(|m|^2, |l|^2), is kept as it is: then
     U, V = (1, 0), (0, 1) and the shorter of u and v is the shortest lattice
-    vector (to a relative slack/2).  Any other marking is reduced with
+    vector (to a relative rho/2).  Without the slack, rounding puts
+    |(1, sqrt 3)|^2 just under 4, so the reduced hexagonal marking
+    ((2, 0), (1, sqrt 3)) would be swapped for another basis.  Any other marking is reduced with
     Lagrange-Gauss, which leaves u the shortest vector.  Each vector is
     recomputed from its integer coordinates, so float error does not build up
     over the steps.
@@ -216,7 +217,7 @@ def _reduced_basis(shape: CuspShape) -> tuple[Vec2, Vec2, tuple[int, int], tuple
 
     U, V = (1, 0), (0, 1)
     u, v = shape.meridian, shape.longitude
-    if 2.0 * abs(mx * lx + my * ly) <= (1.0 + _REDUCED_SLACK) * min(norm2(u), norm2(v)):
+    if 2.0 * abs(mx * lx + my * ly) <= (1.0 + LENGTH_RTOL) * min(norm2(u), norm2(v)):
         return u, v, U, V
     if norm2(v) < norm2(u):
         U, V, u, v = V, U, v, u
@@ -234,10 +235,9 @@ def _reduced_basis(shape: CuspShape) -> tuple[Vec2, Vec2, tuple[int, int], tuple
 
 
 def enumerate_short_slopes(shape: CuspShape, threshold: float) -> ShortSlopeReport:
-    """All primitive slope classes with length <= threshold (+ boundary tol).
-
-    Included slopes longer than threshold - BOUNDARY_TOL are flagged boundary.
-    """
+    """All primitive slope classes with length <= threshold, within a
+    relative LENGTH_RTOL; those within it of the threshold are flagged
+    boundary (``_entry``)."""
     threshold = _positive(threshold, "threshold")
 
     u, v, U, V = _reduced_basis(shape)
@@ -249,14 +249,18 @@ def enumerate_short_slopes(shape: CuspShape, threshold: float) -> ShortSlopeRepo
         (abs(U[0]) * norm_m + abs(U[1]) * norm_l) / math.hypot(*u),
         (abs(V[0]) * norm_m + abs(V[1]) * norm_l) / math.hypot(*v),
     )
-    radius = (threshold * (1.0 + _REDUCED_BOX_MARGIN) + BOUNDARY_TOL) * (1.0 + 8.0 * delta)
+    # The rows are found with u, v and R times 2^e, which puts |u| in
+    # [1/2, 1): exact, so the rows are the same, and no square below under-
+    # or overflows however large or small the shape.
+    e = -math.frexp(math.hypot(*u))[1]
+    (ux, uy), (vx, vy) = ((math.ldexp(x, e), math.ldexp(y, e)) for x, y in (u, v))
     # Row j of the disc of radius R: |i*u + j*v|^2 = |u|^2 (i - j*shift)^2 +
     # (j*rise)^2, with rise the height of v over the line through u.
-    uu = u[0] * u[0] + u[1] * u[1]
-    shift = -(u[0] * v[0] + u[1] * v[1]) / uu
-    rise2 = (u[0] * v[1] - u[1] * v[0]) ** 2 / uu
-    r2 = radius * radius
-    rho = math.sqrt(r2 / uu)  # R/|u|, the widest half-row
+    uu = ux * ux + uy * uy
+    shift = -(ux * vx + uy * vy) / uu
+    rise2 = (ux * vy - uy * vx) ** 2 / uu
+    r2 = (math.ldexp(threshold, e) * (1.0 + LENGTH_RTOL) * (1.0 + 8.0 * delta)) ** 2
+    widest = math.sqrt(r2 / uu)  # R/|u|, the widest half-row
     (ua, ub), (va, vb) = U, V  # the (a, b) coordinates of u and v
     found: list[SlopeEntry] = []
     j, lo, hi = 0, 1, 1  # row 0 holds the one slope u
@@ -275,7 +279,7 @@ def enumerate_short_slopes(shape: CuspShape, threshold: float) -> ShortSlopeRepo
             break
         c = j * shift
         # h plus the slack for the rounding of c and h (module docstring)
-        reach_i = math.sqrt(d / uu) + 1e-9 * (abs(c) + rho + 1.0)
+        reach_i = math.sqrt(d / uu) + LENGTH_RTOL * (abs(c) + widest + 1.0)
         lo, hi = math.ceil(c - reach_i), math.floor(c + reach_i)
 
     found.sort(key=_entry_key)
@@ -336,8 +340,9 @@ def crossing_data(slopes) -> tuple[CrossingMatrix, int]:
 def classify_slope(
     shape: CuspShape, s: Slope, threshold: float = SIX_THEOREM_LENGTH
 ) -> SlopeClass:
-    """Slopes the enumeration leaves out (longer than threshold + BOUNDARY_TOL)
-    have hyperbolike fillings; every slope it lists is a candidate."""
+    """Slopes the enumeration leaves out (longer than threshold * (1 +
+    LENGTH_RTOL), by ``_entry``) have hyperbolike fillings; every slope it
+    lists is a candidate."""
     if _entry(s, slope_length(shape, s), _positive(threshold, "threshold")) is None:
         return SlopeClass.HYPERBOLIKE_GUARANTEED
     return SlopeClass.CANDIDATE_EXCEPTIONAL

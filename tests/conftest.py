@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from cuspslopes.cusp_geometry import CuspShape, Slope, area
-from cuspslopes.slope_search import BOUNDARY_TOL
+from cuspslopes.slope_search import LENGTH_RTOL
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -59,7 +59,7 @@ def search_box(shape: CuspShape, threshold: float) -> tuple[int, int]:
     l, so |a| <= threshold*|l|/area; symmetrically for b.
     """
     a = area(shape)
-    reach = threshold + BOUNDARY_TOL
+    reach = threshold * (1.0 + LENGTH_RTOL)
     amax = math.ceil(reach * math.hypot(*shape.longitude) / a + 1e-9)
     bmax = math.ceil(reach * math.hypot(*shape.meridian) / a + 1e-9)
     return amax, bmax
@@ -67,17 +67,19 @@ def search_box(shape: CuspShape, threshold: float) -> tuple[int, int]:
 
 # A slope whose exact squared length is this close (relative) to T^2 is too
 # close to call from binary64 inputs; either decision is accepted for it.
-# The inclusion tolerance, 1e-12 on lengths of at least 0.3, lies inside it.
+# The program's inclusion tolerance, LENGTH_RTOL = 2^-40 (9.1e-13) relative
+# to the threshold, lies inside it.
 AMBIGUOUS_REL = 1e-10
 
 
 def exact_short_slopes(shape: CuspShape, threshold: float, box: int):
     """Exact oracle of the inclusion decision, apart from the program's
-    ``hypot(...) <= threshold + 1e-12``: the primitive classes with |a|, |b|
-    <= box whose squared length, in ``Fraction`` arithmetic on the binary64
-    coordinates, is below threshold^2 (``sure``), and those within a relative
-    ``AMBIGUOUS_REL`` of it (``ambiguous``).  Lengths more than a relative
-    1e-6 from the threshold are decided in floats.  Returns (sure, ambiguous).
+    relative tolerance (``slope_search._entry``): the primitive classes with
+    |a|, |b| <= box whose squared length, in ``Fraction`` arithmetic on the
+    binary64 coordinates, is below threshold^2 (``sure``), and those within a
+    relative ``AMBIGUOUS_REL`` of it (``ambiguous``).  Lengths more than a
+    relative 1e-6 from the threshold are decided in floats.  Returns (sure,
+    ambiguous).
     """
     mx, my = shape.meridian
     lx, ly = shape.longitude
@@ -117,6 +119,13 @@ def random_shape(rng: random.Random, name: str | None = None) -> CuspShape:
         det = m[0] * l[1] - m[1] * l[0]
         if abs(det) > 0.3 and math.hypot(*m) > 0.4 and math.hypot(*l) > 0.4:
             return CuspShape(m, l, name=name)
+
+
+def rescaled(shape: CuspShape, k: int) -> CuspShape:
+    """The shape multiplied by 2^k, which is exact in binary64."""
+    (mx, my), (lx, ly) = shape.meridian, shape.longitude
+    return CuspShape((math.ldexp(mx, k), math.ldexp(my, k)),
+                     (math.ldexp(lx, k), math.ldexp(ly, k)), name=shape.name)
 
 
 def random_slope(rng: random.Random, max_coord: int = 20) -> Slope:

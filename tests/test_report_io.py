@@ -16,6 +16,7 @@ import pytest
 
 from cuspslopes import bound_calculus, cusp_geometry, report_io, slope_search
 from cuspslopes.cusp_geometry import CuspShape, Slope
+from cuspslopes.diagram import DiagramSpec, emit_lattice_svg
 from cuspslopes.report_io import (
     AnalysisReport,
     CuspFileError,
@@ -34,7 +35,7 @@ from cuspslopes.report_io import (
 )
 from cuspslopes.slope_search import enumerate_short_slopes
 
-from conftest import FIXTURES, random_shape, run_timed
+from conftest import FIXTURES, random_shape, rescaled, run_timed
 
 
 # ---------------------------------------------------------------- cusp files
@@ -242,6 +243,30 @@ def test_report_round_trip_bytes_stable(hex2_report):
     text = report_to_json(hex2_report)
     again = report_to_json(report_from_dict(json.loads(text)))
     assert again == text
+
+
+@pytest.mark.parametrize("k", [-45, -40, 20, 40])
+def test_rescaled_hex2_gives_hex2s_report_and_diagram(hex2_shape, hex2_report, tmp_path, k):
+    # hex2 and T scaled by 2^k (exact in binary64): the same slopes, flags,
+    # matrix, bound and lemma, every length 2^k times hex2's, and the golden
+    # diagram byte for byte
+    shape, threshold = rescaled(hex2_shape, k), math.ldexp(6.0, k)
+    svg = emit_lattice_svg(DiagramSpec(enumerate_short_slopes(shape, threshold),
+                                       label_slopes=True))
+    assert svg.encode("utf-8") == (FIXTURES / "goldens" / "hex2_threshold6.svg").read_bytes()
+    report, base = build_analysis_report(shape, threshold), hex2_report
+    assert [(e.slope, e.boundary) for e in report.entries] == [
+        (e.slope, e.boundary) for e in base.entries]
+    assert [e.length for e in report.entries] == [math.ldexp(e.length, k) for e in base.entries]
+    assert (report.delta_matrix, report.max_delta, report.lemma) == (
+        base.delta_matrix, base.max_delta, base.lemma)
+    query = bound_calculus.BoundQuery(threshold, math.ldexp(base.bound.query.area_floor, 2 * k))
+    assert report.bound == bound_calculus.BoundReport(
+        query, base.bound.delta_max, base.bound.prime, base.bound.count_bound,
+        base.bound.floor_guard_hit)
+    path = tmp_path / "rescaled.json"
+    save_report(report, path)
+    assert load_report(path) == report
 
 
 def test_report_seventeen_digit_floats(hex2_report):
@@ -476,9 +501,10 @@ def test_edited_report_text_gets_the_full_verdict(
     )
     verdict = _verdict(lambda: load_report(path))
     assert verdict == expected
-    # only the writer's exact text is accepted without the full check, which
-    # is not reached when the text is not JSON
-    assert len(full) == (0 if match == "not valid JSON" else 1)
+    # only the writer's text, up to trailing whitespace, is accepted without
+    # the full check, which is not reached when the text is not JSON
+    writers = text.rstrip(" \t\n\r") + "\n" == report_to_json(hex2_report)
+    assert len(full) == (0 if match == "not valid JSON" or writers else 1)
     if match is None:
         assert verdict == hex2_report
     else:
@@ -500,8 +526,9 @@ def _single_character_edits(text: str, count: int, seed: int):
 
 def test_load_report_route_gives_the_whole_parse_verdict(hex2_shape, tmp_path):
     # on seeded edits of a small report's text, load_report's cut-out route
-    # (_load_written) accepts only what the whole parse accepts, and otherwise
-    # gives the whole parse's verdict
+    # (the verdict on the rest, with the matrix compared in place) accepts
+    # only what the whole parse accepts, and otherwise gives the whole
+    # parse's verdict
     text = report_to_json(build_analysis_report(hex2_shape, 4.0))
     path = tmp_path / "edited.json"
     accepted = 0

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from cuspslopes import slope_search
 from cuspslopes.cusp_geometry import CuspShape, Slope, intersection_number, slope_length
 from cuspslopes.slope_search import (
-    BOUNDARY_TOL,
     SIX_THEOREM_LENGTH,
     SlopeClass,
     classify_slope,
@@ -27,6 +26,7 @@ from conftest import (
     mat_mul,
     random_shape,
     random_unimodular,
+    rescaled,
     search_box,
     transform_slope,
 )
@@ -357,9 +357,9 @@ def marked_box_scan(shape: CuspShape, threshold: float) -> list[tuple[Slope, flo
             if math.gcd(a, b) != 1:
                 continue
             s = Slope(a, b)
-            length = slope_length(shape, s)
-            if length <= threshold + BOUNDARY_TOL:
-                found.append((s, length, length >= threshold - BOUNDARY_TOL))
+            entry = slope_search._entry(s, slope_length(shape, s), threshold)
+            if entry is not None:
+                found.append((s, entry.length, entry.boundary))
     found.sort(key=lambda e: (e[1], (e[0].a, e[0].b)))
     return found
 
@@ -507,9 +507,9 @@ def wide_reduced_scan(shape: CuspShape, threshold: float) -> list[tuple[Slope, f
             if math.gcd(i, j) != 1:
                 continue
             s = Slope(i * U[0] + j * V[0], i * U[1] + j * V[1])
-            length = slope_length(shape, s)
-            if length <= threshold + BOUNDARY_TOL:
-                found.append((s, length, length >= threshold - BOUNDARY_TOL))
+            entry = slope_search._entry(s, slope_length(shape, s), threshold)
+            if entry is not None:
+                found.append((s, entry.length, entry.boundary))
     found.sort(key=lambda e: (e[1], (e[0].a, e[0].b)))
     return found
 
@@ -528,3 +528,39 @@ def test_heavily_skewed_markings_match_a_wide_reduced_scan():
         report = enumerate_short_slopes(shape, threshold)
         got = [(e.slope, e.length, e.boundary) for e in report.entries]
         assert got == wide_reduced_scan(shape, threshold)
+
+
+# ------------------------------------------------------------ scale invariance
+
+
+def _scale_cases(hex2_shape: CuspShape) -> list[tuple[str, CuspShape, float]]:
+    """hex2, the sharp 6 x 6 square at T = 6 and just above it, and 24 seeded
+    shapes skewed by |k| <= 1000, half of them at a slope's own length."""
+    square = CuspShape((6.0, 0.0), (0.0, 6.0))
+    cases = [("hex2", hex2_shape, 6.0), ("square", square, 6.0),
+             ("square_above", square, 6.0 * (1.0 + 1e-6))]
+    rng = random.Random(2424)
+    for n in range(24):
+        k = rng.randint(-1000, 1000)
+        shape = skewed(reduced_shape(rng), k)[0]
+        threshold = rng.uniform(2.5, 6.0)
+        if n % 2:
+            threshold = rng.choice(enumerate_short_slopes(shape, 6.0).entries).length
+        cases.append((f"skewed{n}, k={k}", shape, threshold))
+    return cases
+
+
+def test_scaling_by_a_power_of_two_changes_no_decision(hex2_shape):
+    # 2^k * x is exact in binary64 and every length test is relative to the
+    # threshold, so scaling the shape and T by 2^k changes no inclusion and
+    # no flag, and scales every length exactly; at 2^-500 and 2^500 the
+    # squares of the scan would underflow or overflow in the units of the
+    # shape
+    for name, shape, threshold in _scale_cases(hex2_shape):
+        base = enumerate_short_slopes(shape, threshold).entries
+        assert base, name
+        decided = [(e.slope.a, e.slope.b, e.boundary) for e in base]
+        for k in [*range(-60, 61), -500, 500]:
+            entries = enumerate_short_slopes(rescaled(shape, k), math.ldexp(threshold, k)).entries
+            assert [(e.slope.a, e.slope.b, e.boundary) for e in entries] == decided, (name, k)
+            assert [e.length for e in entries] == [math.ldexp(e.length, k) for e in base], (name, k)
