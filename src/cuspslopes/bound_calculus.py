@@ -12,12 +12,14 @@ sends (a, b) to the residue pair (1, b/a mod p), or (0, 1) when p | a; two
 primitive slopes share a pair exactly when p divides ad - bc.  Work stays
 bounded on hostile inputs: ``BoundQuery`` rejects L^2/A >= 2^53, and
 ``is_prime`` is deterministic Miller-Rabin, a domain error past its exact
-range.
+range.  ``BoundQuery`` also rejects a subnormal area floor, whose few
+significant bits would silently change the bound.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 from .cusp_geometry import Slope, _count, _positive, _set, _shown, _Value, intersection_number
 
@@ -70,6 +72,9 @@ class BoundQuery(_Value):
     def __init__(self, length_threshold: float, area_floor: float) -> None:
         L = _positive(length_threshold, "length threshold")
         A = _positive(area_floor, "area floor")
+        if A < sys.float_info.min:
+            raise ValueError(f"area floor must be at least {sys.float_info.min!r}, the smallest "
+                             f"normal float, got {A!r}")
         _set(self, "length_threshold", L)
         _set(self, "area_floor", A)
         ratio = L * L / A

@@ -237,7 +237,9 @@ def _reduced_basis(shape: CuspShape) -> tuple[Vec2, Vec2, tuple[int, int], tuple
 def enumerate_short_slopes(shape: CuspShape, threshold: float) -> ShortSlopeReport:
     """All primitive slope classes with length <= threshold, within a
     relative LENGTH_RTOL; those within it of the threshold are flagged
-    boundary (``_entry``)."""
+    boundary (``_entry``).  A threshold so large, against the shortest
+    vector, that the square of the scanned radius overflows is a
+    ``ValueError``."""
     threshold = _positive(threshold, "threshold")
 
     u, v, U, V = _reduced_basis(shape)
@@ -259,7 +261,11 @@ def enumerate_short_slopes(shape: CuspShape, threshold: float) -> ShortSlopeRepo
     uu = ux * ux + uy * uy
     shift = -(ux * vx + uy * vy) / uu
     rise2 = (ux * vy - uy * vx) ** 2 / uu
-    r2 = (math.ldexp(threshold, e) * (1.0 + LENGTH_RTOL) * (1.0 + 8.0 * delta)) ** 2
+    try:
+        r2 = (math.ldexp(threshold, e) * (1.0 + LENGTH_RTOL) * (1.0 + 8.0 * delta)) ** 2
+    except OverflowError:
+        raise ValueError(f"threshold {threshold!r} is too large for this cusp: the square of "
+                         "the scanned radius overflows") from None
     widest = math.sqrt(r2 / uu)  # R/|u|, the widest half-row
     (ua, ub), (va, vb) = U, V  # the (a, b) coordinates of u and v
     found: list[SlopeEntry] = []

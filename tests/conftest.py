@@ -1,4 +1,4 @@
-"""Shared fixtures and brute-force oracles for the test suite."""
+"""Shared fixtures, the exact short-slope oracle and helpers for the test suite."""
 
 from __future__ import annotations
 
@@ -11,8 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from cuspslopes.cusp_geometry import CuspShape, Slope, area
-from cuspslopes.slope_search import LENGTH_RTOL
+from cuspslopes.cusp_geometry import CuspShape, Slope
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -34,61 +33,49 @@ def hex2_shape() -> CuspShape:
     return CuspShape((2.0, 0.0), (1.0, math.sqrt(3.0)), name="hex2")
 
 
-def brute_force_short_slopes(shape: CuspShape, threshold: float, box: int) -> set[Slope]:
-    """Independent oracle: scan the full signed coefficient box, canonicalize,
-    and keep every primitive class within the threshold (+ boundary slack).
-    """
-    mx, my = shape.meridian
-    lx, ly = shape.longitude
-    found: set[Slope] = set()
-    for a in range(-box, box + 1):
-        for b in range(-box, box + 1):
-            if (a == 0 and b == 0) or math.gcd(a, b) != 1:
-                continue
-            if math.hypot(a * mx + b * lx, a * my + b * ly) <= threshold + 1e-12:
-                found.add(Slope(a, b))
-    return found
-
-
-def search_box(shape: CuspShape, threshold: float) -> tuple[int, int]:
-    """Coefficient bounds (amax, bmax) that contain every short slope: the
-    marked-basis reference box that the oracles scan.  The enumeration does
-    not use it; it scans the disc in a reduced basis.
-
-    A vector a*m + b*l sits at distance |a| * area/|l| from the line through
-    l, so |a| <= threshold*|l|/area; symmetrically for b.
-    """
-    a = area(shape)
-    reach = threshold * (1.0 + LENGTH_RTOL)
-    amax = math.ceil(reach * math.hypot(*shape.longitude) / a + 1e-9)
-    bmax = math.ceil(reach * math.hypot(*shape.meridian) / a + 1e-9)
-    return amax, bmax
-
-
 # A slope whose exact squared length is this close (relative) to T^2 is too
 # close to call from binary64 inputs; either decision is accepted for it.
 # The program's inclusion tolerance, LENGTH_RTOL = 2^-40 (9.1e-13) relative
 # to the threshold, lies inside it.
 AMBIGUOUS_REL = 1e-10
 
+# The marked basis as integer rows: meridian (1, 0) and longitude (0, 1).
+MARKING = ((1, 0), (0, 1))
 
-def exact_short_slopes(shape: CuspShape, threshold: float, box: int):
+
+def coefficient_box(shape: CuspShape, basis, r2: Fraction) -> tuple[int, int]:
+    """The largest |i| and |j| of the lattice vectors i*p + j*q of squared
+    length at most r2, where the rows (a, b) of ``basis`` give p and q as
+    a*meridian + b*longitude.  Exact, in ``Fraction`` arithmetic on the
+    binary64 coordinates: i*p + j*q lies |i| |det(p, q)| / |q| from the line
+    through q, so i^2 det^2 <= r2 |q|^2; symmetrically for j.
+    """
+    (mx, my), (lx, ly) = ((Fraction(x), Fraction(y)) for x, y in (shape.meridian, shape.longitude))
+    p, q = ((a * mx + b * lx, a * my + b * ly) for a, b in basis)
+    det2 = (p[0] * q[1] - p[1] * q[0]) ** 2
+    return (math.isqrt(math.floor(r2 * (q[0] ** 2 + q[1] ** 2) / det2)),
+            math.isqrt(math.floor(r2 * (p[0] ** 2 + p[1] ** 2) / det2)))
+
+
+def exact_short_slopes(shape: CuspShape, threshold: float):
     """Exact oracle of the inclusion decision, apart from the program's
-    relative tolerance (``slope_search._entry``): the primitive classes with
-    |a|, |b| <= box whose squared length, in ``Fraction`` arithmetic on the
-    binary64 coordinates, is below threshold^2 (``sure``), and those within a
-    relative ``AMBIGUOUS_REL`` of it (``ambiguous``).  Lengths more than a
-    relative 1e-6 from the threshold are decided in floats.  Returns (sure,
-    ambiguous).
+    relative tolerance (``slope_search._entry``): the primitive classes whose
+    squared length, in ``Fraction`` arithmetic on the binary64 coordinates,
+    is below threshold^2 (``sure``), and those within a relative
+    ``AMBIGUOUS_REL`` of it (``ambiguous``).  The scanned coefficient box
+    holds every lattice vector of squared length up to
+    threshold^2 (1 + AMBIGUOUS_REL).  Lengths more than a relative 1e-6 from
+    the threshold are decided in floats.  Returns (sure, ambiguous).
     """
     mx, my = shape.meridian
     lx, ly = shape.longitude
     exact_m, exact_l = (Fraction(mx), Fraction(my)), (Fraction(lx), Fraction(ly))
     t2 = Fraction(threshold) ** 2
+    amax, bmax = coefficient_box(shape, MARKING, t2 * (1 + Fraction(AMBIGUOUS_REL)))
     sure: set[Slope] = set()
     ambiguous: set[Slope] = set()
-    for b in range(0, box + 1):
-        for a in (1,) if b == 0 else range(-box, box + 1):
+    for b in range(0, bmax + 1):
+        for a in (1,) if b == 0 else range(-amax, amax + 1):
             if math.gcd(a, b) != 1:
                 continue
             length = math.hypot(a * mx + b * lx, a * my + b * ly)
@@ -104,10 +91,10 @@ def exact_short_slopes(shape: CuspShape, threshold: float, box: int):
     return sure, ambiguous
 
 
-def includes_exactly(listed: set[Slope], shape: CuspShape, threshold: float, box: int) -> bool:
+def includes_exactly(listed: set[Slope], shape: CuspShape, threshold: float) -> bool:
     """Whether ``listed`` holds every slope the exact oracle calls short and
     nothing it calls long: sure <= listed <= sure | ambiguous."""
-    sure, ambiguous = exact_short_slopes(shape, threshold, box)
+    sure, ambiguous = exact_short_slopes(shape, threshold)
     return sure <= listed <= sure | ambiguous
 
 

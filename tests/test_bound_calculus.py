@@ -118,14 +118,19 @@ def test_is_prime_small_table():
         assert is_prime(n) == (n in primes)
 
 
+def primes_below(n: int) -> list[int]:
+    """The primes below n, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * n
+    sieve[:2] = bytes(2)
+    for i in range(2, math.isqrt(n - 1) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, n, i)))
+    return [k for k in range(n) if sieve[k]]
+
+
 def test_is_prime_matches_sieve():
     n = 10**6
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for i in range(2, math.isqrt(n) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytes(len(range(i * i, n + 1, i)))
-    assert [k for k in range(n + 1) if is_prime(k)] == [k for k in range(n + 1) if sieve[k]]
+    assert [k for k in range(n + 1) if is_prime(k)] == primes_below(n + 1)
 
 
 def test_is_prime_large_values():
@@ -138,13 +143,7 @@ def test_is_prime_large_values():
 
 def test_is_prime_matches_trial_division_on_40_bit_inputs():
     # n < 2^40 is prime iff no prime below 2^20 divides it
-    limit = 1 << 20
-    sieve = bytearray([1]) * limit
-    sieve[0] = sieve[1] = 0
-    for i in range(2, math.isqrt(limit - 1) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytes(len(range(i * i, limit, i)))
-    primes = [k for k in range(limit) if sieve[k]]
+    primes = primes_below(1 << 20)
     rng = random.Random(40)
     inputs = [rng.randrange(1 << 39, 1 << 40) | 1 for _ in range(300)]
     verdicts = [is_prime(n) for n in inputs]

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -591,3 +592,31 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "slopes ≤ 12" in proc.stdout
+
+
+# ---------------------------------------------------------------- README transcript
+
+README = FIXTURES.parent.parent / "README.md"
+# The "Command line" block of the README.  A command continued with a
+# backslash is one line.
+_BLOCK = README.read_text(encoding="utf-8").split("## Command line", 1)[1] \
+    .split("```sh\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+# Each ``$ cuspslopes ...`` line of the block that shows output, as its
+# arguments, with the lines it shows: those right below it, up to a blank
+# line or the next ``$`` line.
+TRANSCRIPT = [(shlex.split(command, comments=True), shown.splitlines()) for command, shown
+              in re.findall(r"^\$ (cuspslopes .*)\n((?:(?!\$ ).+\n)*)", _BLOCK, re.M) if shown]
+
+
+@pytest.mark.parametrize("command, shown", TRANSCRIPT,
+                         ids=[shlex.join(command) for command, _ in TRANSCRIPT])
+def test_readme_transcript(capsys, monkeypatch, command, shown):
+    # run from the repository root, as the README's fixture paths are; a
+    # shown line "..." stands for any run of lines
+    monkeypatch.chdir(README.parent)
+    code = main(command[1:])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    pattern = "".join("(?:.*\n)*" if line.strip() == "..." else re.escape(line) + "\n"
+                      for line in shown)
+    assert re.fullmatch(pattern, out), out

@@ -57,6 +57,8 @@ from cuspslopes.surface_audit import (
     punctured_sphere_feasible,
 )
 
+from conftest import FIXTURES
+
 HEX2 = CuspShape((2.0, 0.0), (1.0, math.sqrt(3.0)), name="hex2")
 HEX2_DICT = report_to_dict(build_analysis_report(HEX2, 6.0))
 
@@ -392,9 +394,11 @@ def test_largest_surfaces_audit_without_overflow():
         (["bound", "--length", "inf"], "length threshold"),
         (["bound", "--area", "-1"], "area floor"),
         (["horodisk", "--separation", "-1", "2"], "radius r"),
+        (["slopes", "--cusp", str(FIXTURES / "hex2.json"), "--name", "hex2",
+          "--threshold", "1e300"], "threshold"),
     ],
     ids=["audit_genus", "horodisk_radius", "horodisk_R_below_r", "wrapping_epsilon",
-         "bound_length", "bound_area", "horodisk_negative_r"],
+         "bound_length", "bound_area", "horodisk_negative_r", "slopes_threshold"],
 )
 def test_cli_refusal_is_one_short_line_naming_the_field(capsys, argv, field):
     code = main(argv)

@@ -269,6 +269,19 @@ def test_rescaled_hex2_gives_hex2s_report_and_diagram(hex2_shape, hex2_report, t
     assert load_report(path) == report
 
 
+def test_hex2_at_every_binary64_scale_gives_its_bound_or_a_refusal(hex2_shape):
+    # hex2 and T scaled by 2^k for every k at which the inputs are floats
+    # (hex2's meridian, 2 * 2^1023, is not): the report has hex2's bound or
+    # is refused; a subnormal own area (k from -538 to -512) must not pass
+    # with the few bits it keeps
+    for k in range(-1074, 1023):
+        try:
+            bound = build_analysis_report(rescaled(hex2_shape, k), math.ldexp(6.0, k)).bound
+        except ValueError:
+            continue
+        assert (bound.delta_max, bound.prime, bound.count_bound) == (10, 11, 12), k
+
+
 def test_report_seventeen_digit_floats(hex2_report):
     text = report_to_json(hex2_report)
     # 2*sqrt(3) must appear at full precision and survive reparsing exactly

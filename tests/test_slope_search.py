@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -20,14 +21,16 @@ from cuspslopes.slope_search import (
 )
 
 from conftest import (
-    brute_force_short_slopes,
+    AMBIGUOUS_REL,
+    MARKING,
     change_basis,
+    coefficient_box,
+    exact_short_slopes,
     includes_exactly,
     mat_mul,
     random_shape,
     random_unimodular,
     rescaled,
-    search_box,
     transform_slope,
 )
 
@@ -238,12 +241,19 @@ def test_boundary_flag_at_exact_threshold():
 
 
 def test_boundary_flag_follows_inclusion():
-    # 6.000000000001 - 6 rounds to just over BOUNDARY_TOL, yet the slope is
+    # 6.000000000001 is past T = 6 but inside T + T*rho, so the slope is
     # included; every included slope that long must be flagged
     shape = CuspShape((6.000000000001, 0.0), (0.0, 100.0))
     report = enumerate_short_slopes(shape, 6.0)
     assert report.slopes == (Slope(1, 0),)
     assert report.entries[0].boundary
+    # the edges of the band, T +- T*rho (exact in binary64), are in it; the
+    # floats just outside it are not
+    high, low = 6.0 + 6.0 * slope_search.LENGTH_RTOL, 6.0 - 6.0 * slope_search.LENGTH_RTOL
+    for length, entries in ((high, [True]), (math.nextafter(high, 7.0), []),
+                            (low, [True]), (math.nextafter(low, 0.0), [False])):
+        report = enumerate_short_slopes(CuspShape((length, 0.0), (0.0, 100.0)), 6.0)
+        assert [e.boundary for e in report.entries] == entries, length
 
 
 def test_threshold_validation(square_shape):
@@ -252,21 +262,15 @@ def test_threshold_validation(square_shape):
             enumerate_short_slopes(square_shape, bad)
 
 
-def test_search_box_contains_short_vectors(hex2_shape):
-    amax, bmax = search_box(hex2_shape, 6.0)
-    for s in HEX2_EXPECTED:
-        assert abs(s.a) <= amax and abs(s.b) <= bmax
-
-
 def test_oracle_equivalence_fixed_box():
-    # seeded corpus against the naive |a|,|b| <= 64 scan
+    # a seeded corpus, and the unit square just below T = 1, where (1, 0) and
+    # (0, 1) lie past T (1 + rho) but within the oracle's ambiguity band
     rng = random.Random(101)
-    for _ in range(12):
-        shape = random_shape(rng)
-        threshold = rng.uniform(0.5, 10.0)
+    cases = [(CuspShape((1.0, 0.0), (0.0, 1.0)), 1.0 - 9.5e-13)]
+    cases += [(random_shape(rng), rng.uniform(0.5, 10.0)) for _ in range(12)]
+    for shape, threshold in cases:
         report = enumerate_short_slopes(shape, threshold)
-        assert set(report.slopes) == brute_force_short_slopes(shape, threshold, 64)
-        assert includes_exactly(set(report.slopes), shape, threshold, 64)
+        assert includes_exactly(set(report.slopes), shape, threshold)
 
 
 def test_monotonicity_in_threshold():
@@ -300,10 +304,7 @@ def test_basis_invariance_length_multiset():
 def test_oracle_equivalence_hypothesis(threshold, seed):
     shape = random_shape(random.Random(seed))
     report = enumerate_short_slopes(shape, threshold)
-    amax, bmax = search_box(shape, threshold)
-    box = max(amax, bmax) + 2
-    assert set(report.slopes) == brute_force_short_slopes(shape, threshold, box)
-    assert includes_exactly(set(report.slopes), shape, threshold, box)
+    assert includes_exactly(set(report.slopes), shape, threshold)
 
 
 def test_classify_examples(hex2_shape):
@@ -330,8 +331,8 @@ def test_classify_agrees_with_enumeration():
         shape = random_shape(rng)
         threshold = rng.uniform(0.5, 5.0)
         listed = set(enumerate_short_slopes(shape, threshold).slopes)
-        assert includes_exactly(listed, shape, threshold, max(search_box(shape, threshold)) + 2)
-        for s in listed | brute_force_short_slopes(shape, threshold + 1.0, 8):
+        assert includes_exactly(listed, shape, threshold)
+        for s in listed | exact_short_slopes(shape, threshold + 1.0)[0]:
             expected = (
                 SlopeClass.CANDIDATE_EXCEPTIONAL
                 if s in listed
@@ -347,16 +348,22 @@ def test_default_threshold_constant():
 # ---------------------------------------------------------------- skewed markings
 
 
-def marked_box_scan(shape: CuspShape, threshold: float) -> list[tuple[Slope, float, bool]]:
-    """The unreduced enumeration: scan the marked-basis search box, with the
-    library's inclusion and boundary rule and its order."""
-    amax, bmax = search_box(shape, threshold)
+def box_scan(shape: CuspShape, threshold: float, basis=MARKING,
+             reach: float = 1.0 + AMBIGUOUS_REL) -> list[tuple[Slope, float, bool]]:
+    """The enumeration without its disc: the library's inclusion and boundary
+    rule (``_entry``) and its order over the whole coefficient box, in the
+    integer basis ``basis``, of the disc of radius reach * threshold.  The
+    default reach, a relative AMBIGUOUS_REL past the threshold, covers the
+    length error of the markings skewed by |k| <= 3000 below; the sheared
+    markings are scanned in their reduced basis, twice as wide."""
+    (pa, pb), (qa, qb) = basis
+    imax, jmax = coefficient_box(shape, basis, (Fraction(threshold) * Fraction(reach)) ** 2)
     found = []
-    for b in range(0, bmax + 1):
-        for a in (1,) if b == 0 else range(-amax, amax + 1):
-            if math.gcd(a, b) != 1:
+    for j in range(0, jmax + 1):
+        for i in (1,) if j == 0 else range(-imax, imax + 1):
+            if math.gcd(i, j) != 1:
                 continue
-            s = Slope(a, b)
+            s = Slope(i * pa + j * qa, i * pb + j * qb)
             entry = slope_search._entry(s, slope_length(shape, s), threshold)
             if entry is not None:
                 found.append((s, entry.length, entry.boundary))
@@ -392,7 +399,7 @@ def test_skewed_markings_match_marked_box_scan():
                 threshold = rng.uniform(0.5, 4.0)
                 report = enumerate_short_slopes(shape, threshold)
                 got = [(e.slope, e.length, e.boundary) for e in report.entries]
-                assert got == marked_box_scan(shape, threshold)
+                assert got == box_scan(shape, threshold)
 
 
 @pytest.mark.parametrize("k", [10**3, 5 * 10**4, 10**5])
@@ -429,16 +436,15 @@ def test_enumeration_cost_flat_in_skew(hex2_shape, monkeypatch):
 
 def _counted_scan(monkeypatch, shape: CuspShape, threshold: float):
     """The report and the number of candidates measured of one enumeration,
-    and the number of rows j = 0 .. jmax of the search box of its reduced
-    basis."""
+    and the number of rows j = 0 .. jmax of the coefficient box of the disc
+    of radius threshold in its reduced basis."""
     candidates = []
     real_length = slope_search.slope_length
     monkeypatch.setattr(slope_search, "slope_length",
                         lambda *args: candidates.append(args) or real_length(*args))
     report = enumerate_short_slopes(shape, threshold)
     monkeypatch.undo()
-    u, v = slope_search._reduced_basis(shape)[:2]
-    _imax, jmax = search_box(CuspShape(u, v), threshold)
+    jmax = coefficient_box(shape, slope_search._reduced_basis(shape)[2:], Fraction(threshold) ** 2)[1]
     return report, len(candidates), jmax + 1
 
 
@@ -481,7 +487,7 @@ def test_thresholds_at_a_slope_length_match_marked_box_scan():
             for e in rng.sample(entries, min(4, len(entries))):
                 report = enumerate_short_slopes(shape, e.length)
                 got = [(x.slope, x.length, x.boundary) for x in report.entries]
-                assert got == marked_box_scan(shape, e.length)
+                assert got == box_scan(shape, e.length)
                 assert (e.slope, e.length, True) in got
 
 
@@ -495,29 +501,10 @@ def sheared(rng: random.Random, shape: CuspShape) -> CuspShape:
     return change_basis(shape, m)
 
 
-def wide_reduced_scan(shape: CuspShape, threshold: float) -> list[tuple[Slope, float, bool]]:
-    """The library's inclusion and boundary rule and order over the whole
-    reduced-basis box of twice the radius: an oracle for markings too skewed
-    for ``marked_box_scan``."""
-    u, v, U, V = slope_search._reduced_basis(shape)
-    imax, jmax = search_box(CuspShape(u, v), 2.0 * threshold)
-    found = []
-    for j in range(0, jmax + 1):
-        for i in (1,) if j == 0 else range(-imax, imax + 1):
-            if math.gcd(i, j) != 1:
-                continue
-            s = Slope(i * U[0] + j * V[0], i * U[1] + j * V[1])
-            entry = slope_search._entry(s, slope_length(shape, s), threshold)
-            if entry is not None:
-                found.append((s, entry.length, entry.boundary))
-    found.sort(key=lambda e: (e[1], (e[0].a, e[0].b)))
-    return found
-
-
 def test_heavily_skewed_markings_match_a_wide_reduced_scan():
     # Both marked vectors are skewed, so u and v, formed in floats from their
-    # integer coordinates, carry relative errors up to about 10^-7: the row
-    # intervals must be widened by that error, not only by the 1e-9 margin.
+    # integer coordinates, carry relative errors up to about 10^-7: the disc
+    # must be widened by that error (8 delta), not only by rho.
     rng = random.Random(1619)
     for _ in range(400):
         shape = sheared(rng, reduced_shape(rng))
@@ -527,7 +514,7 @@ def test_heavily_skewed_markings_match_a_wide_reduced_scan():
             threshold = rng.choice(entries).length  # a slope on the boundary
         report = enumerate_short_slopes(shape, threshold)
         got = [(e.slope, e.length, e.boundary) for e in report.entries]
-        assert got == wide_reduced_scan(shape, threshold)
+        assert got == box_scan(shape, threshold, slope_search._reduced_basis(shape)[2:], 2.0)
 
 
 # ------------------------------------------------------------ scale invariance
