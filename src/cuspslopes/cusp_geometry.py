@@ -160,6 +160,8 @@ class CuspShape(_Value):
 
     The basis is orientation-normalized at construction (vectors swapped if
     the determinant is negative), so ``area`` equals the raw determinant.
+    The name is a string or None; anything else is a ``ValueError``, since
+    a cusp file or report could not hold it.
     """
 
     __slots__ = _fields = ("meridian", "longitude", "name")
@@ -171,6 +173,8 @@ class CuspShape(_Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
+        if not (self.name is None or isinstance(self.name, str)):
+            raise ValueError(f"cusp name must be a string or None, got {_shown(self.name)}")
         mer = _pair(self.meridian, "cusp meridian", DegenerateBasisError)
         lon = _pair(self.longitude, "cusp longitude", DegenerateBasisError)
         det = _det(mer, lon)

@@ -204,7 +204,7 @@ def parse_cusp_records(data: dict) -> tuple[list[CuspShape], list[RecordError]]:
             if not isinstance(record, dict):
                 raise CuspFileError("record must be an object")
             if not isinstance(name, str) or not name:
-                raise CuspFileError("missing or empty 'name'")
+                raise CuspFileError(f"name must be a non-empty string, got {_shown(name)}")
             if name in seen_names:
                 raise CuspFileError(f"duplicate name {_shown(name)}")
             shape = CuspShape(record.get("meridian"), record.get("longitude"), name=name)
@@ -291,8 +291,11 @@ def build_analysis_report(
     """Run the enumeration and bound pipeline for one shape.
 
     The area floor defaults to the shape's own torus area; pass an explicit
-    census floor to reproduce shape-independent bounds.
+    census floor to reproduce shape-independent bounds.  The timestamp is a
+    string or None; anything else is a ``ValueError``.
     """
+    if not (timestamp is None or isinstance(timestamp, str)):
+        raise ValueError(f"timestamp must be a string or None, got {_shown(timestamp)}")
     short = _pkg.slope_search.enumerate_short_slopes(shape, threshold)
     floor = area_floor if area_floor is not None else area(shape)
     query = _pkg.bound_calculus.BoundQuery(threshold, floor)
@@ -421,8 +424,8 @@ def _inputs(data: dict, matrix_length: int) -> tuple:
     length and the threshold, so a slope past the threshold, or a
     ``boundary`` flag other than the one ``_entry`` derives, is refused; the
     length itself cannot be re-derived without the cusp basis, which v1 does
-    not store.  ``shape_name``, ``timestamp`` and ``tool_version`` are taken
-    as they are.
+    not store.  ``shape_name`` and ``tool_version`` must be strings and
+    ``timestamp`` a string or null; they are taken as they are.
 
     The writer's text of an n x n matrix, n >= 1, has at least 2n^2 + 2n + 1
     characters: each row is ``[``, n numerals of at least one digit, n - 1
@@ -432,7 +435,6 @@ def _inputs(data: dict, matrix_length: int) -> tuple:
     work done stays bounded by the size of the input.
     """
     slope_search, bound_calculus = _pkg.slope_search, _pkg.bound_calculus
-    _require(isinstance(data.get("shape_name"), str), "missing shape_name")
     threshold = _positive(data.get("threshold"), "threshold", ReportFormatError)
 
     raw_slopes = data.get("slopes")
@@ -475,14 +477,14 @@ def _inputs(data: dict, matrix_length: int) -> tuple:
     _require(isinstance(raw_lemma, dict), "missing lemma section")
     prime = bound_calculus._modulus(raw_lemma.get("prime"), "lemma prime", ReportFormatError)
 
-    timestamp = data.get("timestamp")
-    _require(timestamp is None or isinstance(timestamp, str), "timestamp must be a string")
-    tool_version = data.get("tool_version")
-    _require(isinstance(tool_version, str), "missing tool_version")
+    for key, kind in (("shape_name", str), ("tool_version", str), ("timestamp", (str, type(None)))):
+        if not isinstance(data.get(key), kind):
+            raise ReportFormatError(f"{key} must be a string, got {_shown(data.get(key))}")
 
     n = len(entries)
     _require(matrix_length >= 2 * n * n + 2 * n + 1, _MATRIX_MISMATCH)
-    return data["shape_name"], threshold, tuple(entries), query, prime, tool_version, timestamp
+    return (data["shape_name"], threshold, tuple(entries), query, prime, data["tool_version"],
+            data.get("timestamp"))
 
 
 def _verdict(data: dict, text: str, start: int, end: int) -> AnalysisReport:

@@ -25,27 +25,55 @@ from unit scale.
 Only the disc is scanned, one row at a time (Fincke-Pohst, "Improved methods
 for calculating vectors of short length in a lattice", Math. Comp. 1985, in
 rank 2).  Row j >= 1 of the reduced lattice, i*u + j*v, meets the disc
-|x| <= R for i in [c - h, c + h], where c = -j (u.v)/|u|^2 and
-h = sqrt(R^2 - j^2 A^2/|u|^2)/|u| (A = det(u, v)), while
-R^2 - j^2 A^2/|u|^2 >= 0; row 0 holds the one slope u.  R is T (1 + rho)
-widened by a relative 8 delta, where delta bounds the rounding of u and v:
-each is formed in floats from its integer coordinates (a, b), off by at most
-4 eps (|a||m| + |b||l|), and delta is that bound over |u| or |v|, so
-delta >= 4 eps.  For a reduced basis |i||u| + |j||v| <= 2 |i*u + j*v|, so the
-rounding of u and v moves a lattice point by at most a relative 2 delta, and
-a marked-basis length, whose error is a few ulps of |a||m| + |b||l| <=
-|i| (|U_a||m| + |U_b||l|) + |j| (|V_a||m| + |V_b||l|), is off by at most
-about delta/2 of it.  So every slope ``_entry`` keeps lies within
-T (1 + rho)(1 + 3 delta) of the origin in the scanned basis, however skewed
-the marking.  The rest of the widening, at least 20 eps, covers the few ulps
-by which R^2 - j^2 A^2/|u|^2 is rounded (the scan stops at the first row
-where it is negative).  Each interval is widened by rho (|c| + R/|u| + 1),
-far more than the few ulps of |c| + R/|u| by which rounding can move c and
-h.  The scan checks about as many candidates as it keeps, and ``_entry``
-decides each one.  The map (i, j) -> (a, b) to the marked basis is
-unimodular, so gcd(i, j) = 1 gives a primitive (a, b), and each candidate is
-built by the trusted ``cusp_geometry._slope``, which only puts the sign in
-canonical form (j >= 0 does not make b >= 0).
+|x| <= R for i in [c - h, c + h], where c = j*shift, shift = -(u.v)/|u|^2,
+h = sqrt(d)/|u| and d = R^2 - j^2 A^2/|u|^2 (A = det(u, v)), while d >= 0;
+row 0 holds the one slope u.  A row's ends are ceil(c - h) and floor(c + h)
+of the computed c and h, with no slack of their own: the one widening is that
+of the disc, R = T (1 + rho)(1 + 8 delta), where delta bounds the rounding
+of u and v.  Each is formed in floats from its integer coordinates (a, b),
+off by at most eps (|a||m| + |b||l|) (eps = 2^-52), and delta is
+4 eps (|a||m| + |b||l|) over |u| or |v|, the larger, so delta >= 4 eps.  The
+scan checks about as many candidates as it keeps, and ``_entry`` decides each
+one.  The map (i, j) -> (a, b) to the marked basis is unimodular, so
+gcd(i, j) = 1 gives a primitive (a, b), and each candidate is built by the
+trusted ``cusp_geometry._slope``, which only puts the sign in canonical form
+(j >= 0 does not make b >= 0).
+
+Why that widening is enough (forward error bounds as in Higham, "Accuracy
+and Stability of Numerical Algorithms", 2002).  The bounds are to first
+order in eps, in exact arithmetic on the computed u and v; R is the root of
+the computed R^2, at least T (1 + rho)(1 + 8 delta)(1 - 7/4 eps); and
+delta <= 2^-7, that is (|a||m| + |b||l|) <= 2^43 |u| for u and v, is
+assumed.
+- Margin.  For a reduced basis |i||u| + |j||v| <= 2 |P| for P = i*u + j*v,
+  so the rounding of u and v moves P by at most delta/2 |P|.  Its
+  marked-basis length is off by at most eps (|a||m| + |b||l|) + eps |P|, and
+  |a||m| + |b||l| <= |i| (|U_a||m| + |U_b||l|) + |j| (|V_a||m| + |V_b||l|)
+  <= delta/(2 eps) |P|.  ``_entry`` keeps a length at most T + T*rho, so a
+  kept slope has |P| <= T (1 + rho)(1 + 2 delta) <= R (1 - 5 delta),
+  however skewed the marking.  On its row, in exact arithmetic,
+  |u|^2 (i - c)^2 = |P|^2 - j^2 A^2/|u|^2 <= d - (10 delta - 25 delta^2) R^2:
+  i lies about 5 delta R/|u| >= 20 eps R/|u| inside the half-width h.
+- c.  For a reduced basis |shift| <= 1/2 and v rises at least sqrt(3)/2 |v|
+  above the line through u, so a row with d >= 0 has j |v| <= 2R/sqrt(3)
+  and |c| <= R/(sqrt(3) |u|).  The computed shift is off by at most
+  3/2 eps |shift| + eps |v|/|u|, and c by at most
+  2 eps |c| + eps j |v|/|u| <= 4/sqrt(3) eps R/|u| < 2.31 eps R/|u|.
+- d and h.  The computed A is off by at most eps |u||v| <= 2/sqrt(3) eps A,
+  so j^2 A^2/|u|^2 by at most (5/2 + 4/sqrt(3)) eps of it, and d by at most
+  (5/2 + 4/sqrt(3)) eps R^2 < 4.81 eps R^2.  |u|^2 h^2 is off from the exact
+  d by at most (5 + 4/sqrt(3)) eps R^2 < 7.31 eps R^2, which is about
+  3.7 eps R/|u| in h on the middle row; near the top of the disc h moves
+  more, so the comparison is made in squares.
+So on the row of a kept slope the computed d is at least
+(10 delta - 25 delta^2 - 4.81 eps) R^2 > 0, as on every row below it (d
+falls as j grows), and the scan reaches the row.  There, for the exact c and
+the computed h, |u|^2 (h^2 - (i - c)^2) >= (10 delta - 25 delta^2 - 7.31 eps)
+R^2 >= 7.97 delta R^2 and h + |i - c| <= 2R/|u|, so i lies at least
+3.98 delta R/|u| inside h about the exact c, and at least
+(3.98 delta - 2.31 eps) R/|u| >= 13.6 eps R/|u| inside it about the computed
+c.  Rounding is monotone and i is a float (|i| < 2^53), so
+ceil(c - h) <= i <= floor(c + h) also for c - h and c + h rounded.
 
 The crossing matrix Delta(s, t) = |ad - bc| is computed a whole row at a
 time with full-word lane arithmetic (Lamport, "Multiple byte processing with
@@ -81,9 +109,12 @@ from .cusp_geometry import CuspShape, Slope, Vec2, _positive, _set, _slope, _Val
 SIX_THEOREM_LENGTH = 6.0
 
 # The one length tolerance, relative to the threshold, a power of two so that
-# T*rho is exact: the boundary band of ``_entry``, the widening of the scanned
-# disc and of its rows, and the slack of the already-reduced test (module
-# docstring).  At T = 6 the band is 5.5e-12 wide on either side.
+# T*rho is exact; rho = 2^-40 = 4096 eps.  Its three roles (module docstring):
+# ``_entry`` keeps a length at most T + T*rho and flags it boundary from
+# T - T*rho on, a band 5.5e-12 wide on either side at T = 6; the scanned disc
+# has radius T (1 + rho) before its 8 delta widening for rounding, so every
+# slope ``_entry`` keeps lies within R (1 - 5 delta) of it, 5 delta >= 20 eps;
+# and the already-reduced test of ``_reduced_basis`` allows a relative rho.
 LENGTH_RTOL = 2.0 ** -40
 
 # (lane bits, typecode of the unsigned array item of that size), narrowest first.
@@ -243,9 +274,9 @@ def enumerate_short_slopes(shape: CuspShape, threshold: float) -> ShortSlopeRepo
     threshold = _positive(threshold, "threshold")
 
     u, v, U, V = _reduced_basis(shape)
-    # u and v are formed from U and V in floats, each off by at most 4 eps
-    # (|a||m| + |b||l|) for its coordinates (a, b); delta is that bound
-    # relative to |u| or |v|, whichever is larger (module docstring).
+    # u and v are formed from U and V in floats, each off by at most eps
+    # (|a||m| + |b||l|) for its coordinates (a, b); delta is 4 eps (|a||m| +
+    # |b||l|) relative to |u| or |v|, whichever is larger (module docstring).
     norm_m, norm_l = math.hypot(*shape.meridian), math.hypot(*shape.longitude)
     delta = 4.0 * sys.float_info.epsilon * max(
         (abs(U[0]) * norm_m + abs(U[1]) * norm_l) / math.hypot(*u),
@@ -266,7 +297,6 @@ def enumerate_short_slopes(shape: CuspShape, threshold: float) -> ShortSlopeRepo
     except OverflowError:
         raise ValueError(f"threshold {threshold!r} is too large for this cusp: the square of "
                          "the scanned radius overflows") from None
-    widest = math.sqrt(r2 / uu)  # R/|u|, the widest half-row
     (ua, ub), (va, vb) = U, V  # the (a, b) coordinates of u and v
     found: list[SlopeEntry] = []
     j, lo, hi = 0, 1, 1  # row 0 holds the one slope u
@@ -283,10 +313,10 @@ def enumerate_short_slopes(shape: CuspShape, threshold: float) -> ShortSlopeRepo
         d = r2 - j * j * rise2  # falls as j grows: the rows past the disc are empty
         if d < 0.0:
             break
-        c = j * shift
-        # h plus the slack for the rounding of c and h (module docstring)
-        reach_i = math.sqrt(d / uu) + LENGTH_RTOL * (abs(c) + widest + 1.0)
-        lo, hi = math.ceil(c - reach_i), math.floor(c + reach_i)
+        # the row's centre c and half-width h; the disc's widening covers
+        # their rounding (module docstring)
+        c, h = j * shift, math.sqrt(d / uu)
+        lo, hi = math.ceil(c - h), math.floor(c + h)
 
     found.sort(key=_entry_key)
     matrix, max_delta = crossing_data([e.slope for e in found])

@@ -5,7 +5,9 @@ or ``float``, not a ``bool``, and finite as a float; a count input (a genus,
 a puncture count, a prime, a canvas size) is an ``int``, not a ``bool``,
 inside the float range, and inside the field's own range.  A point (a cusp
 vector) is a tuple or list of exactly two reals, and the audit's lengths are
-a tuple or list of reals.  Each entry point refuses anything else
+a tuple or list of reals.  A text input (a cusp name, a timestamp, a loaded
+report's names) is a ``str``, or None where it may be absent.  Each entry
+point refuses anything else
 with a ``ValueError`` (or its module's subclass) whose short message starts
 with the name of the field, and gives an int the same result as the equal
 float.
@@ -209,6 +211,36 @@ def _record_error(record):
     "call, field, error", [pytest.param(c, f, e, id=i) for i, c, f, e in CONTAINER_SLOTS]
 )
 def test_pair_input_refused_with_the_field_named(call, field, error, x):
+    with pytest.raises(ValueError) as excinfo:
+        call(x)
+    _check_refusal(excinfo, error, field)
+
+
+# non-strings: each is refused where a name or timestamp is built or loaded
+TEXT_INPUTS = [5, 5.0, True, b"x", ["x"], {"x": 1}, [10**5000]]
+TEXT_IDS = ["int", "float", "bool", "bytes", "list", "dict", "list_int_1e5000"]
+
+# (id, call with the input in one text slot, field, error)
+TEXT_SLOTS = [
+    ("shape_name", lambda x: CuspShape((1, 0), (0, 1), name=x), "cusp name", ValueError),
+    ("report_timestamp", lambda x: build_analysis_report(HEX2, 6.0, timestamp=x), "timestamp",
+     ValueError),
+    ("loaded_shape_name", lambda x: report_from_dict({**HEX2_DICT, "shape_name": x}),
+     "shape_name", ReportFormatError),
+    ("loaded_tool_version", lambda x: report_from_dict({**HEX2_DICT, "tool_version": x}),
+     "tool_version", ReportFormatError),
+    ("loaded_timestamp", lambda x: report_from_dict({**HEX2_DICT, "timestamp": x}),
+     "timestamp", ReportFormatError),
+    ("loaded_cusp_name", lambda x: _record_error({"name": x, "meridian": [1, 0],
+                                                  "longitude": [0, 1]}), "name", ValueError),
+]
+
+
+@pytest.mark.parametrize("x", TEXT_INPUTS, ids=TEXT_IDS)
+@pytest.mark.parametrize(
+    "call, field, error", [pytest.param(c, f, e, id=i) for i, c, f, e in TEXT_SLOTS]
+)
+def test_text_input_refused_with_the_field_named(call, field, error, x):
     with pytest.raises(ValueError) as excinfo:
         call(x)
     _check_refusal(excinfo, error, field)

@@ -1050,6 +1050,45 @@ def test_report_with_explicit_floor_and_prime(hex2_shape):
     assert report.lemma.injective
 
 
+def _seeded_text(rng: random.Random) -> str:
+    """A string of up to 12 code points, from ASCII (controls and quotes
+    too) up to lone surrogates and the astral planes."""
+    return "".join(chr(rng.choice((rng.randrange(128), rng.randrange(0x110000))))
+                   for _ in range(rng.randrange(13)))
+
+
+def test_what_the_program_writes_loads_back_equal(tmp_path):
+    # A name or a timestamp is either refused where the shape or the report
+    # is built, or the cusp file and the report the program writes of it load
+    # back equal.  An unnamed shape (None or "") is written as cusp<i>.
+    rng = random.Random(2727)
+    texts = list(dict.fromkeys(
+        [None, "", "hex2", '"\\\n\x00', "\ud800", "x" * 1000]
+        + [_seeded_text(rng) for _ in range(24)]))
+    others = [5, 5.0, True, b"x", ["x"], {"x": 1}]
+    shapes = []
+    for value in texts + others:
+        try:
+            shapes.append(CuspShape((2.0, 0.0), (1.0, math.sqrt(3.0)), name=value))
+        except ValueError as e:
+            assert value in others and str(e).startswith("cusp name must be a string")
+    assert len(shapes) == len(texts)
+    path = tmp_path / "cusps.json"
+    save_cusp_file(shapes, path)
+    assert load_cusp_file(path) == (
+        [CuspShape(s.meridian, s.longitude, name=s.name or f"cusp{i}")
+         for i, s in enumerate(shapes)], [])
+    for shape, timestamp in zip(shapes, rng.sample(texts + others * 4, len(shapes))):
+        try:
+            report = build_analysis_report(shape, 6.0, timestamp=timestamp)
+        except ValueError as e:
+            assert timestamp in others and str(e).startswith("timestamp must be a string")
+            continue
+        assert report_from_dict(json.loads(report_to_json(report))) == report
+        save_report(report, tmp_path / "report.json")
+        assert load_report(tmp_path / "report.json") == report
+
+
 def test_report_timestamp_round_trip(hex2_shape, tmp_path):
     report = build_analysis_report(hex2_shape, 6.0, timestamp="2024-05-01T00:00:00+00:00")
     path = tmp_path / "stamped.json"

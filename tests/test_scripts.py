@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -46,3 +47,17 @@ def test_code_lines_counts_each_module(tmp_path):
     assert any(m.endswith("  report_io.py") for m in modules)
     assert modules[-1].endswith("  total")
     assert sum(int(m.split()[0]) for m in modules[:-1]) == int(modules[-1].split()[0])
+
+
+def test_mutant_fragments_occur_once():
+    # the mutation gate (scripts/mutants.py) edits one place per mutant: a
+    # change of the program that moves or repeats a fragment must update it
+    spec = importlib.util.spec_from_file_location("mutants", SCRIPTS / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    assert len({m.name for m in mutants.MUTANTS}) == len(mutants.MUTANTS)
+    for m in mutants.MUTANTS:
+        assert mutants.occurrences(REPO_ROOT, m) == 1, m.name
+        assert m.replacement != m.fragment, m.name
+        for test in m.tests:
+            assert (REPO_ROOT / test.split("::")[0]).is_file(), (m.name, test)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from cuspslopes import slope_search
 from cuspslopes.cusp_geometry import CuspShape, Slope, intersection_number, slope_length
 from cuspslopes.slope_search import (
+    LENGTH_RTOL,
     SIX_THEOREM_LENGTH,
     SlopeClass,
     classify_slope,
@@ -476,19 +477,37 @@ def test_row_intervals_on_skewed_markings(monkeypatch):
             assert len(report) <= candidates <= len(report) + 2 * rows, (k, sign)
 
 
+def _edge_thresholds(length: float) -> list[float]:
+    """Thresholds at, and one ulp either side of, length, length (1 + rho)
+    and length (1 - rho), in that order."""
+    return [t for x in (length, length * (1.0 + LENGTH_RTOL), length * (1.0 - LENGTH_RTOL))
+            for t in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))]
+
+
 def test_thresholds_at_a_slope_length_match_marked_box_scan():
-    # a threshold equal to a slope's computed length puts that slope on the
-    # boundary of the disc; the row intervals must still reach it
+    # A threshold at a slope's computed length L puts the slope on the edge
+    # of the scanned disc but for its widening; at L (1 - rho) and
+    # L (1 + rho), one ulp either side, it is on the edge of _entry's
+    # inclusion and of its boundary flag.  The row intervals must still reach
+    # it, on markings skewed by up to 10^6 (scanned in their reduced basis
+    # past |k| = 3000) and on shapes scaled by 2^300 and 2^-300.
     rng = random.Random(1617)
-    for k in (0, 1, 10, 1000, 3000):
+    for k in (0, 1, 10, 1000, 3000, 10**5, 10**6):
         for sign in (1, -1):
             shape = skewed(reduced_shape(rng), sign * k)[0]
             entries = enumerate_short_slopes(shape, 4.0).entries
-            for e in rng.sample(entries, min(4, len(entries))):
-                report = enumerate_short_slopes(shape, e.length)
-                got = [(x.slope, x.length, x.boundary) for x in report.entries]
-                assert got == box_scan(shape, e.length)
-                assert (e.slope, e.length, True) in got
+            scale = rng.choice((0, 300, -300))
+            shape = rescaled(shape, scale)
+            basis, reach = ((MARKING, 1.0 + AMBIGUOUS_REL) if k <= 3000
+                            else (slope_search._reduced_basis(shape)[2:], 2.0))
+            for e in rng.sample(entries[-6:], min(2, len(entries))):
+                length = math.ldexp(e.length, scale)
+                for n, threshold in enumerate(_edge_thresholds(length)):
+                    report = enumerate_short_slopes(shape, threshold)
+                    got = [(x.slope, x.length, x.boundary) for x in report.entries]
+                    assert got == box_scan(shape, threshold, basis, reach), (k, sign, scale, n)
+                    if n < 3:
+                        assert (e.slope, length, True) in got
 
 
 def sheared(rng: random.Random, shape: CuspShape) -> CuspShape:
