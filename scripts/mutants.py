@@ -35,6 +35,9 @@ PACKAGE = Path("src") / "cuspslopes"
 SLOPES = "tests/test_slope_search.py"
 EDGE_TEST = SLOPES + "::test_thresholds_at_a_slope_length_match_marked_box_scan"
 PRIMES = "tests/test_bound_calculus.py"
+REPORTS = "tests/test_report_io.py"
+RECORDS = REPORTS + "::test_duplicate_and_malformed_records"
+TAMPERS = REPORTS + "::test_tampered_report_rejected"
 
 
 class Mutant(NamedTuple):
@@ -72,6 +75,20 @@ MUTANTS = (
            "if f * f > n:", "if f * f >= n:", (PRIMES,)),
     Mutant("miller_rabin_one_square_short", "bound_calculus.py",
            "for _ in range(r - 1):", "for _ in range(r - 2):", (PRIMES,)),
+    Mutant("cusp_duplicate_names_kept", "cusp_file.py",
+           "if name in seen_names:", "if False:", (RECORDS,)),
+    Mutant("cusp_version_unchecked", "cusp_file.py",
+           "if version != SCHEMA_VERSION:", "if False:", (REPORTS + "::test_header_validation",)),
+    Mutant("cusp_empty_name_kept", "cusp_file.py",
+           "if not isinstance(name, str) or not name:", "if not isinstance(name, str):",
+           (RECORDS,)),
+    Mutant("report_slope_keys_unchecked", "report_io.py",
+           "if rec.keys() != _SLOPE_KEYS or not", "if not", (TAMPERS,)),
+    Mutant("report_order_not_strict", "report_io.py",
+           "all(map(operator.lt, keys, keys[1:]))", "all(map(operator.le, keys, keys[1:]))",
+           (TAMPERS,)),
+    Mutant("report_boundary_flag_unchecked", "report_io.py",
+           'if rec["boundary"] is not entry.boundary:', "if False:", (TAMPERS,)),
 )
 
 

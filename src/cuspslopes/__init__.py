@@ -7,11 +7,11 @@ calculus, surface cusp-length audits, and deterministic lattice diagrams.
 ``import cuspslopes`` runs only this file.  Each public name, and each
 submodule, is imported on first use through the module ``__getattr__``
 (PEP 562), so a call loads only the modules it needs: loading a cusp file
-imports ``report_io`` and ``cusp_geometry`` and nothing else.  ``report_io``
-reaches ``slope_search`` and ``bound_calculus`` through this namespace too,
-so they are imported by the first report built or loaded.  The CLI reaches
-every submodule through this namespace as well, so a subcommand loads only
-its own modules.
+imports ``cusp_file`` and ``cusp_geometry`` and nothing else, none of the
+report code.  ``report_io`` reaches ``slope_search`` and ``bound_calculus``
+through this namespace too, so they are imported by the first report built
+or loaded.  The CLI reaches every submodule through this namespace as well,
+so a subcommand loads only its own modules.
 """
 
 __version__ = "0.1.0"
@@ -29,6 +29,7 @@ _EXPORTS = {
         "smallest_prime_greater",
         "verify_counting_lemma",
     ),
+    "cusp_file": ("CuspFileError", "load_cusp_file"),
     "cusp_geometry": (
         "CuspShape",
         "DegenerateBasisError",
@@ -53,10 +54,8 @@ _EXPORTS = {
     ),
     "report_io": (
         "AnalysisReport",
-        "CuspFileError",
         "ReportFormatError",
         "build_analysis_report",
-        "load_cusp_file",
         "load_report",
         "save_report",
     ),

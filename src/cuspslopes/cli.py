@@ -9,7 +9,7 @@ goes away (``| head``), a command stops quietly with exit code 1.
 
 The module imports only ``argparse``, ``math``, ``os``, ``sys`` and the
 package; each subcommand reaches its modules through the package namespace
-(``_pkg.report_io.load_cusp_file``), which imports a module on first use.
+(``_pkg.cusp_file.load_cusp_file``), which imports a module on first use.
 The parser's defaults are strings that argparse converts only for the
 subcommand that runs, so a process loads only its own command's modules.
 """
@@ -68,14 +68,14 @@ def _parse_lengths(text: str) -> tuple[float, ...]:
 
 
 def _load_named_shape(args):
-    shapes, errors = _pkg.report_io.load_cusp_file(args.cusp)
+    shapes, errors = _pkg.cusp_file.load_cusp_file(args.cusp)
     for err in errors:
         print(f"warning: skipped {err}", file=sys.stderr)
-    return _pkg.report_io.find_shape(shapes, args.name)
+    return _pkg.cusp_file.find_shape(shapes, args.name)
 
 
 def _print_json(data) -> None:
-    _pkg.report_io._write_text("-", _pkg.report_io.json_text(data))
+    _pkg.cusp_file._write_text("-", _pkg.cusp_file.json_text(data))
 
 
 def _cmd_slopes(args) -> int:
@@ -215,7 +215,7 @@ def _cmd_diagram(args) -> int:
         width=args.width,
         height=args.height,
     )
-    _pkg.report_io._write_text(args.out, _pkg.diagram.emit_lattice_svg(spec))
+    _pkg.cusp_file._write_text(args.out, _pkg.diagram.emit_lattice_svg(spec))
     if args.out != "-":
         print(f"wrote {args.out}: {len(report)} slopes, {2 * len(report)} highlighted markers")
     return 0

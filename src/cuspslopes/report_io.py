@@ -1,21 +1,12 @@
-"""Cusp-shape files and serialized analysis reports (JSON, schema v1).
+"""Serialized analysis reports (JSON, schema v1).
 
-Every document is written by ``json_text``: compact one-line JSON, the
-stdlib's ``json.dumps`` with ``separators=(",", ":")`` (no whitespace between
-tokens, which carries no data), whose floats are their shortest round-trip
-``repr``, so every binary64 value reads back exactly; key order is fixed, so
-identical data produces identical bytes.
-A report's Delta matrix stays packed (``slope_search.CrossingMatrix``, one
-unsigned array per row); its text comes from one generator,
-``_matrix_pieces``, which makes the row texts from the packed rows with each
-distinct entry converted to decimal once, and ``report_to_json`` joins it
-into the rest of the report.  A path of ``-`` reads standard input, whose
-bytes must be UTF-8 as a file's must, and writes standard output, every byte
-of it: a write that a closing pipe cuts short ends in ``BrokenPipeError``,
-also when stdout is unbuffered.  A file that is not UTF-8 or not JSON (also
-one nested too deeply to parse) is a ``CuspFileError`` or
-``ReportFormatError``.  ``save_cusp_file`` refuses a name its loader would
-refuse as repeated.
+A report is written by ``cusp_file.json_text``, the one JSON writer, and read
+and written through its ``-``-aware plumbing.  Its Delta matrix stays packed
+(``slope_search.CrossingMatrix``, one unsigned array per row); its text comes
+from one generator, ``_matrix_pieces``, which makes the row texts from the
+packed rows with each distinct entry converted to decimal once, and
+``report_to_json`` joins it into the rest of the report.  A file that is not
+UTF-8 or not JSON is a ``ReportFormatError``.
 
 Loading a report follows one rule, ``_verdict``: the report is rebuilt from
 its inputs (the slope records, threshold, area floor and lemma prime,
@@ -47,42 +38,41 @@ whole parse.  The loaded report keeps the packed rows and takes
 ``max_delta`` from them; slopes too large for a 64-bit lane are a
 ``ReportFormatError``.
 
-The module imports only ``cusp_geometry`` of the package.  The report code
-reaches ``slope_search`` and ``bound_calculus`` as attributes of the package
-(``_pkg.slope_search``), whose ``__getattr__`` imports each on first use; so
-a process that only loads cusp files never loads them, and a report call
-pays an attribute read, not an import statement.
+The module imports only ``cusp_geometry`` and ``cusp_file`` of the package.
+The report code reaches ``slope_search`` and ``bound_calculus`` as attributes
+of the package (``_pkg.slope_search``), whose ``__getattr__`` imports each on
+first use; so a report call pays an attribute read, not an import statement.
+A process that only loads cusp files imports ``cusp_file``, not this module.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import operator
-import sys
 
 import cuspslopes as _pkg
 
 from . import __version__
-from .cusp_geometry import (
-    CuspShape,
-    DegenerateBasisError,
-    _positive,
-    _set,
-    _shown,
-    _slope,
-    _Value,
-    area,
+# load_cusp_file is bound here only because perfbench/workloads.py calls
+# report_io.load_cusp_file; it is cusp_file's, and the package exports it from there.
+from .cusp_file import (  # noqa: F401
+    SCHEMA_VERSION,
+    _ENCODER,
+    _check_header,
+    _parse_json,
+    _read_text,
+    _write_text,
+    json_text,
+    load_cusp_file,
 )
+from .cusp_geometry import CuspShape, _positive, _set, _shown, _slope, _Value, area
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:
     from .bound_calculus import BoundQuery, BoundReport, LemmaVerdict
     from .slope_search import CrossingMatrix, SlopeEntry
 
-CUSP_FILE_FORMAT = "cusp-file"
 REPORT_FORMAT = "slope-analysis-report"
-SCHEMA_VERSION = "v1"
 _SMALL_NUMERALS = {v: str(v) for v in range(64)}  # all entries of small Delta matrices
 # A report's top-level keys, in the order they are written.
 _REPORT_KEYS = ("format", "version", "tool_version", "timestamp", "shape_name", "threshold",
@@ -90,173 +80,12 @@ _REPORT_KEYS = ("format", "version", "tool_version", "timestamp", "shape_name", 
 _REPORT_KEY_SET = frozenset(_REPORT_KEYS)
 _SLOPE_KEYS = frozenset(("a", "b", "length", "boundary"))
 _MATRIX_KEY = '"delta_matrix":'
-_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False, check_circular=False)
 _MATRIX_MISMATCH = "'delta_matrix' is not the rebuilt report's matrix of integers"
-
-
-class CuspFileError(ValueError):
-    """File-level problem with a cusp-shape file."""
 
 
 class ReportFormatError(ValueError):
     """Version mismatch or inconsistency in a serialized report."""
 
-
-class RecordError(_Value):
-    """A rejected cusp record, addressed by position and name."""
-
-    __slots__ = _fields = ("index", "name", "message")
-
-    def __init__(self, index: int, name: str | None, message: str) -> None:
-        _set(self, "index", index)
-        _set(self, "name", name)
-        _set(self, "message", message)
-
-    def __str__(self) -> str:
-        who = f"record {self.index}" + (f" ({_shown(self.name)})" if self.name else "")
-        return f"{who}: {self.message}"
-
-
-# ------------------------------ JSON plumbing ------------------------------
-
-def json_text(data) -> str:
-    """The one JSON writer: ``json.dumps(data, separators=(",", ":"),
-    allow_nan=False)`` and a newline, made by one encoder (``json.dumps``
-    with options builds one per call).  Non-finite floats raise
-    ``ValueError``; cycles are not checked (the data are trees)."""
-    return _ENCODER.encode(data) + "\n"
-
-
-def _reject_constant(token: str):
-    raise ValueError(f"non-finite numeric literal {token!r} is not allowed")
-
-
-def _parse_json(text: str, error_cls):
-    """The JSON value of ``text``; what it must be is checked by its parser
-    (``_check_header``)."""
-    try:
-        return json.loads(text, parse_constant=_reject_constant)
-    except (ValueError, RecursionError) as e:  # RecursionError: nested too deeply
-        raise error_cls(f"not valid JSON: {e}") from None
-
-
-def _check_header(data, expected_format: str, error_cls) -> None:
-    """Require ``data`` to be an object with the given format and version;
-    each parser's first check of its data."""
-    if not isinstance(data, dict):
-        raise error_cls("top level must be a JSON object")
-    fmt = data.get("format")
-    if fmt != expected_format:
-        raise error_cls(f"expected format {expected_format!r}, got {_shown(fmt)}")
-    version = data.get("version")
-    if version != SCHEMA_VERSION:
-        raise error_cls(
-            f"incompatible {expected_format} version {_shown(version)} "
-            f"(this tool reads {SCHEMA_VERSION!r})"
-        )
-
-
-def _read_text(path, error_cls) -> str:
-    try:
-        if str(path) == "-":  # bytes held to UTF-8 as a file's are
-            buffer = getattr(sys.stdin, "buffer", None)  # None: a text-only stream
-            return sys.stdin.read() if buffer is None else buffer.read().decode("utf-8")
-        with open(path, "r", encoding="utf-8") as f:
-            return f.read()
-    except UnicodeDecodeError as e:
-        raise error_cls(f"not UTF-8 text: {e}") from None
-
-
-def _write_text(path, text: str) -> None:
-    if str(path) == "-":
-        out = sys.stdout
-        buffer = getattr(out, "buffer", None)
-        if buffer is None:  # a text-only stream, such as io.StringIO
-            out.write(text)
-            return
-        # Unbuffered stdout is a text layer straight over FileIO, which drops
-        # the short count of a write that a closing pipe cuts off; so hand the
-        # bytes over until all are taken.  The write after a short one raises
-        # BrokenPipeError.
-        out.flush()
-        data = memoryview(text.encode(out.encoding, out.errors))
-        while data:
-            data = data[buffer.write(data):]
-        return
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(text)
-
-
-# ------------------------------- Cusp files --------------------------------
-
-def parse_cusp_records(data: dict) -> tuple[list[CuspShape], list[RecordError]]:
-    """Validate parsed cusp-file JSON; bad records are collected, not fatal."""
-    _check_header(data, CUSP_FILE_FORMAT, CuspFileError)
-    records = data.get("cusps")
-    if not isinstance(records, list):
-        raise CuspFileError("missing 'cusps' list")
-    shapes: list[CuspShape] = []
-    errors: list[RecordError] = []
-    seen_names: set[str] = set()
-    for i, record in enumerate(records):
-        name = record.get("name") if isinstance(record, dict) else None
-        try:
-            if not isinstance(record, dict):
-                raise CuspFileError("record must be an object")
-            if not isinstance(name, str) or not name:
-                raise CuspFileError(f"name must be a non-empty string, got {_shown(name)}")
-            if name in seen_names:
-                raise CuspFileError(f"duplicate name {_shown(name)}")
-            shape = CuspShape(record.get("meridian"), record.get("longitude"), name=name)
-        except (CuspFileError, DegenerateBasisError) as e:
-            errors.append(RecordError(i, name if isinstance(name, str) else None, str(e)))
-            continue
-        seen_names.add(name)
-        shapes.append(shape)
-    return shapes, errors
-
-
-def load_cusp_file(path) -> tuple[list[CuspShape], list[RecordError]]:
-    """Load shapes from a cusp file ('-' reads stdin).
-
-    File-level problems raise; per-record problems are returned alongside
-    the records that did load.
-    """
-    return parse_cusp_records(_parse_json(_read_text(path, CuspFileError), CuspFileError))
-
-
-def save_cusp_file(shapes, path, *, sources: dict[str, str] | None = None) -> None:
-    """Write ``shapes`` as a cusp file ('-' writes stdout); an unnamed shape
-    is written as ``cusp<i>``.  A written name that repeats is refused, as
-    the loader would refuse it, before anything is written."""
-    records = {}
-    for i, shape in enumerate(shapes):
-        name = shape.name or f"cusp{i}"
-        if name in records:
-            raise CuspFileError(f"duplicate name {_shown(name)}")
-        rec = records[name] = {
-            "name": name,
-            "meridian": list(shape.meridian),
-            "longitude": list(shape.longitude),
-        }
-        if sources and name in sources:
-            rec["source"] = sources[name]
-    data = {"format": CUSP_FILE_FORMAT, "version": SCHEMA_VERSION, "cusps": list(records.values())}
-    _write_text(path, json_text(data))
-
-
-def find_shape(shapes, name: str) -> CuspShape:
-    for shape in shapes:
-        if shape.name == name:
-            return shape
-    known = sorted(s.name or "?" for s in shapes)
-    listed = ", ".join(map(_shown, known[:3])) + (", ..." if len(known) > 3 else "")
-    raise CuspFileError(
-        f"no cusp named {_shown(name)} ({len(known)} available: {listed or 'none'})"
-    )
-
-
-# ----------------------------- Analysis reports ----------------------------
 
 class AnalysisReport(_Value):
     """One shape's full analysis: short slopes, crossing data, count bound,

@@ -18,13 +18,13 @@ import pytest
 from cuspslopes import slope_search
 from cuspslopes.bound_calculus import BoundQuery, slope_count_bound
 from cuspslopes.cli import main
+from cuspslopes.cusp_file import json_text
 from cuspslopes.cusp_geometry import CuspShape
 from cuspslopes.diagram import DiagramSpec, emit_lattice_svg
 from cuspslopes.halfplane_geometry import extremal_ratio
 from cuspslopes.report_io import (
     bound_to_dict,
     build_analysis_report,
-    json_text,
     load_report,
     report_from_dict,
     report_to_dict,

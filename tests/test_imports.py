@@ -22,11 +22,13 @@ from conftest import FIXTURES
 
 HEX2 = str(FIXTURES / "hex2.json")
 
-# What loading a cusp file needs: report_io and the one module it imports.
-CUSP_LOAD_MODULES = {"cuspslopes", "cuspslopes.cusp_geometry", "cuspslopes.report_io"}
-# What building or loading a report needs: the cusp-file modules and the
-# pipeline that report_io reaches through the package namespace.
-REPORT_MODULES = CUSP_LOAD_MODULES | {"cuspslopes.bound_calculus", "cuspslopes.slope_search"}
+# What loading a cusp file needs: cusp_file and the one module it imports,
+# none of the report code.
+CUSP_LOAD_MODULES = {"cuspslopes", "cuspslopes.cusp_geometry", "cuspslopes.cusp_file"}
+# What building or loading a report needs: the cusp-file modules, report_io
+# and the pipeline that report_io reaches through the package namespace.
+REPORT_MODULES = CUSP_LOAD_MODULES | {"cuspslopes.report_io", "cuspslopes.bound_calculus",
+                                      "cuspslopes.slope_search"}
 _LIST_MODULES = "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'cuspslopes'))"
 
 
@@ -102,13 +104,14 @@ def _subcommand(name, argv, *modules):
 @pytest.mark.parametrize(
     "argv, expected",
     [
-        _subcommand("slopes", ["slopes", *HEX2_ARGS], "report_io", "slope_search"),
+        _subcommand("slopes", ["slopes", *HEX2_ARGS], "cusp_file", "slope_search"),
         _subcommand("slopes_json", ["slopes", *HEX2_ARGS, "--json"],
-                    "report_io", "slope_search", "bound_calculus"),
+                    "cusp_file", "report_io", "slope_search", "bound_calculus"),
         _subcommand("bound", ["bound"], "bound_calculus"),
-        _subcommand("bound_json", ["bound", "--json"], "bound_calculus", "report_io"),
+        _subcommand("bound_json", ["bound", "--json"], "bound_calculus", "cusp_file",
+                    "report_io"),
         _subcommand("lemma_verify", ["lemma-verify", *HEX2_ARGS],
-                    "report_io", "slope_search", "bound_calculus"),
+                    "cusp_file", "report_io", "slope_search", "bound_calculus"),
         _subcommand("audit", ["audit", "--surface", "1,1,0", "--lengths", "6"], "surface_audit"),
         _subcommand("horodisk_ratio", ["horodisk", "--ratio"], "halfplane_geometry"),
         _subcommand("horodisk_separation", ["horodisk", "--separation", "1", "2"],
@@ -116,9 +119,9 @@ def _subcommand(name, argv, *modules):
         _subcommand("horodisk_wrapping", ["horodisk", "--wrapping", "0.1", "6"],
                     "halfplane_geometry"),
         _subcommand("diagram", ["diagram", *HEX2_ARGS, "--out", "-"],
-                    "report_io", "slope_search", "diagram"),
+                    "cusp_file", "slope_search", "diagram"),
         _subcommand("report", ["report", *HEX2_ARGS],
-                    "report_io", "slope_search", "bound_calculus"),
+                    "cusp_file", "report_io", "slope_search", "bound_calculus"),
     ],
 )
 def test_subcommand_imports_only_its_modules(argv, expected):

@@ -26,6 +26,7 @@ from cuspslopes.bound_calculus import (
     verify_counting_lemma,
 )
 from cuspslopes.cli import main
+from cuspslopes.cusp_file import CuspFileError, find_shape, parse_cusp_records
 from cuspslopes.cusp_geometry import (
     CuspShape,
     DegenerateBasisError,
@@ -39,11 +40,8 @@ from cuspslopes.halfplane_geometry import (
     boundary_length_lower_bound,
 )
 from cuspslopes.report_io import (
-    CuspFileError,
     ReportFormatError,
     build_analysis_report,
-    find_shape,
-    parse_cusp_records,
     report_from_dict,
     report_to_dict,
 )

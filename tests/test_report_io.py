@@ -15,22 +15,24 @@ import tracemalloc
 import pytest
 
 from cuspslopes import bound_calculus, cusp_geometry, report_io, slope_search
+from cuspslopes.cusp_file import (
+    CuspFileError,
+    find_shape,
+    json_text,
+    load_cusp_file,
+    parse_cusp_records,
+    save_cusp_file,
+)
 from cuspslopes.cusp_geometry import CuspShape, Slope
 from cuspslopes.diagram import DiagramSpec, emit_lattice_svg
 from cuspslopes.report_io import (
     AnalysisReport,
-    CuspFileError,
     ReportFormatError,
     build_analysis_report,
-    find_shape,
-    json_text,
-    load_cusp_file,
     load_report,
-    parse_cusp_records,
     report_from_dict,
     report_to_dict,
     report_to_json,
-    save_cusp_file,
     save_report,
 )
 from cuspslopes.slope_search import enumerate_short_slopes
@@ -88,11 +90,12 @@ def test_duplicate_and_malformed_records():
             {"meridian": [1.0, 0.0], "longitude": [0.0, 1.0]},
             "not an object",
             {"name": "b", "meridian": [1.0], "longitude": [0.0, 1.0]},
+            {"name": "", "meridian": [1.0, 0.0], "longitude": [0.0, 1.0]},
         ],
     }
     shapes, errors = parse_cusp_records(data)
     assert [s.name for s in shapes] == ["a"]
-    assert [e.index for e in errors] == [1, 2, 3, 4]
+    assert [e.index for e in errors] == [1, 2, 3, 4, 5]
 
 
 def test_header_validation():
@@ -334,13 +337,15 @@ def _edit(*path, to):
     return mutate
 
 
-def _repeat_first_slope(data):
-    """Append slope 0 again, with its matrix row and column."""
-    data["slopes"].append(dict(data["slopes"][0]))
+def _repeat_first_slope(data, at=None):
+    """Insert slope 0 again at index ``at`` (by default at the end), with its
+    matrix row and column."""
+    at = len(data["slopes"]) if at is None else at
+    data["slopes"].insert(at, dict(data["slopes"][0]))
     matrix = data["delta_matrix"]
     for row in matrix:
-        row.append(row[0])
-    matrix.append(list(matrix[0]))
+        row.insert(at, row[0])
+    matrix.insert(at, list(matrix[0]))
 
 
 def _swap_first_and_last_slopes(data):
@@ -387,6 +392,8 @@ TAMPERS = [
     ),
     ("slope_extra_key", _edit("slopes", 0, to=lambda r: {**r, "note": "x"}), "slopes"),
     ("duplicate_slope", _repeat_first_slope, "slopes"),
+    # equal neighbours: the order test must be strict
+    ("adjacent_duplicate_slope", lambda d: _repeat_first_slope(d, 1), "slopes"),
     ("slope_order", _swap_first_and_last_slopes, "slopes"),
     # derived fields retyped to equal values of another JSON type
     ("max_delta_float", _edit("max_delta", to=float), "max_delta"),

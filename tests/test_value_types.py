@@ -18,10 +18,11 @@ import pytest
 
 from cuspslopes import __version__
 from cuspslopes.bound_calculus import BoundQuery, BoundReport, LemmaVerdict
+from cuspslopes.cusp_file import RecordError
 from cuspslopes.cusp_geometry import CuspShape, Slope
 from cuspslopes.diagram import CanvasTransform, DiagramSpec
 from cuspslopes.halfplane_geometry import HorodiskPair, TangencyCheck, WrappingQuery
-from cuspslopes.report_io import AnalysisReport, RecordError, build_analysis_report
+from cuspslopes.report_io import AnalysisReport, build_analysis_report
 from cuspslopes.slope_search import ShortSlopeReport, SlopeEntry, enumerate_short_slopes
 from cuspslopes.surface_audit import (
     AuditVerdict,
