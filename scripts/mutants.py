@@ -38,6 +38,8 @@ PRIMES = "tests/test_bound_calculus.py"
 REPORTS = "tests/test_report_io.py"
 RECORDS = REPORTS + "::test_duplicate_and_malformed_records"
 TAMPERS = REPORTS + "::test_tampered_report_rejected"
+INPUTS = "tests/test_inputs.py"
+SURFACES = "tests/test_surface_audit.py"
 
 
 class Mutant(NamedTuple):
@@ -71,10 +73,42 @@ MUTANTS = (
     Mutant("disc_without_rho", "slope_search.py",
            "* (1.0 + LENGTH_RTOL) * (1.0 + 8.0 * delta)", "* (1.0 + 8.0 * delta)",
            (EDGE_TEST,)),
+    Mutant("scan_stops_a_row_early", "slope_search.py",
+           "if d < 0.0:", "if d < (2 * j + 1) * rise2:", (SLOPES,)),
+    # Only the one test: with R out of the 2^e units, the other tests can scan
+    # without end at scales far from 1.
+    Mutant("radius_not_normalised", "slope_search.py",
+           "(math.ldexp(threshold, e) * (1.0 + LENGTH_RTOL)", "(threshold * (1.0 + LENGTH_RTOL)",
+           (SLOPES + "::test_scaling_by_a_power_of_two_changes_no_decision",)),
+    Mutant("lanes_one_bit_narrow", "slope_search.py",
+           "if reach < 1 << (w - 1):", "if reach < 1 << w:",
+           (SLOPES + "::test_crossing_rows_match_pairwise_at_lane_bound",)),
+    Mutant("running_max_misses_one_above", "slope_search.py",
+           "bias = (half - 1 - best) * ones", "bias = (half - 2 - best) * ones",
+           (SLOPES + "::test_packed_max_one_above_the_last_row",)),
     Mutant("trial_division_stops_early", "bound_calculus.py",
            "if f * f > n:", "if f * f >= n:", (PRIMES,)),
     Mutant("miller_rabin_one_square_short", "bound_calculus.py",
            "for _ in range(r - 1):", "for _ in range(r - 2):", (PRIMES,)),
+    Mutant("modulus_accepts_composites", "bound_calculus.py",
+           "    if not prime:", "    if False:", (PRIMES,)),
+    Mutant("floor_snap_one_sided", "bound_calculus.py",
+           "if abs(x - nearest) <=", "if x - nearest <=", (PRIMES,)),
+    Mutant("floor_snap_relative_below_one", "bound_calculus.py",
+           "FLOOR_GUARD_REL_TOL * max(1.0, abs(x))", "FLOOR_GUARD_REL_TOL * abs(x)",
+           (PRIMES + "::test_guarded_floor_guard_is_absolute_below_one",)),
+    Mutant("positive_accepts_zero", "cusp_geometry.py",
+           "if not x > 0.0:", "if not x >= 0.0:", (INPUTS,)),
+    Mutant("count_accepts_one_below_least", "cusp_geometry.py",
+           "and x < least:", "and x < least - 1:", (INPUTS,)),
+    Mutant("pair_accepts_more_than_two", "cusp_geometry.py",
+           "or len(v) != 2:", "or len(v) < 2:", (INPUTS,)),
+    Mutant("audit_passed_without_tolerance", "surface_audit.py",
+           "passed=lhs <= rhs + INEQUALITY_TOL,", "passed=lhs <= rhs,", (SURFACES,)),
+    Mutant("audit_sharp_one_sided", "surface_audit.py",
+           "sharp=abs(slack) <= INEQUALITY_TOL,", "sharp=slack <= INEQUALITY_TOL,", (SURFACES,)),
+    Mutant("sphere_feasible_strict", "surface_audit.py",
+           "6 * (n - 2) >= (n - 1)", "6 * (n - 2) > (n - 1)", (SURFACES,)),
     Mutant("cusp_duplicate_names_kept", "cusp_file.py",
            "if name in seen_names:", "if False:", (RECORDS,)),
     Mutant("cusp_version_unchecked", "cusp_file.py",

@@ -8,10 +8,10 @@ calculus, surface cusp-length audits, and deterministic lattice diagrams.
 submodule, is imported on first use through the module ``__getattr__``
 (PEP 562), so a call loads only the modules it needs: loading a cusp file
 imports ``cusp_file`` and ``cusp_geometry`` and nothing else, none of the
-report code.  ``report_io`` reaches ``slope_search`` and ``bound_calculus``
-through this namespace too, so they are imported by the first report built
-or loaded.  The CLI reaches every submodule through this namespace as well,
-so a subcommand loads only its own modules.
+report code, and the first report built or loaded imports ``report_io``,
+which imports the scan and the bound calculus.  The CLI reaches every
+submodule through this namespace as well, so a subcommand loads only its own
+modules.  The library modules import each other directly.
 """
 
 __version__ = "0.1.0"

@@ -99,6 +99,18 @@ class BoundReport(_Value):
         _set(self, "floor_guard_hit", floor_guard_hit)
 
 
+def bound_to_dict(bound: BoundReport) -> dict:
+    """The ``bound`` section of a report (also ``cuspslopes bound --json``)."""
+    return {
+        "length_threshold": bound.query.length_threshold,
+        "area_floor": bound.query.area_floor,
+        "delta_max": bound.delta_max,
+        "prime": bound.prime,
+        "count_bound": bound.count_bound,
+        "floor_guard_hit": bound.floor_guard_hit,
+    }
+
+
 def is_prime(n: int) -> bool:
     """Trial division by 2 and the odd numbers up to 41, then deterministic
     Miller-Rabin to the first thirteen prime bases, stopping after the first
@@ -188,6 +200,18 @@ class LemmaVerdict(_Value):
         _set(self, "injective", injective)
         _set(self, "collision", collision)
         _set(self, "delta", delta)
+
+
+def lemma_to_dict(lemma: LemmaVerdict) -> dict:
+    """The ``lemma`` section of a report (also ``lemma-verify --json``)."""
+    return {
+        "prime": lemma.prime,
+        "injective": lemma.injective,
+        "collision": (
+            None if lemma.collision is None else [[s.a, s.b] for s in lemma.collision]
+        ),
+        "delta": lemma.delta,
+    }
 
 
 def verify_counting_lemma(slopes, p: int) -> LemmaVerdict:

@@ -11,7 +11,9 @@ The module imports only ``argparse``, ``math``, ``os``, ``sys`` and the
 package; each subcommand reaches its modules through the package namespace
 (``_pkg.cusp_file.load_cusp_file``), which imports a module on first use.
 The parser's defaults are strings that argparse converts only for the
-subcommand that runs, so a process loads only its own command's modules.
+subcommand that runs, so a process loads only its own command's modules:
+``bound --json`` writes its section with ``bound_calculus.bound_to_dict``
+and loads none of the report code.
 """
 
 from __future__ import annotations
@@ -78,11 +80,18 @@ def _print_json(data) -> None:
     _pkg.cusp_file._write_text("-", _pkg.cusp_file.json_text(data))
 
 
+def _write_report(shape, threshold: float, out: str = "-", **options):
+    """Build the analysis report of ``shape`` and write it to ``out`` ('-' is
+    standard output); ``slopes --json`` is ``report`` with its defaults."""
+    report = _pkg.report_io.build_analysis_report(shape, threshold, **options)
+    _pkg.report_io.save_report(report, out)
+    return report
+
+
 def _cmd_slopes(args) -> int:
     shape = _load_named_shape(args)
     if args.json:
-        report = _pkg.report_io.build_analysis_report(shape, args.threshold)
-        _pkg.report_io.save_report(report, "-")
+        _write_report(shape, args.threshold)
         return 0
     report = _pkg.slope_search.enumerate_short_slopes(shape, args.threshold)
     print(f"# cusp {shape.name}  threshold {args.threshold:.12g}  "
@@ -98,7 +107,7 @@ def _cmd_bound(args) -> int:
     query = _pkg.bound_calculus.BoundQuery(args.length, args.area)
     report = _pkg.bound_calculus.slope_count_bound(query)
     if args.json:
-        _print_json(_pkg.report_io.bound_to_dict(report))
+        _print_json(_pkg.bound_calculus.bound_to_dict(report))
         return 0
     ratio = report.query.length_threshold**2 / report.query.area_floor
     print(f"L^2/A = {ratio:.12g}")
@@ -117,7 +126,7 @@ def _cmd_lemma_verify(args) -> int:
                 "threshold": args.threshold,
                 "slope_count": count,
                 "max_delta": report.max_delta,
-                **_pkg.report_io.lemma_to_dict(verdict),
+                **_pkg.bound_calculus.lemma_to_dict(verdict),
             }
         )
         return 0
@@ -228,15 +237,9 @@ def _cmd_report(args) -> int:
         from datetime import datetime, timezone
 
         stamp = datetime.now(timezone.utc).isoformat()
-    report = _pkg.report_io.build_analysis_report(
-        shape,
-        args.threshold,
-        area_floor=args.area,
-        prime=args.prime,
-        timestamp=stamp,
-    )
     out = args.out or "-"
-    _pkg.report_io.save_report(report, out)
+    report = _write_report(shape, args.threshold, out, area_floor=args.area, prime=args.prime,
+                           timestamp=stamp)
     if out != "-":
         print(f"wrote {out}: {len(report.entries)} slopes, count bound {report.bound.count_bound}")
     return 0

@@ -38,11 +38,12 @@ whole parse.  The loaded report keeps the packed rows and takes
 ``max_delta`` from them; slopes too large for a 64-bit lane are a
 ``ReportFormatError``.
 
-The module imports only ``cusp_geometry`` and ``cusp_file`` of the package.
-The report code reaches ``slope_search`` and ``bound_calculus`` as attributes
-of the package (``_pkg.slope_search``), whose ``__getattr__`` imports each on
-first use; so a report call pays an attribute read, not an import statement.
-A process that only loads cusp files imports ``cusp_file``, not this module.
+The module imports what it calls from ``cusp_geometry``, ``cusp_file``,
+``slope_search`` and ``bound_calculus``, so importing it loads the whole
+report pipeline.  The ``bound`` and ``lemma`` sections are
+``bound_calculus.bound_to_dict`` and ``lemma_to_dict``, which the CLI also
+calls for ``bound --json`` and ``lemma-verify --json``.  A process that only
+loads cusp files imports ``cusp_file``, not this module.
 """
 
 from __future__ import annotations
@@ -50,9 +51,9 @@ from __future__ import annotations
 import math
 import operator
 
-import cuspslopes as _pkg
-
 from . import __version__
+from .bound_calculus import (BoundQuery, BoundReport, LemmaVerdict, _modulus, bound_to_dict,
+                             lemma_to_dict, slope_count_bound, verify_counting_lemma)
 # load_cusp_file is bound here only because perfbench/workloads.py calls
 # report_io.load_cusp_file; it is cusp_file's, and the package exports it from there.
 from .cusp_file import (  # noqa: F401
@@ -66,11 +67,8 @@ from .cusp_file import (  # noqa: F401
     load_cusp_file,
 )
 from .cusp_geometry import CuspShape, _positive, _set, _shown, _slope, _Value, area
-
-TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
-if TYPE_CHECKING:
-    from .bound_calculus import BoundQuery, BoundReport, LemmaVerdict
-    from .slope_search import CrossingMatrix, SlopeEntry
+from .slope_search import (CrossingMatrix, SlopeEntry, _entry, _entry_key, crossing_data,
+                           enumerate_short_slopes)
 
 REPORT_FORMAT = "slope-analysis-report"
 _SMALL_NUMERALS = {v: str(v) for v in range(64)}  # all entries of small Delta matrices
@@ -125,9 +123,9 @@ def build_analysis_report(
     """
     if not (timestamp is None or isinstance(timestamp, str)):
         raise ValueError(f"timestamp must be a string or None, got {_shown(timestamp)}")
-    short = _pkg.slope_search.enumerate_short_slopes(shape, threshold)
+    short = enumerate_short_slopes(shape, threshold)
     floor = area_floor if area_floor is not None else area(shape)
-    query = _pkg.bound_calculus.BoundQuery(threshold, floor)
+    query = BoundQuery(threshold, floor)
     return _analysis(shape.name or "unnamed", short.threshold, short.entries, short.delta_matrix,
                      short.max_delta, query, prime, __version__, timestamp)
 
@@ -137,35 +135,11 @@ def _analysis(shape_name: str, threshold: float, entries: tuple[SlopeEntry, ...]
               prime: int | None, tool_version: str, timestamp: str | None) -> AnalysisReport:
     """The report of these slopes: the count bound of ``query`` and the
     counting lemma at ``prime`` (the bound's prime when it is None)."""
-    bound = _pkg.bound_calculus.slope_count_bound(query)
-    lemma = _pkg.bound_calculus.verify_counting_lemma([e.slope for e in entries],
-                                                      bound.prime if prime is None else prime)
+    bound = slope_count_bound(query)
+    lemma = verify_counting_lemma([e.slope for e in entries],
+                                  bound.prime if prime is None else prime)
     return AnalysisReport(shape_name, threshold, entries, delta_matrix, max_delta, bound, lemma,
                           tool_version, timestamp)
-
-
-def bound_to_dict(bound: BoundReport) -> dict:
-    """The ``bound`` section of a report (also ``cuspslopes bound --json``)."""
-    return {
-        "length_threshold": bound.query.length_threshold,
-        "area_floor": bound.query.area_floor,
-        "delta_max": bound.delta_max,
-        "prime": bound.prime,
-        "count_bound": bound.count_bound,
-        "floor_guard_hit": bound.floor_guard_hit,
-    }
-
-
-def lemma_to_dict(lemma: LemmaVerdict) -> dict:
-    """The ``lemma`` section of a report (also ``lemma-verify --json``)."""
-    return {
-        "prime": lemma.prime,
-        "injective": lemma.injective,
-        "collision": (
-            None if lemma.collision is None else [[s.a, s.b] for s in lemma.collision]
-        ),
-        "delta": lemma.delta,
-    }
 
 
 def report_to_dict(report: AnalysisReport) -> dict:
@@ -263,7 +237,6 @@ def _inputs(data: dict, matrix_length: int) -> tuple:
     (``matrix_length``) is refused here, before the matrix is computed: the
     work done stays bounded by the size of the input.
     """
-    slope_search, bound_calculus = _pkg.slope_search, _pkg.bound_calculus
     threshold = _positive(data.get("threshold"), "threshold", ReportFormatError)
 
     raw_slopes = data.get("slopes")
@@ -284,13 +257,13 @@ def _inputs(data: dict, matrix_length: int) -> tuple:
                 or length != raw_length:
             raise ReportFormatError("'slopes' does not match the rebuilt report")
         # inclusion and the boundary flag are the scan's own decision
-        entry = slope_search._entry(_slope(a, b), length, threshold)
+        entry = _entry(_slope(a, b), length, threshold)
         if entry is None:
             raise ReportFormatError(f"slope length {length!r} is past the threshold {threshold!r}")
         if rec["boundary"] is not entry.boundary:
             raise ReportFormatError(f"boundary flag does not match the slope length {length!r}")
         entries.append(entry)
-    keys = [slope_search._entry_key(e) for e in entries]
+    keys = [_entry_key(e) for e in entries]
     ordered = all(map(operator.lt, keys, keys[1:]))
     _require(ordered, "slopes must be distinct and sorted by (length, (a, b))")
 
@@ -298,13 +271,13 @@ def _inputs(data: dict, matrix_length: int) -> tuple:
     _require(isinstance(raw_bound, dict), "missing bound section")
     area_floor = _positive(raw_bound.get("area_floor"), "bound area", ReportFormatError)
     try:
-        query = bound_calculus.BoundQuery(threshold, area_floor)
+        query = BoundQuery(threshold, area_floor)
     except ValueError as e:
         raise ReportFormatError(f"bound: {e}") from None
 
     raw_lemma = data.get("lemma")
     _require(isinstance(raw_lemma, dict), "missing lemma section")
-    prime = bound_calculus._modulus(raw_lemma.get("prime"), "lemma prime", ReportFormatError)
+    prime = _modulus(raw_lemma.get("prime"), "lemma prime", ReportFormatError)
 
     for key, kind in (("shape_name", str), ("tool_version", str), ("timestamp", (str, type(None)))):
         if not isinstance(data.get(key), kind):
@@ -333,7 +306,7 @@ def _verdict(data: dict, text: str, start: int, end: int) -> AnalysisReport:
     shape_name, threshold, entries, query, prime, tool_version, timestamp = _inputs(
         data, end - start)
     try:
-        delta_matrix, max_delta = _pkg.slope_search.crossing_data([e.slope for e in entries])
+        delta_matrix, max_delta = crossing_data([e.slope for e in entries])
     except OverflowError as e:
         raise ReportFormatError(f"slopes: {e}") from None
     pos = start

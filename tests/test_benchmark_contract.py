@@ -10,8 +10,9 @@ loader, ``ShortSlopeReport``'s constructor, report save, load and rebuild)
 fails here too.  The tracer tests install the benchmark's tracer, which
 counts built cusp shapes by replacing ``CuspShape.__post_init__`` on the
 class, so ``CuspShape`` must keep that method and call it on every build,
-and wraps each public function where its module defines it, so a report
-must reach the scan, the count bound and the lemma through those modules.
+and wraps each public function in every module namespace that binds it, so
+``report_io``'s own bindings of the scan, the count bound and the lemma are
+wrapped too: a report must call them through a module-level name.
 """
 
 from __future__ import annotations
@@ -68,8 +69,8 @@ def test_benchmark_tracer_counts_built_shapes(monkeypatch):
 
 
 def test_benchmark_tracer_counts_the_pipeline_of_a_report(monkeypatch, hex2_shape):
-    # report_io calls the scan, the count bound and the lemma through the
-    # package namespace; the tracer must still see each call, or the
+    # report_io imports the scan, the count bound and the lemma, and the
+    # tracer replaces its bindings of them; it must see each call, or the
     # per-layer enumerate_s, count_bound_s and lemma_s read 0
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import spans

@@ -94,6 +94,15 @@ def test_guarded_floor_plain():
     assert (value, hit) == (10, False)
 
 
+def test_guarded_floor_guard_is_absolute_below_one():
+    # the guard is 1e-9 * max(1, |x|): below 1 it is 1e-9 itself, so a ratio
+    # that close to 0 snaps to 0 and says so
+    assert guarded_floor(1e-12) == (0, True)
+    assert guarded_floor(0.5e-9) == (0, True)
+    assert guarded_floor(2e-9) == (0, False)
+    assert slope_count_bound(BoundQuery(1e-6, 3.35)).floor_guard_hit
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False))
 def test_guarded_floor_never_above(x):

@@ -74,6 +74,9 @@ def test_slopes_json_is_the_report_text(capsys, hex2_shape, threshold, count):
     assert (code, err) == (0, "")
     assert len(report.entries) == count
     assert out == json_text(report_to_dict(report))
+    # slopes --json is report with its defaults: the same bytes on stdout
+    assert run_cli(capsys, "report", "--cusp", HEX2, "--name", "hex2",
+                   "--threshold", threshold) == (0, out, "")
 
 
 def test_slopes_json_enumerates_once(capsys, monkeypatch):

@@ -26,7 +26,7 @@ HEX2 = str(FIXTURES / "hex2.json")
 # none of the report code.
 CUSP_LOAD_MODULES = {"cuspslopes", "cuspslopes.cusp_geometry", "cuspslopes.cusp_file"}
 # What building or loading a report needs: the cusp-file modules, report_io
-# and the pipeline that report_io reaches through the package namespace.
+# and the pipeline it imports, the scan and the bound calculus.
 REPORT_MODULES = CUSP_LOAD_MODULES | {"cuspslopes.report_io", "cuspslopes.bound_calculus",
                                       "cuspslopes.slope_search"}
 _LIST_MODULES = "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'cuspslopes'))"
@@ -50,6 +50,11 @@ def test_cusp_file_load_imports_only_its_modules():
     assert set(proc.stdout.split()) == CUSP_LOAD_MODULES
 
 
+def test_report_io_import_loads_the_report_modules():
+    proc = run_python("-c", "import sys\nimport cuspslopes.report_io\n" + _LIST_MODULES)
+    assert set(proc.stdout.split()) == REPORT_MODULES
+
+
 @pytest.fixture
 def hex2_report_path(hex2_shape, tmp_path):
     path = tmp_path / "hex2-report.json"
@@ -57,8 +62,9 @@ def hex2_report_path(hex2_shape, tmp_path):
     return str(path)
 
 
-# Each a first call into the package in a fresh interpreter that needs the
-# pipeline modules report_io does not import.
+# Each a first call into the package in a fresh interpreter, one through the
+# package namespace and one through report_io itself: either loads the report
+# modules and no others.
 FIRST_REPORT_CALLS = {
     "load_report": "import cuspslopes\n"
                    "report = cuspslopes.load_report(sys.argv[1])\n",
@@ -108,8 +114,7 @@ def _subcommand(name, argv, *modules):
         _subcommand("slopes_json", ["slopes", *HEX2_ARGS, "--json"],
                     "cusp_file", "report_io", "slope_search", "bound_calculus"),
         _subcommand("bound", ["bound"], "bound_calculus"),
-        _subcommand("bound_json", ["bound", "--json"], "bound_calculus", "cusp_file",
-                    "report_io"),
+        _subcommand("bound_json", ["bound", "--json"], "bound_calculus", "cusp_file"),
         _subcommand("lemma_verify", ["lemma-verify", *HEX2_ARGS],
                     "cusp_file", "report_io", "slope_search", "bound_calculus"),
         _subcommand("audit", ["audit", "--surface", "1,1,0", "--lengths", "6"], "surface_audit"),

@@ -614,8 +614,8 @@ def test_loadable_file_is_rebuilt_once(hex2_at_60_text, tmp_path, monkeypatch, n
     path.write_text(text)
     expected = _verdict(lambda: report_from_dict(json.loads(text)))
     calls = []
-    crossing_data = slope_search.crossing_data
-    monkeypatch.setattr(slope_search, "crossing_data",
+    crossing_data = report_io.crossing_data
+    monkeypatch.setattr(report_io, "crossing_data",
                         lambda slopes: calls.append(len(slopes)) or crossing_data(slopes))
     assert _verdict(lambda: load_report(path)) == expected
     assert calls == [990] or name == "second_matrix_after_lemma" and calls in ([], [990])
@@ -682,9 +682,8 @@ def test_short_matrix_rejected_before_it_is_computed(hex2_shape, tmp_path, monke
     def refuse(slopes):
         raise AssertionError("the crossing matrix was computed")
 
-    # report_io reaches the kernel through the package namespace, so patching
-    # the module that defines it patches the loader's call
-    monkeypatch.setattr(slope_search, "crossing_data", refuse)
+    # report_io imports the kernel, so patching its binding patches the loader's call
+    monkeypatch.setattr(report_io, "crossing_data", refuse)
     for data in (empty, under):
         path = tmp_path / "short.json"
         path.write_text(json_text(data))

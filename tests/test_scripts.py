@@ -8,14 +8,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import cuspslopes
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = REPO_ROOT / "scripts"
+# Where the tests' own cuspslopes was imported from: src/ of a checkout, or
+# site-packages of an installed package; the scripts run against the same one.
+PACKAGE_PARENT = str(Path(cuspslopes.__file__).resolve().parent.parent)
 
 
 def run_script(name: str, *argv: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
-    src = str(REPO_ROOT / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (PACKAGE_PARENT, env.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, str(SCRIPTS / name), *argv],
         capture_output=True,

@@ -64,6 +64,16 @@ def test_budget_violation_fails():
     assert verdict.slack == pytest.approx(-0.5)
 
 
+def test_budget_tolerance_is_two_sided():
+    # within INEQUALITY_TOL of the budget, on either side, is a sharp pass;
+    # farther below it a plain pass, farther above it a plain fail
+    torus = SurfaceType(1, 1)
+    for length, passed, sharp in [(6.0 + 1e-12, True, True), (6.0 - 1e-12, True, True),
+                                  (5.5, True, False), (6.5, False, False)]:
+        verdict = check_cusp_length_inequality(SurfaceAudit(torus, (length,)))
+        assert (verdict.passed, verdict.sharp) == (passed, sharp), length
+
+
 def test_budget_rejects_nonnegative_chi():
     with pytest.raises(ValueError):
         check_cusp_length_inequality(SurfaceAudit(SurfaceType(0, 0, 2), ()))
