@@ -8,15 +8,16 @@ temporary directory outside it, runs the listed tests once on the unmutated
 copy, which must pass, and then applies one mutant at a time and runs its
 tests with ``pytest -x -q``, one child process at a time, restoring the
 module after each run.  A mutant is killed when its tests fail (pytest's
-exit status 1); any other status, such as an error collecting the tests, is
+exit status 1) or run past ``MUTANT_TIMEOUT_S`` seconds, when the run is
+stopped; any other status, such as an error collecting the tests, is
 reported as an error.
 
 Usage: python scripts/mutants.py
 
-The script prints one line per mutant, ``killed``, ``SURVIVED`` or
-``ERROR``, with its name and run time, and exits 1 unless every mutant was
-killed.  It needs only the standard library, and pytest and hypothesis for
-the tests it runs.
+The script prints one line per mutant, ``killed``, ``timeout``, ``SURVIVED``
+or ``ERROR``, with its name and run time, then the count killed and the
+gate's total time, and exits 1 unless every mutant was killed.  It needs
+only the standard library, and pytest and hypothesis for the tests it runs.
 """
 
 from __future__ import annotations
@@ -35,11 +36,15 @@ PACKAGE = Path("src") / "cuspslopes"
 SLOPES = "tests/test_slope_search.py"
 EDGE_TEST = SLOPES + "::test_thresholds_at_a_slope_length_match_marked_box_scan"
 PRIMES = "tests/test_bound_calculus.py"
+CEILING = PRIMES + "::test_crossing_ceiling_table"
 REPORTS = "tests/test_report_io.py"
 RECORDS = REPORTS + "::test_duplicate_and_malformed_records"
 TAMPERS = REPORTS + "::test_tampered_report_rejected"
 INPUTS = "tests/test_inputs.py"
 SURFACES = "tests/test_surface_audit.py"
+# A mutant's tests take a few seconds; one that makes them hang is killed at
+# this limit and counts as killed.
+MUTANT_TIMEOUT_S = 60.0
 
 
 class Mutant(NamedTuple):
@@ -92,21 +97,21 @@ MUTANTS = (
            "for _ in range(r - 1):", "for _ in range(r - 2):", (PRIMES,)),
     Mutant("modulus_accepts_composites", "bound_calculus.py",
            "    if not prime:", "    if False:", (PRIMES,)),
-    Mutant("floor_snap_one_sided", "bound_calculus.py",
-           "if abs(x - nearest) <=", "if x - nearest <=", (PRIMES,)),
-    Mutant("floor_snap_relative_below_one", "bound_calculus.py",
-           "FLOOR_GUARD_REL_TOL * max(1.0, abs(x))", "FLOOR_GUARD_REL_TOL * abs(x)",
-           (PRIMES + "::test_guarded_floor_guard_is_absolute_below_one",)),
+    Mutant("box_high_end_without_half_ulp", "bound_calculus.py",
+           "n + 2, e", "n, e", (CEILING,)),
+    Mutant("flag_from_the_point_not_the_low_corner", "bound_calculus.py",
+           "_floor_ratio(l_lo, el, a_hi, ea)", "_floor_ratio(l_hi - 2, el, a_hi - 2, ea)",
+           (CEILING,)),
     Mutant("positive_accepts_zero", "cusp_geometry.py",
            "if not x > 0.0:", "if not x >= 0.0:", (INPUTS,)),
     Mutant("count_accepts_one_below_least", "cusp_geometry.py",
            "and x < least:", "and x < least - 1:", (INPUTS,)),
     Mutant("pair_accepts_more_than_two", "cusp_geometry.py",
            "or len(v) != 2:", "or len(v) < 2:", (INPUTS,)),
-    Mutant("audit_passed_without_tolerance", "surface_audit.py",
-           "passed=lhs <= rhs + INEQUALITY_TOL,", "passed=lhs <= rhs,", (SURFACES,)),
-    Mutant("audit_sharp_one_sided", "surface_audit.py",
-           "sharp=abs(slack) <= INEQUALITY_TOL,", "sharp=slack <= INEQUALITY_TOL,", (SURFACES,)),
+    Mutant("budget_passed_strict", "surface_audit.py",
+           "slack >= 0,", "slack > 0,", (SURFACES,)),
+    Mutant("budget_slack_from_fsum", "surface_audit.py",
+           "float(slack)", "budget - math.fsum(lengths)", (SURFACES,)),
     Mutant("sphere_feasible_strict", "surface_audit.py",
            "6 * (n - 2) >= (n - 1)", "6 * (n - 2) > (n - 1)", (SURFACES,)),
     Mutant("cusp_duplicate_names_kept", "cusp_file.py",
@@ -131,15 +136,22 @@ def occurrences(root: Path, mutant: Mutant) -> int:
     return (root / PACKAGE / mutant.module).read_text(encoding="utf-8").count(mutant.fragment)
 
 
-def _pytest(copy: Path, tests, env) -> tuple[int, float]:
+def _pytest(copy: Path, tests, env, timeout: float | None = None) -> tuple[int | None, float]:
+    """pytest's exit status on ``tests`` in ``copy``, or None when the run
+    passed ``timeout`` seconds and was killed, and the run time."""
     start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                           *tests], cwd=copy, env=env, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.DEVNULL)
-    return proc.returncode, time.perf_counter() - start
+    try:
+        code = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p",
+                               "no:cacheprovider", *tests], cwd=copy, env=env,
+                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                              timeout=timeout).returncode
+    except subprocess.TimeoutExpired:
+        code = None
+    return code, time.perf_counter() - start
 
 
 def main() -> int:
+    start = time.perf_counter()
     for m in MUTANTS:
         if occurrences(REPO_ROOT, m) != 1:
             print(f"{m.name}: the fragment occurs {occurrences(REPO_ROOT, m)} times in "
@@ -170,13 +182,14 @@ def main() -> int:
             original = path.read_text(encoding="utf-8")
             path.write_text(original.replace(m.fragment, m.replacement), encoding="utf-8")
             try:
-                code, seconds = _pytest(copy, m.tests, env)
+                code, seconds = _pytest(copy, m.tests, env, MUTANT_TIMEOUT_S)
             finally:
                 path.write_text(original, encoding="utf-8")
-            verdict = {0: "SURVIVED", 1: "killed"}.get(code, "ERROR")
-            failed += code != 1
+            verdict = {0: "SURVIVED", 1: "killed", None: "timeout"}.get(code, "ERROR")
+            failed += code not in (1, None)
             print(f"{verdict:9} {m.name}  ({seconds:.1f} s)")
-    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed")
+    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed in "
+          f"{time.perf_counter() - start:.0f} s")
     return 1 if failed else 0
 
 

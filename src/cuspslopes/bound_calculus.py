@@ -7,13 +7,17 @@ prime p > R, so it has at most p + 1 members.  With L = 6 and the
 Cao-Meyerhoff area floor 3.35 this gives the headline count bound 12; the
 older 2*pi / sqrt(3) regime gives 24 through the same pipeline.
 
-``slope_count_bound(q).delta_max`` is the crossing ceiling.  ``project_to_fp``
-sends (a, b) to the residue pair (1, b/a mod p), or (0, 1) when p | a; two
-primitive slopes share a pair exactly when p divides ad - bc.  Work stays
-bounded on hostile inputs: ``BoundQuery`` rejects L^2/A >= 2^53, and
-``is_prime`` is deterministic Miller-Rabin, a domain error past its exact
-range.  ``BoundQuery`` also rejects a subnormal area floor, whose few
-significant bits would silently change the bound.
+``slope_count_bound(q).delta_max`` is the crossing ceiling, claimed for every
+real L' and A' that round to the binary64 L and A: the largest
+floor(L'^2 / A') over the closed box of such reals, taken at its corner
+(L + ulp(L)/2, A - g/2), g the gap below A, and computed in integers.
+``floor_guard_hit`` says that the box straddles an integer: the floor at the
+opposite corner is smaller.  ``project_to_fp`` sends (a, b) to the residue
+pair (1, b/a mod p), or (0, 1) when p | a; two primitive slopes share a pair
+exactly when p divides ad - bc.  ``is_prime`` is deterministic Miller-Rabin,
+a domain error past its exact range, so ``BoundQuery`` refuses L and A whose
+next prime would lie past that range.  It also refuses a subnormal area
+floor, whose few significant bits would silently change the bound.
 """
 
 from __future__ import annotations
@@ -30,14 +34,6 @@ CAO_MEYERHOFF_AREA = 3.35
 # Older cusp-area floor due to Adams, paired with the 2*pi length cutoff.
 ADAMS_AREA = math.sqrt(3.0)
 
-# Ratios within this relative guard of an integer are snapped to it before
-# flooring; ingested constants may be perturbed at the 1e-15 level.
-FLOOR_GUARD_REL_TOL = 1e-9
-
-# From 2^53 on, binary64 no longer resolves every integer, so floor(L^2/A)
-# would mean nothing.
-MAX_CROSSING_RATIO = 2.0**53
-
 # Deterministic Miller-Rabin: an odd n > 1 that is a strong probable prime to
 # the first k prime bases is prime when n < psi_k (OEIS A014233).  The last
 # value, about 3.3e24, is psi_13 (Sorenson-Webster, "Strong pseudoprimes to
@@ -51,17 +47,32 @@ _MR_PSI = (
     3317044064679887385961981,
 )
 _MR_LIMIT = _MR_PSI[-1]
+# The largest prime below _MR_LIMIT: a crossing ceiling from it on has no
+# next prime that is_prime decides.
+_LAST_PRIME = 3317044064679887385961813
 
 
-def guarded_floor(x: float) -> tuple[int, bool]:
-    """floor(x), except values within the relative guard of an integer snap
-    to that integer.  Returns (value, guard_hit)."""
-    if not math.isfinite(x):
-        raise ValueError(f"cannot floor non-finite value {x!r}")
-    nearest = round(x)
-    if abs(x - nearest) <= FLOOR_GUARD_REL_TOL * max(1.0, abs(x)):
-        return int(nearest), True
-    return math.floor(x), False
+def _rounding_box(x: float) -> tuple[int, int, int]:
+    """Integers lo, hi and e such that [lo * 2**e, hi * 2**e] is the closed
+    interval of reals that round to the float x > 0: x less half the gap
+    below it, to x plus half its ulp."""
+    e = math.frexp(math.ulp(x))[1] - 3  # 2**e is a quarter of x's ulp
+    n = int(math.ldexp(x, -e))
+    return (n + int(math.ldexp(math.nextafter(x, 0.0), -e))) // 2, n + 2, e
+
+
+def _floor_ratio(m: int, em: int, a: int, ea: int) -> int:
+    """floor((m * 2**em)**2 / (a * 2**ea)) for a > 0."""
+    s = 2 * em - ea
+    return (m * m << s) // a if s >= 0 else m * m // (a << -s)
+
+
+def _crossing_floors(L: float, A: float) -> tuple[int, int]:
+    """floor(L'^2 / A') at the low and at the high corner of the box of
+    reals L', A' that round to L and A."""
+    l_lo, l_hi, el = _rounding_box(L)
+    a_lo, a_hi, ea = _rounding_box(A)
+    return _floor_ratio(l_lo, el, a_hi, ea), _floor_ratio(l_hi, el, a_lo, ea)
 
 
 class BoundQuery(_Value):
@@ -77,14 +88,9 @@ class BoundQuery(_Value):
                              f"normal float, got {A!r}")
         _set(self, "length_threshold", L)
         _set(self, "area_floor", A)
-        ratio = L * L / A
-        if not math.isfinite(ratio):
-            raise ValueError(f"L^2/A overflows for length threshold {L!r} and area floor {A!r}")
-        if ratio >= MAX_CROSSING_RATIO:
-            raise ValueError(
-                f"L^2/A = {ratio!r} reaches 2**53 for length threshold {L!r} and area "
-                f"floor {A!r}; its floor is not exact in binary64"
-            )
+        if _crossing_floors(L, A)[1] >= _LAST_PRIME:
+            raise ValueError(f"the count bound for length threshold {L!r} and area floor {A!r} "
+                             f"needs a prime past {_LAST_PRIME}, the largest is_prime decides")
 
 
 class BoundReport(_Value):
@@ -170,9 +176,9 @@ def smallest_prime_greater(r: int) -> int:
 
 def slope_count_bound(q: BoundQuery) -> BoundReport:
     """Full pipeline: delta ceiling -> next prime p -> at most p + 1 slopes."""
-    delta_max, guard_hit = guarded_floor(q.length_threshold**2 / q.area_floor)
+    low, delta_max = _crossing_floors(q.length_threshold, q.area_floor)
     p = smallest_prime_greater(delta_max)
-    return BoundReport(q, delta_max, p, p + 1, guard_hit)
+    return BoundReport(q, delta_max, p, p + 1, low != delta_max)
 
 
 def _residue(a: int, b: int, p: int) -> tuple[int, int]:

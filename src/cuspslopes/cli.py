@@ -109,8 +109,9 @@ def _cmd_bound(args) -> int:
     if args.json:
         _print_json(_pkg.bound_calculus.bound_to_dict(report))
         return 0
-    ratio = report.query.length_threshold**2 / report.query.area_floor
-    print(f"L^2/A = {ratio:.12g}")
+    # the exact L^2/A rounded once: L**2 overflows for some accepted queries
+    (n, d), (m, e) = query.length_threshold.as_integer_ratio(), query.area_floor.as_integer_ratio()
+    print(f"L^2/A = {n * n * e / (d * d * m):.12g}")
     print(f"Δ ≤ {report.delta_max}, p = {report.prime}, slopes ≤ {report.count_bound}")
     return 0
 

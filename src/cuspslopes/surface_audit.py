@@ -20,11 +20,14 @@ from fractions import Fraction
 
 from .cusp_geometry import _count, _positive, _real, _set, _shown, _Value
 
+# The packing check compares with (3/pi) times a float, and 3/pi is
+# irrational, so no float comparison of it is exact: it passes within this
+# absolute tolerance.
 INEQUALITY_TOL = 1e-9
 
 # Boundary-length budget per unit of |chi| for essential surfaces:
 # (3/pi) * 2*pi = 6.
-CUSP_LENGTH_BUDGET_PER_CHI = 6.0
+CUSP_LENGTH_BUDGET_PER_CHI = 6
 
 # Packing bound: a union of embedded horocusp regions covers at most 3/pi
 # of a finite-area hyperbolic surface.
@@ -89,19 +92,7 @@ class AuditVerdict(_Value):
         _set(self, "lhs", lhs)
         _set(self, "rhs", rhs)
         _set(self, "slack", slack)  # rhs - lhs
-        _set(self, "sharp", sharp)  # equality within tolerance
-
-
-def _verdict(name: str, lhs: float, rhs: float) -> AuditVerdict:
-    slack = rhs - lhs
-    return AuditVerdict(
-        name=name,
-        passed=lhs <= rhs + INEQUALITY_TOL,
-        lhs=lhs,
-        rhs=rhs,
-        slack=slack,
-        sharp=abs(slack) <= INEQUALITY_TOL,
-    )
+        _set(self, "sharp", sharp)  # equality (within INEQUALITY_TOL for the packing check)
 
 
 def euler_characteristic(s: SurfaceType) -> int:
@@ -118,17 +109,29 @@ def _hyperbolic_chi(s: SurfaceType) -> int:
 
 
 def check_cusp_length_inequality(audit: SurfaceAudit) -> AuditVerdict:
-    """Total listed slope length against the 6|chi| budget (chi < 0 required)."""
-    chi = _hyperbolic_chi(audit.surface)
-    total = math.fsum(audit.cusp_slope_lengths)
-    return _verdict("cusp_length_budget", total, CUSP_LENGTH_BUDGET_PER_CHI * abs(chi))
+    """Total listed slope length against the 6|chi| budget (chi < 0 required).
+
+    Decided exactly, on the sum of the ``Fraction``s of the binary64 lengths
+    against the integer 6|chi|: ``passed`` when the sum is at most the
+    budget, ``sharp`` when it is equal.  ``slack`` is the exact slack rounded
+    once, so its sign agrees with ``passed`` and it is 0 exactly when the
+    verdict is sharp; ``lhs`` is the ``math.fsum`` of the lengths.
+    """
+    budget = CUSP_LENGTH_BUDGET_PER_CHI * abs(_hyperbolic_chi(audit.surface))
+    lengths = audit.cusp_slope_lengths
+    slack = budget - sum(map(Fraction, lengths))
+    return AuditVerdict("cusp_length_budget", slack >= 0, math.fsum(lengths), float(budget),
+                        float(slack), slack == 0)
 
 
 def boroczky_check(horocusp_area: float, surface_area: float) -> AuditVerdict:
     """Packing bound: horocusp area at most (3/pi) of the surface area."""
     horocusp_area = _positive(horocusp_area, "horocusp area")
     surface_area = _positive(surface_area, "surface area")
-    return _verdict("horocusp_area_ratio", horocusp_area, HOROCUSP_AREA_RATIO * surface_area)
+    rhs = HOROCUSP_AREA_RATIO * surface_area
+    slack = rhs - horocusp_area
+    return AuditVerdict("horocusp_area_ratio", horocusp_area <= rhs + INEQUALITY_TOL,
+                        horocusp_area, rhs, slack, abs(slack) <= INEQUALITY_TOL)
 
 
 def gauss_bonnet_area(s: SurfaceType) -> float:

@@ -1,9 +1,12 @@
-"""Bound-pipeline tests: guarded floor, primes, projective reduction, lemma."""
+"""Bound-pipeline tests: crossing ceiling, primes, projective reduction, lemma."""
 
 from __future__ import annotations
 
 import math
 import random
+import re
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -11,11 +14,11 @@ from hypothesis import strategies as st
 
 from cuspslopes import bound_calculus
 from cuspslopes.bound_calculus import (
+    _LAST_PRIME,
     _MR_PSI,
     ADAMS_AREA,
     CAO_MEYERHOFF_AREA,
     BoundQuery,
-    guarded_floor,
     is_prime,
     project_to_fp,
     slope_count_bound,
@@ -49,11 +52,42 @@ def test_named_area_constants():
 
 
 def test_query_validation():
-    # the last two are finite and positive, but L^2 / A leaves the float range
+    # the last two are finite and positive, but the next prime after L^2/A
+    # is past the range is_prime decides; the two before have a subnormal A
     for L, A in ((0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (math.inf, 1.0), (1.0, math.nan),
-                 (1e200, 1.0), (1e150, 1e-100)):
+                 (1.0, 5e-324), (1e-160, 1e-310), (1e200, 1.0), (1e150, 1e-100)):
         with pytest.raises(ValueError):
             BoundQuery(L, A)
+
+
+@pytest.mark.parametrize(
+    "L, A, delta, flag",
+    [(6.0, 3.35, 10, False), (2.0 * math.pi, math.sqrt(3.0), 22, False), (6.0, 3.6, 10, True),
+     (6.0, 3.0, 12, True), (math.sqrt(12.0), 1.0, 12, True), (6.0, 0.36, 100, True),
+     (1e-6, 3.35, 0, False), (6.0, 3.0000000001, 11, False), (6.0, 3.0 + 1e-14, 11, False),
+     (1.0, 1.0, 1, True), (3.0, 2.0, 4, False), (5e-324, 1.0, 0, False),
+     (1e-150, sys.float_info.min, 44942328, False), (1e160, 1e300, 100000000000000019099, True),
+     (1e-160, 1e300, 0, False), (sys.float_info.max, 3.35, None, None)],
+)
+def test_crossing_ceiling_table(L, A, delta, flag):
+    # Delta is the floor of L'^2/A' at the high corner of the box of reals
+    # that round to L and A, and the flag says the floor at the low corner
+    # differs; the ends of each side, in Fraction, are half the gap below the
+    # float and half its ulp above it
+    if delta is None:
+        with pytest.raises(ValueError, match="needs a prime past"):
+            BoundQuery(L, A)
+        return
+
+    def ends(x):
+        return (Fraction(x) - (Fraction(x) - Fraction(math.nextafter(x, 0.0))) / 2,
+                Fraction(x) + Fraction(math.ulp(x)) / 2)
+
+    (l_lo, l_hi), (a_lo, a_hi) = ends(L), ends(A)
+    bound = slope_count_bound(BoundQuery(L, A))
+    assert (bound.delta_max, bound.floor_guard_hit) == (delta, flag)
+    assert delta == math.floor(l_hi**2 / a_lo)
+    assert flag == (math.floor(l_lo**2 / a_hi) != delta)
 
 
 @pytest.mark.parametrize(
@@ -75,40 +109,21 @@ def test_query_inputs_become_floats():
 
 
 def test_query_rejects_unresolvable_ratio():
-    # L^2/A >= 2^53: binary64 no longer resolves the floor
-    message = r"reaches 2\*\*53 for length threshold 1000000000.0 and area floor 3.35"
-    with pytest.raises(ValueError, match=message):
-        BoundQuery(1e9, 3.35)
-    with pytest.raises(ValueError, match=r"2\*\*53"):
-        BoundQuery(2.0**26.5, 1.0)
-    assert slope_count_bound(BoundQuery(1e8, 3.35)).delta_max == 2985074626865672
+    # a ceiling whose next prime is past is_prime's exact range is refused by
+    # name; at one ulp less length the ceiling has its prime
+    message = ("^the count bound for length threshold {} and area floor {} needs a prime past "
+               "3317044064679887385961813, the largest is_prime decides$")
+    for L, A in ((sys.float_info.max, 3.35), (1e200, 3.35), (math.sqrt(_LAST_PRIME), 1.0)):
+        with pytest.raises(ValueError, match=message.format(re.escape(repr(L)), repr(A))):
+            BoundQuery(L, A)
+    bound = slope_count_bound(BoundQuery(math.nextafter(math.sqrt(_LAST_PRIME), 0.0), 1.0))
+    assert (_LAST_PRIME - bound.delta_max, bound.prime - bound.delta_max) == (709167301, 29)
+    assert slope_count_bound(BoundQuery(1e9, 3.35)).delta_max == 298507462686567211
 
 
-def test_guarded_floor_snaps_up():
-    value, hit = guarded_floor(12.0 - 1e-12)
-    assert (value, hit) == (12, True)
-
-
-def test_guarded_floor_plain():
-    value, hit = guarded_floor(10.746268656716418)
-    assert (value, hit) == (10, False)
-
-
-def test_guarded_floor_guard_is_absolute_below_one():
-    # the guard is 1e-9 * max(1, |x|): below 1 it is 1e-9 itself, so a ratio
-    # that close to 0 snaps to 0 and says so
-    assert guarded_floor(1e-12) == (0, True)
-    assert guarded_floor(0.5e-9) == (0, True)
-    assert guarded_floor(2e-9) == (0, False)
-    assert slope_count_bound(BoundQuery(1e-6, 3.35)).floor_guard_hit
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False))
-def test_guarded_floor_never_above(x):
-    value, _ = guarded_floor(x)
-    assert value <= x + 1e-9 * max(1.0, abs(x))
-    assert x - 1.0 < value
+def test_last_prime_is_the_last_in_range():
+    assert is_prime(_LAST_PRIME)
+    assert not any(is_prime(n) for n in range(_LAST_PRIME + 1, _MR_PSI[-1]))
 
 
 # ---------------------------------------------------------------- primes
@@ -194,10 +209,13 @@ def test_pipeline_degenerate_small():
 
 
 def test_pipeline_guard_flag_surfaces():
-    report = slope_count_bound(BoundQuery(6.0, 36.0 / 12.0 + 1e-14))
-    # 36 / 3.0 = 12 up to roundoff: the guard must snap to 12, not floor to 11
-    assert report.delta_max == 12
-    assert report.floor_guard_hit
+    # 36/3 = 12 exactly: the box around (6, 3) straddles 12, and its high
+    # corner gives 12
+    report = slope_count_bound(BoundQuery(6.0, 3.0))
+    assert (report.delta_max, report.prime, report.floor_guard_hit) == (12, 13, True)
+    # 3 + 1e-14 is about 22 ulps above 3: every real that rounds to it gives 11
+    report = slope_count_bound(BoundQuery(6.0, 3.0 + 1e-14))
+    assert (report.delta_max, report.prime, report.floor_guard_hit) == (11, 13, False)
 
 
 # ---------------------------------------------------------------- F_p P^1

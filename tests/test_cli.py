@@ -146,19 +146,31 @@ def test_bound_overflow_is_domain_error(capsys):
     assert code == 1
     assert out == ""
     assert err == (
-        "error: L^2/A overflows for length threshold 1e+200 and area floor 3.35\n"
+        "error: the count bound for length threshold 1e+200 and area floor 3.35 needs a prime "
+        "past 3317044064679887385961813, the largest is_prime decides\n"
     )
 
 
-@pytest.mark.parametrize("length, code", [("1e8", 0), ("1e9", 1)])
+def test_bound_past_the_float_range_prints_the_rounded_ratio(capsys):
+    # L^2 = 1e320 is past the float range; L^2/A = 1e20 is printed rounded once
+    code, out, err = run_cli(capsys, "bound", "--length", "1e160", "--area", "1e300")
+    assert (code, err) == (0, "")
+    assert out == ("L^2/A = 1e+20\nΔ ≤ 100000000000000019099, p = 100000000000000019137, "
+                   "slopes ≤ 100000000000000019138\n")
+
+
+@pytest.mark.parametrize("length, code", [("1e8", 0), ("1e9", 0), ("4e12", 1)])
 def test_bound_huge_length_is_fast(length, code):
+    # from about L = 3.33e12 on, the next prime after L^2/3.35 is past the
+    # range is_prime decides
     seconds, proc = run_timed(
         "from cuspslopes.cli import main\nstatus = main(sys.argv[1:])\nprint('exit', status)",
         "bound", "--length", length,
     )
     assert proc.stdout.splitlines()[-1] == f"exit {code}"
     if code:
-        assert "error: L^2/A = 2.985074626865672e+17 reaches 2**53" in proc.stderr
+        assert "error: the count bound for length threshold 4000000000000.0" in proc.stderr
+        assert "needs a prime past 3317044064679887385961813" in proc.stderr
     assert seconds < 1.0
 
 
@@ -202,6 +214,19 @@ def test_audit_failure(capsys):
     code, out, _ = run_cli(capsys, "audit", "--surface", "1,1,0", "--lengths", "6.5")
     assert code == 0  # a failed audit is a successful run
     assert "fail" in out
+
+
+@pytest.mark.parametrize(
+    "surface, lengths, total, slack",
+    [("1,1,0", "6.0000000005", "6.0000000005", "-5.0000004137e-10"),
+     ("0,3,0", "3.0000000000000004,3", "6", "-4.4408920985e-16")],
+)
+def test_audit_just_over_the_budget_fails(capsys, surface, lengths, total, slack):
+    # the second total is 6 + 2^-51, which the float sum rounds to 6
+    code, out, err = run_cli(capsys, "audit", "--surface", surface, "--lengths", lengths)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["chi = -1, budget 6|chi| = 6", f"total slope length = {total}",
+                                f"fail: slack = {slack}"]
 
 
 def test_audit_json(capsys):

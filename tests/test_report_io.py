@@ -276,13 +276,20 @@ def test_hex2_at_every_binary64_scale_gives_its_bound_or_a_refusal(hex2_shape):
     # hex2 and T scaled by 2^k for every k at which the inputs are floats
     # (hex2's meridian, 2 * 2^1023, is not): the report has hex2's bound or
     # is refused; a subnormal own area (k from -538 to -512) must not pass
-    # with the few bits it keeps
+    # with the few bits it keeps.  At k = 510 and 511, L^2 is past the float
+    # range but L^2/A = 10.39 is not: the report is hex2's and loads back
+    refused = []
     for k in range(-1074, 1023):
         try:
-            bound = build_analysis_report(rescaled(hex2_shape, k), math.ldexp(6.0, k)).bound
+            report = build_analysis_report(rescaled(hex2_shape, k), math.ldexp(6.0, k))
         except ValueError:
+            refused.append(k)
             continue
+        bound = report.bound
         assert (bound.delta_max, bound.prime, bound.count_bound) == (10, 11, 12), k
+        if k in (510, 511):
+            assert report_from_dict(json.loads(report_to_json(report))) == report
+    assert refused == [*range(-1074, -511), *range(512, 1023)]
 
 
 def test_report_seventeen_digit_floats(hex2_report):

@@ -53,15 +53,28 @@ def test_code_lines_counts_each_module(tmp_path):
     assert sum(int(m.split()[0]) for m in modules[:-1]) == int(modules[-1].split()[0])
 
 
-def test_mutant_fragments_occur_once():
-    # the mutation gate (scripts/mutants.py) edits one place per mutant: a
-    # change of the program that moves or repeats a fragment must update it
+def load_mutants():
     spec = importlib.util.spec_from_file_location("mutants", SCRIPTS / "mutants.py")
     mutants = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mutants)
+    return mutants
+
+
+def test_mutant_fragments_occur_once():
+    # the mutation gate (scripts/mutants.py) edits one place per mutant: a
+    # change of the program that moves or repeats a fragment must update it
+    mutants = load_mutants()
     assert len({m.name for m in mutants.MUTANTS}) == len(mutants.MUTANTS)
     for m in mutants.MUTANTS:
         assert mutants.occurrences(REPO_ROOT, m) == 1, m.name
         assert m.replacement != m.fragment, m.name
         for test in m.tests:
             assert (REPO_ROOT / test.split("::")[0]).is_file(), (m.name, test)
+
+
+def test_mutant_run_past_its_limit_is_stopped(tmp_path):
+    # a mutant whose tests hang ends at its time limit, as a timeout (None)
+    (tmp_path / "test_hang.py").write_text("import time\n\ndef test_hang():\n    time.sleep(60)\n")
+    code, seconds = load_mutants()._pytest(tmp_path, ["test_hang.py"], dict(os.environ), 2.0)
+    assert code is None
+    assert seconds < 20.0

@@ -48,7 +48,7 @@ def test_budget_punctured_torus_sharp():
     audit = SurfaceAudit(SurfaceType(1, 1), (6.0,))
     verdict = check_cusp_length_inequality(audit)
     assert verdict.passed and verdict.sharp
-    assert verdict.slack == pytest.approx(0.0, abs=1e-12)
+    assert verdict.slack == 0.0
 
 
 def test_budget_three_punctured_sphere_sharp():
@@ -65,13 +65,49 @@ def test_budget_violation_fails():
 
 
 def test_budget_tolerance_is_two_sided():
-    # within INEQUALITY_TOL of the budget, on either side, is a sharp pass;
-    # farther below it a plain pass, farther above it a plain fail
-    torus = SurfaceType(1, 1)
-    for length, passed, sharp in [(6.0 + 1e-12, True, True), (6.0 - 1e-12, True, True),
-                                  (5.5, True, False), (6.5, False, False)]:
-        verdict = check_cusp_length_inequality(SurfaceAudit(torus, (length,)))
-        assert (verdict.passed, verdict.sharp) == (passed, sharp), length
+    # the budget has no tolerance: one ulp above 6|chi| is a plain fail and
+    # one ulp below it a plain pass, on either side of 6 and of 12
+    for surface, budget in ((SurfaceType(1, 1), 6.0), (SurfaceType(2, 1), 18.0)):
+        for length, passed, sharp in [(math.nextafter(budget, math.inf), False, False),
+                                      (budget, True, True),
+                                      (math.nextafter(budget, 0.0), True, False)]:
+            verdict = check_cusp_length_inequality(SurfaceAudit(surface, (length,)))
+            assert (verdict.passed, verdict.sharp) == (passed, sharp), length
+            assert verdict.slack == budget - length
+
+
+def _near_budget_lengths():
+    """(surface, lengths) whose exact sum is 6|chi| or up to three ulps of
+    the first length either side of it; the float sum rounds some of them
+    onto the budget."""
+    rows = []
+    for surface, part, n in ((SurfaceType(0, 3), 3.0, 2), (SurfaceType(0, 3), 2.0, 3),
+                             (SurfaceType(1, 2), 6.0, 2), (SurfaceType(0, 5), 9.0, 2),
+                             (SurfaceType(0, 5), 6.0, 3)):
+        for direction in (0.0, math.inf):
+            first = part
+            for _ in range(4):
+                rows.append((surface, (first,) + (part,) * (n - 1)))
+                first = math.nextafter(first, direction)
+    return rows
+
+
+def test_budget_verdict_is_exact_near_the_budget():
+    # 3 + 2^-51 and 3 sum to 6 + 2^-51, which fsum rounds (to even) onto 6
+    witness = SurfaceAudit(SurfaceType(0, 3), (3.0000000000000004, 3.0))
+    assert math.fsum(witness.cusp_slope_lengths) == 6.0
+    rows = _near_budget_lengths()
+    assert (witness.surface, witness.cusp_slope_lengths) in rows
+    for surface, lengths in rows:
+        verdict = check_cusp_length_inequality(SurfaceAudit(surface, lengths))
+        exact = sum(map(Fraction, lengths))
+        budget = 6 * abs(euler_characteristic(surface))
+        assert verdict.passed == (exact <= budget), lengths
+        assert verdict.sharp == (exact == budget), lengths
+        assert (verdict.slack < 0) == (not verdict.passed), lengths
+        assert (verdict.slack == 0.0) == verdict.sharp, lengths
+        assert verdict.slack == float(budget - exact), lengths
+        assert verdict.lhs == math.fsum(lengths) and verdict.rhs == budget, lengths
 
 
 def test_budget_rejects_nonnegative_chi():
