@@ -35,6 +35,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src") / "cuspslopes"
 SLOPES = "tests/test_slope_search.py"
 EDGE_TEST = SLOPES + "::test_thresholds_at_a_slope_length_match_marked_box_scan"
+WIDENING = SLOPES + "::test_widening_reaches_a_slope_four_delta_inside_the_disc"
 PRIMES = "tests/test_bound_calculus.py"
 CEILING = PRIMES + "::test_crossing_ceiling_table"
 REPORTS = "tests/test_report_io.py"
@@ -75,6 +76,14 @@ MUTANTS = (
            "lo, hi = math.ceil(c - h) - 2, math.floor(c + h) + 2", (SLOPES,)),
     Mutant("disc_without_rounding_widening", "slope_search.py",
            "(1.0 + 8.0 * delta)", "(1.0 + 0.0 * delta)", (EDGE_TEST,)),
+    Mutant("disc_widened_by_one_delta", "slope_search.py",
+           "(1.0 + 8.0 * delta)", "(1.0 + 1.0 * delta)", (WIDENING,)),
+    Mutant("delta_from_one_eps", "slope_search.py",
+           "delta = 4.0 * sys.float_info.epsilon", "delta = 1.0 * sys.float_info.epsilon",
+           (WIDENING,)),
+    Mutant("delta_from_a_quarter_eps", "slope_search.py",
+           "delta = 4.0 * sys.float_info.epsilon", "delta = 0.25 * sys.float_info.epsilon",
+           (WIDENING,)),
     Mutant("disc_without_rho", "slope_search.py",
            "* (1.0 + LENGTH_RTOL) * (1.0 + 8.0 * delta)", "* (1.0 + 8.0 * delta)",
            (EDGE_TEST,)),

@@ -11,6 +11,7 @@ intersection number, tied together by the identity
 
 from __future__ import annotations
 
+import functools
 import math
 import reprlib
 import sys
@@ -20,7 +21,8 @@ Vec2 = tuple[float, float]
 # A basis is degenerate when |det| <= DEGENERACY_TOL * |meridian| * |longitude|,
 # that is when the sine of the angle between its vectors is at most this.  The
 # test is relative, so it does not change when the shape is rescaled.  Census
-# data carries roundoff on the order of 1e-15.
+# data carries roundoff on the order of 1e-15.  ``slope_search``'s scan relies
+# on it: it keeps the rounding bound delta of the reduced basis below 2^-7.
 DEGENERACY_TOL = 1e-12
 
 _FLOAT_MAX = sys.float_info.max
@@ -189,10 +191,13 @@ class CuspShape(_Value):
         _set(self, "longitude", lon)
 
 
+@functools.total_ordering
 class Slope(_Value):
     """Primitive class (a, b), canonicalized so b > 0, or b = 0 and a = 1.
 
-    Slopes are ordered like their (a, b) pairs."""
+    Slopes are ordered like their (a, b) pairs: ``__lt__`` says so, and
+    ``functools.total_ordering`` derives the other three comparisons from it
+    and ``==``."""
 
     __slots__ = _fields = ("a", "b")
 
@@ -211,21 +216,6 @@ class Slope(_Value):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (self.a, self.b) < (other.a, other.b)
-
-    def __le__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.a, self.b) <= (other.a, other.b)
-
-    def __gt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.a, self.b) > (other.a, other.b)
-
-    def __ge__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.a, self.b) >= (other.a, other.b)
 
     def __str__(self) -> str:
         return f"({self.a},{self.b})"

@@ -130,6 +130,12 @@ def _fmt(x: float) -> str:
     return f"{x:.4f}"
 
 
+def _circle(cls: str, x: float, y: float, r: float, paint: str) -> str:
+    """The one ``<circle>`` template: class, centre and radius, then the
+    fill and stroke attributes ``paint``."""
+    return f'<circle class="{cls}" cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(r)}" {paint}/>'
+
+
 def emit_lattice_svg(spec: DiagramSpec) -> str:
     """Render the lattice diagram; byte-identical for identical specs."""
     report = spec.report
@@ -142,34 +148,23 @@ def emit_lattice_svg(spec: DiagramSpec) -> str:
         f'<rect width="{spec.width}" height="{spec.height}" fill="#ffffff"/>',
     ]
     if spec.radius_circle:
-        out.append(
-            f'<circle class="threshold" cx="{_fmt(tf.cx)}" cy="{_fmt(tf.cy)}" '
-            f'r="{_fmt(report.threshold * tf.scale)}" fill="none" '
-            f'stroke="#555555" stroke-width="1" stroke-dasharray="6,4"/>'
-        )
+        out.append(_circle("threshold", tf.cx, tf.cy, report.threshold * tf.scale,
+                           'fill="none" stroke="#555555" stroke-width="1" '
+                           'stroke-dasharray="6,4"'))
     u, v = _reduced_basis(report.shape)[:2]
     ext = spec.lattice_extent
     for wx, wy in _lattice_points(u, v, range(-ext, ext + 1)):
         px, py = tf.to_canvas(wx, wy)
-        out.append(
-            f'<circle class="lattice" cx="{_fmt(px)}" cy="{_fmt(py)}" '
-            f'r="{_fmt(LATTICE_DOT_RADIUS)}" fill="#aaaaaa"/>'
-        )
+        out.append(_circle("lattice", px, py, LATTICE_DOT_RADIUS, 'fill="#aaaaaa"'))
     labels = []
     for entry in report.entries:
         vx, vy = slope_vector(report.shape, entry.slope)
         for sign in (1, -1):
             px, py = tf.to_canvas(sign * vx, sign * vy)
             if entry.boundary:
-                out.append(
-                    f'<circle class="boundary-ring" cx="{_fmt(px)}" '
-                    f'cy="{_fmt(py)}" r="{_fmt(RING_RADIUS)}" fill="none" '
-                    f'stroke="#000000" stroke-width="1"/>'
-                )
-            out.append(
-                f'<circle class="slope" cx="{_fmt(px)}" cy="{_fmt(py)}" '
-                f'r="{_fmt(SLOPE_DOT_RADIUS)}" fill="#000000"/>'
-            )
+                out.append(_circle("boundary-ring", px, py, RING_RADIUS,
+                                   'fill="none" stroke="#000000" stroke-width="1"'))
+            out.append(_circle("slope", px, py, SLOPE_DOT_RADIUS, 'fill="#000000"'))
             if spec.label_slopes:
                 a, b = sign * entry.slope.a, sign * entry.slope.b
                 labels.append(

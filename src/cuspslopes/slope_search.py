@@ -43,8 +43,12 @@ Why that widening is enough (forward error bounds as in Higham, "Accuracy
 and Stability of Numerical Algorithms", 2002).  The bounds are to first
 order in eps, in exact arithmetic on the computed u and v; R is the root of
 the computed R^2, at least T (1 + rho)(1 + 8 delta)(1 - 7/4 eps); and
-delta <= 2^-7, that is (|a||m| + |b||l|) <= 2^43 |u| for u and v, is
-assumed.
+delta <= 2^-7, that is (|a||m| + |b||l|) <= 2^43 |u| for u and v.  That
+follows from ``CuspShape``'s degeneracy test: u = a*m + b*l has
+a = det(u, l)/A and b = det(m, u)/A, with A = det(m, l) = |m||l| sin theta
+for the angle theta between m and l, so |a||m| + |b||l| <= 2 |u| / sin theta,
+and likewise for v; ``DEGENERACY_TOL`` refuses sin theta <= 10^-12, so the
+ratio stays below about 2 * 10^12 < 2^43.
 - Margin.  For a reduced basis |i||u| + |j||v| <= 2 |P| for P = i*u + j*v,
   so the rounding of u and v moves P by at most delta/2 |P|.  Its
   marked-basis length is off by at most eps (|a||m| + |b||l|) + eps |P|, and

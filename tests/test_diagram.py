@@ -66,6 +66,19 @@ def test_golden_hex2_threshold6():
     assert svg == golden
 
 
+@pytest.mark.parametrize("golden, options", [
+    ("square_threshold1.svg", {}),
+    ("square_threshold1_labels_no_circle.svg", {"radius_circle": False, "label_slopes": True}),
+])
+def test_golden_square_threshold1_rings(square_shape, golden, options):
+    # both square slopes sit at T = 1, so these pin the boundary rings' bytes
+    # (``cuspslopes diagram --cusp square.json --name square --threshold 1``)
+    expected = (FIXTURES / "goldens" / golden).read_bytes()
+    svg = emit_lattice_svg(DiagramSpec(enumerate_short_slopes(square_shape, 1.0), **options))
+    assert svg.count('class="boundary-ring"') == 4
+    assert svg.encode("utf-8") == expected
+
+
 def test_markers_inside_threshold_circle():
     spec = _hex2_spec()
     svg = emit_lattice_svg(spec)

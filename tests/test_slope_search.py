@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuspslopes import slope_search
-from cuspslopes.cusp_geometry import CuspShape, Slope, intersection_number, slope_length
+from cuspslopes.cusp_geometry import (
+    DEGENERACY_TOL,
+    CuspShape,
+    Slope,
+    intersection_number,
+    slope_length,
+)
 from cuspslopes.slope_search import (
     LENGTH_RTOL,
     SIX_THEOREM_LENGTH,
@@ -534,6 +541,70 @@ def test_heavily_skewed_markings_match_a_wide_reduced_scan():
         report = enumerate_short_slopes(shape, threshold)
         got = [(e.slope, e.length, e.boundary) for e in report.entries]
         assert got == box_scan(shape, threshold, slope_search._reduced_basis(shape)[2:], 2.0)
+
+
+def _deltas(shape: CuspShape) -> tuple[float, float]:
+    """4 eps (|a||m| + |b||l|) / |w| for the reduced vectors w = u and v of
+    integer coordinates (a, b): their delta is the larger (module docstring)."""
+    u, v, U, V = slope_search._reduced_basis(shape)
+    norm_m, norm_l = math.hypot(*shape.meridian), math.hypot(*shape.longitude)
+    return tuple(4.0 * sys.float_info.epsilon * (abs(a) * norm_m + abs(b) * norm_l) / math.hypot(*w)
+                 for w, (a, b) in ((u, U), (v, V)))
+
+
+def _exact_length(shape: CuspShape, s: Slope) -> float:
+    """The slope's length in Fraction arithmetic on the binary64 coordinates,
+    rounded once at the end."""
+    (mx, my), (lx, ly) = ((Fraction(x), Fraction(y)) for x, y in (shape.meridian, shape.longitude))
+    return math.sqrt((s.a * mx + s.b * lx) ** 2 + (s.a * my + s.b * ly) ** 2)
+
+
+def test_widening_reaches_a_slope_four_delta_inside_the_disc(hex2_shape, monkeypatch):
+    # A slope of exact length T (1 + rho)(1 + 4 delta) is past _entry's band,
+    # however skewed the marking (its computed length is off by at most about
+    # delta/2 of it), and 4 delta inside the disc R = T (1 + rho)(1 + 8 delta):
+    # the scan must reach it and leave it out.  A widening of 1 delta, or a
+    # delta from eps or eps/4 in place of 4 eps, puts it outside the disc.
+    visited = []
+    real_entry = slope_search._entry
+    monkeypatch.setattr(slope_search, "_entry",
+                        lambda s, *args: visited.append(s) or real_entry(s, *args))
+    for k in (0, 10**3, -10**3, 10**6, -10**6):
+        for scale in (0, 300, -300):
+            shape = rescaled(skewed(hex2_shape, k)[0], scale)
+            delta = max(_deltas(shape))
+            u_slope = Slope(*slope_search._reduced_basis(shape)[2])
+            slopes = [s for s in enumerate_short_slopes(shape, math.ldexp(6.0, scale)).slopes
+                      if s != u_slope]  # row 0, u alone, is scanned whatever the disc
+            assert len(slopes) == 11
+            for s in slopes:
+                threshold = _exact_length(shape, s) / ((1.0 + LENGTH_RTOL) * (1.0 + 4.0 * delta))
+                visited.clear()
+                report = enumerate_short_slopes(shape, threshold)
+                assert s in visited, (k, scale, s)
+                assert s not in report.slopes, (k, scale, s)
+
+
+def test_rounding_delta_bounded_by_the_degeneracy_test():
+    # For w = a m + b l, a = det(w, l)/A and b = det(m, w)/A with A = det(m, l)
+    # = |m||l| sin theta, so (|a||m| + |b||l|) / |w| <= 2 / sin theta, and
+    # CuspShape refuses sin theta <= DEGENERACY_TOL: delta stays below 2^-7.
+    rng = random.Random(7129)
+    for _ in range(2000):
+        sin_theta = DEGENERACY_TOL * 10.0 ** rng.uniform(0.01, 3.0)
+        theta = math.asin(sin_theta) if rng.random() < 0.5 else math.pi - math.asin(sin_theta)
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        r_m, r_l = 10.0 ** rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-3.0, 3.0)
+        shape = CuspShape((r_m * math.cos(phi), r_m * math.sin(phi)),
+                          (r_l * math.cos(phi + theta), r_l * math.sin(phi + theta)))
+        (mx, my), (lx, ly) = shape.meridian, shape.longitude
+        det = Fraction(mx) * Fraction(ly) - Fraction(my) * Fraction(lx)
+        sin_exact = float(det) / (math.hypot(mx, my) * math.hypot(lx, ly))
+        for delta in _deltas(shape):
+            ratio = delta / (4.0 * sys.float_info.epsilon)
+            # 2 / sin theta, up to the rounding of w itself (a relative delta/4)
+            assert ratio * sin_exact <= 2.0 * (1.0 + delta)
+            assert delta <= 2.0 ** -7
 
 
 # ------------------------------------------------------------ scale invariance
