@@ -43,6 +43,7 @@ RECORDS = REPORTS + "::test_duplicate_and_malformed_records"
 TAMPERS = REPORTS + "::test_tampered_report_rejected"
 INPUTS = "tests/test_inputs.py"
 SURFACES = "tests/test_surface_audit.py"
+VALUES = "tests/test_value_types.py"
 # A mutant's tests take a few seconds; one that makes them hang is killed at
 # this limit and counts as killed.
 MUTANT_TIMEOUT_S = 60.0
@@ -100,8 +101,8 @@ MUTANTS = (
     Mutant("running_max_misses_one_above", "slope_search.py",
            "bias = (half - 1 - best) * ones", "bias = (half - 2 - best) * ones",
            (SLOPES + "::test_packed_max_one_above_the_last_row",)),
-    Mutant("trial_division_stops_early", "bound_calculus.py",
-           "if f * f > n:", "if f * f >= n:", (PRIMES,)),
+    Mutant("trial_division_finds_no_prime", "bound_calculus.py",
+           "return n == p", "return False", (PRIMES,)),
     Mutant("miller_rabin_one_square_short", "bound_calculus.py",
            "for _ in range(r - 1):", "for _ in range(r - 2):", (PRIMES,)),
     Mutant("modulus_accepts_composites", "bound_calculus.py",
@@ -117,6 +118,9 @@ MUTANTS = (
            "and x < least:", "and x < least - 1:", (INPUTS,)),
     Mutant("pair_accepts_more_than_two", "cusp_geometry.py",
            "or len(v) != 2:", "or len(v) < 2:", (INPUTS,)),
+    Mutant("built_init_drops_the_last_field", "cusp_geometry.py",
+           "for name in fields), namespace)", "for name in fields[:-1]), namespace)",
+           (VALUES,)),
     Mutant("budget_passed_strict", "surface_audit.py",
            "slack >= 0,", "slack > 0,", (SURFACES,)),
     Mutant("budget_slack_from_fsum", "surface_audit.py",

@@ -15,6 +15,7 @@ from cuspslopes.bound_calculus import (
     ADAMS_AREA,
     CAO_MEYERHOFF_AREA,
     BoundQuery,
+    BoundReport,
     slope_count_bound,
     verify_counting_lemma,
 )
@@ -24,18 +25,20 @@ from cuspslopes.slope_search import enumerate_short_slopes
 from cuspslopes.surface_audit import SurfaceAudit, SurfaceType, check_cusp_length_inequality
 
 
-def pipeline_line(label: str, length: float, floor: float) -> None:
+def pipeline_line(label: str, length: float, floor: float) -> BoundReport:
+    """Print one regime of the bound pipeline and return its report."""
     report = slope_count_bound(BoundQuery(length, floor))
     print(
         f"{label:28s} L^2/A = {length * length / floor:8.4f}  "
         f"delta <= {report.delta_max:2d}  p = {report.prime:2d}  "
         f"slopes <= {report.count_bound}"
     )
+    return report
 
 
 def main() -> None:
     print("== bound pipeline ==")
-    pipeline_line("L = 6, Cao-Meyerhoff floor", 6.0, CAO_MEYERHOFF_AREA)
+    headline = pipeline_line("L = 6, Cao-Meyerhoff floor", 6.0, CAO_MEYERHOFF_AREA)
     pipeline_line("L = 2pi, Adams floor", 2.0 * math.pi, ADAMS_AREA)
 
     print("\n== hexagonal scale-2 cusp ==")
@@ -45,8 +48,9 @@ def main() -> None:
     for entry in report.entries:
         print(f"  {str(entry.slope):>8s}  length {entry.length:.6f}")
     print(f"max pairwise intersection number: {report.max_delta}")
-    verdict = verify_counting_lemma(report.slopes, 11)
-    print(f"reduction to F_11 P^1 injective: {verdict.injective}")
+    # the lemma at the headline pipeline's prime, the p behind its count bound
+    verdict = verify_counting_lemma(report.slopes, headline.prime)
+    print(f"reduction to F_{verdict.prime} P^1 injective: {verdict.injective}")
 
     print("\n== half-plane tangency calculus ==")
     ratio = extremal_ratio()

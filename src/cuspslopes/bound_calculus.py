@@ -95,14 +95,7 @@ class BoundQuery(_Value):
 
 class BoundReport(_Value):
     __slots__ = _fields = ("query", "delta_max", "prime", "count_bound", "floor_guard_hit")
-
-    def __init__(self, query: BoundQuery, delta_max: int, prime: int, count_bound: int,
-                 floor_guard_hit: bool = False) -> None:
-        _set(self, "query", query)
-        _set(self, "delta_max", delta_max)
-        _set(self, "prime", prime)
-        _set(self, "count_bound", count_bound)
-        _set(self, "floor_guard_hit", floor_guard_hit)
+    _defaults = {"floor_guard_hit": False}
 
 
 def bound_to_dict(bound: BoundReport) -> dict:
@@ -118,23 +111,17 @@ def bound_to_dict(bound: BoundReport) -> dict:
 
 
 def is_prime(n: int) -> bool:
-    """Trial division by 2 and the odd numbers up to 41, then deterministic
-    Miller-Rabin to the first thirteen prime bases, stopping after the first
-    k once n < psi_k.  Exact below about 3.3e24; larger n raise
-    ``ValueError``."""
+    """Trial division by the thirteen Miller-Rabin bases, which are the
+    primes up to 41; then deterministic Miller-Rabin to those bases, stopping
+    after the first k once n < psi_k.  Exact below about 3.3e24; larger n
+    raise ``ValueError``."""
     if n >= _MR_LIMIT:
         raise ValueError(f"primality of {_shown(n)} is only decided below {_MR_LIMIT}")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f <= 41:
-        if f * f > n:
-            return True
-        if n % f == 0:
-            return n == f
-        f += 2
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
     d, r = n - 1, 0
     while d % 2 == 0:
         d, r = d // 2, r + 1
@@ -199,13 +186,7 @@ class LemmaVerdict(_Value):
     """Outcome of the injectivity check behind the p + 1 count bound."""
 
     __slots__ = _fields = ("prime", "injective", "collision", "delta")
-
-    def __init__(self, prime: int, injective: bool,
-                 collision: tuple[Slope, Slope] | None = None, delta: int | None = None) -> None:
-        _set(self, "prime", prime)
-        _set(self, "injective", injective)
-        _set(self, "collision", collision)
-        _set(self, "delta", delta)
+    _defaults = {"collision": None, "delta": None}
 
 
 def lemma_to_dict(lemma: LemmaVerdict) -> dict:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import sys
 
-from .cusp_geometry import CuspShape, DegenerateBasisError, _set, _shown, _Value
+from .cusp_geometry import CuspShape, DegenerateBasisError, _shown, _Value
 
 CUSP_FILE_FORMAT = "cusp-file"
 SCHEMA_VERSION = "v1"
@@ -37,11 +37,6 @@ class RecordError(_Value):
     """A rejected cusp record, addressed by position and name."""
 
     __slots__ = _fields = ("index", "name", "message")
-
-    def __init__(self, index: int, name: str | None, message: str) -> None:
-        _set(self, "index", index)
-        _set(self, "name", name)
-        _set(self, "message", message)
 
     def __str__(self) -> str:
         who = f"record {self.index}" + (f" ({_shown(self.name)})" if self.name else "")

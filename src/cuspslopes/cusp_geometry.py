@@ -44,19 +44,44 @@ def _det(u: Vec2, v: Vec2) -> float:
 _set = object.__setattr__
 
 
+def _stored_fields_init(cls: type):
+    """The ``__init__`` of a record that only stores its fields, built once
+    as ``collections.namedtuple`` builds ``__new__``: a parameter per field,
+    the trailing ones defaulting to ``_defaults``, and one ``_set`` each."""
+    fields, defaults = cls._fields, cls._defaults
+    for name in fields:
+        if not name.isidentifier():
+            raise TypeError(f"{cls.__qualname__} field name {name!r} is not an identifier")
+    namespace = {"_set": _set, "__name__": cls.__module__}
+    exec(f"def __init__(self, {', '.join(fields)}):\n"
+         + "".join(f"    _set(self, {name!r}, {name})\n" for name in fields), namespace)
+    init = namespace["__init__"]
+    init.__defaults__ = tuple(defaults[name] for name in fields[len(fields) - len(defaults):])
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
+
+
 class _Value:
     """Base of the package's immutable value types.
 
-    A subclass lists its fields once, as ``__slots__ = _fields = (...)``, and
-    writes its own ``__init__``, which stores each field with ``_set`` and
-    then checks it.  Instances are equal when their classes are the same and
-    their fields are equal, hash like the tuple of their fields, and read
-    back as ``Name(field=value, ...)``.  Assignment and deletion raise
-    ``AttributeError``; ``pickle`` and ``copy`` rebuild through ``__init__``.
+    A subclass lists its fields once, as ``__slots__ = _fields = (...)``,
+    and the defaults of its trailing fields in ``_defaults``.  A type that
+    checks its fields writes its own ``__init__``, which stores them with
+    ``_set`` and checks them; any other gets one built when the class is
+    created (``_stored_fields_init``).  Instances are equal when their
+    classes are the same and their fields are equal, hash like the tuple of
+    their fields, and read back as ``Name(field=value, ...)``.  Assignment
+    and deletion raise ``AttributeError``; ``pickle`` and ``copy`` rebuild
+    through ``__init__``.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls) -> None:
+        if "__init__" not in cls.__dict__:
+            cls.__init__ = _stored_fields_init(cls)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, f) for f in self._fields])

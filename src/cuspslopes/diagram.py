@@ -68,11 +68,6 @@ class CanvasTransform(_Value):
 
     __slots__ = _fields = ("scale", "cx", "cy")
 
-    def __init__(self, scale: float, cx: float, cy: float) -> None:
-        _set(self, "scale", scale)
-        _set(self, "cx", cx)
-        _set(self, "cy", cy)
-
     def to_canvas(self, wx: float, wy: float) -> tuple[float, float]:
         return self.cx + self.scale * wx, self.cy - self.scale * wy
 

@@ -61,11 +61,10 @@ class WrappingQuery(_Value):
 
 
 class TangencyCheck(_Value):
-    __slots__ = _fields = ("tangent", "residual")
+    """Whether two horodisks are mutually tangent, and the residual
+    (R+r)^2 - 2(R-r)^2, zero exactly at mutual tangency."""
 
-    def __init__(self, tangent: bool, residual: float) -> None:
-        _set(self, "tangent", tangent)
-        _set(self, "residual", residual)  # (R+r)^2 - 2(R-r)^2; zero exactly at mutual tangency
+    __slots__ = _fields = ("tangent", "residual")
 
 
 def tangency_separation(pair: HorodiskPair) -> float:

@@ -52,8 +52,8 @@ import math
 import operator
 
 from . import __version__
-from .bound_calculus import (BoundQuery, BoundReport, LemmaVerdict, _modulus, bound_to_dict,
-                             lemma_to_dict, slope_count_bound, verify_counting_lemma)
+from .bound_calculus import (BoundQuery, _modulus, bound_to_dict, lemma_to_dict,
+                             slope_count_bound, verify_counting_lemma)
 # load_cusp_file is bound here only because perfbench/workloads.py calls
 # report_io.load_cusp_file; it is cusp_file's, and the package exports it from there.
 from .cusp_file import (  # noqa: F401
@@ -66,7 +66,7 @@ from .cusp_file import (  # noqa: F401
     json_text,
     load_cusp_file,
 )
-from .cusp_geometry import CuspShape, _positive, _set, _shown, _slope, _Value, area
+from .cusp_geometry import CuspShape, _positive, _shown, _slope, _Value, area
 from .slope_search import (CrossingMatrix, SlopeEntry, _entry, _entry_key, crossing_data,
                            enumerate_short_slopes)
 
@@ -91,20 +91,7 @@ class AnalysisReport(_Value):
 
     __slots__ = _fields = ("shape_name", "threshold", "entries", "delta_matrix", "max_delta",
                            "bound", "lemma", "tool_version", "timestamp")
-
-    def __init__(self, shape_name: str, threshold: float, entries: tuple[SlopeEntry, ...],
-                 delta_matrix: CrossingMatrix, max_delta: int, bound: BoundReport,
-                 lemma: LemmaVerdict, tool_version: str = __version__,
-                 timestamp: str | None = None) -> None:
-        _set(self, "shape_name", shape_name)
-        _set(self, "threshold", threshold)
-        _set(self, "entries", entries)
-        _set(self, "delta_matrix", delta_matrix)
-        _set(self, "max_delta", max_delta)
-        _set(self, "bound", bound)
-        _set(self, "lemma", lemma)
-        _set(self, "tool_version", tool_version)
-        _set(self, "timestamp", timestamp)
+    _defaults = {"tool_version": __version__, "timestamp": None}
 
 
 def build_analysis_report(

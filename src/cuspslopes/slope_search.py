@@ -107,7 +107,7 @@ import sys
 from array import array
 from collections.abc import Sequence
 
-from .cusp_geometry import CuspShape, Slope, Vec2, _positive, _set, _slope, _Value, slope_length
+from .cusp_geometry import CuspShape, Slope, Vec2, _positive, _slope, _Value, slope_length
 
 # Slopes strictly longer than this have hyperbolike fillings.
 SIX_THEOREM_LENGTH = 6.0
@@ -132,11 +132,7 @@ class SlopeClass(enum.Enum):
 
 class SlopeEntry(_Value):
     __slots__ = _fields = ("slope", "length", "boundary")
-
-    def __init__(self, slope: Slope, length: float, boundary: bool = False) -> None:
-        _set(self, "slope", slope)
-        _set(self, "length", length)
-        _set(self, "boundary", boundary)
+    _defaults = {"boundary": False}
 
 
 def _entry(s: Slope, length: float, threshold: float) -> SlopeEntry | None:
@@ -211,14 +207,6 @@ class ShortSlopeReport(_Value):
     """
 
     __slots__ = _fields = ("shape", "threshold", "entries", "delta_matrix", "max_delta")
-
-    def __init__(self, shape: CuspShape, threshold: float, entries: tuple[SlopeEntry, ...],
-                 delta_matrix: CrossingMatrix, max_delta: int) -> None:
-        _set(self, "shape", shape)
-        _set(self, "threshold", threshold)
-        _set(self, "entries", entries)
-        _set(self, "delta_matrix", delta_matrix)
-        _set(self, "max_delta", max_delta)
 
     @property
     def slopes(self) -> tuple[Slope, ...]:

@@ -83,16 +83,11 @@ class SurfaceAudit(_Value):
 
 
 class AuditVerdict(_Value):
-    __slots__ = _fields = ("name", "passed", "lhs", "rhs", "slack", "sharp")
+    """One audited inequality lhs <= rhs: whether it passed, its slack
+    rhs - lhs, and whether it is sharp, that is an equality (within
+    INEQUALITY_TOL for the packing check)."""
 
-    def __init__(self, name: str, passed: bool, lhs: float, rhs: float, slack: float,
-                 sharp: bool) -> None:
-        _set(self, "name", name)
-        _set(self, "passed", passed)
-        _set(self, "lhs", lhs)
-        _set(self, "rhs", rhs)
-        _set(self, "slack", slack)  # rhs - lhs
-        _set(self, "sharp", sharp)  # equality (within INEQUALITY_TOL for the packing check)
+    __slots__ = _fields = ("name", "passed", "lhs", "rhs", "slack", "sharp")
 
 
 def euler_characteristic(s: SurfaceType) -> int:
@@ -154,11 +149,10 @@ def punctured_sphere_feasible(n: int, slope_length: float) -> bool:
 
 
 class DoubledSurfaceBound(_Value):
-    __slots__ = _fields = ("n_ceiling", "feasible")
+    """A puncture-count ceiling, and whether the supplied n is feasible,
+    that is n <= n_ceiling."""
 
-    def __init__(self, n_ceiling: float, feasible: bool) -> None:
-        _set(self, "n_ceiling", n_ceiling)
-        _set(self, "feasible", feasible)  # whether the supplied n satisfies n <= n_ceiling
+    __slots__ = _fields = ("n_ceiling", "feasible")
 
 
 def doubled_surface_chain(

@@ -31,8 +31,11 @@ def run_script(name: str, *argv: str) -> subprocess.CompletedProcess:
 def test_reproduce_bounds_headline():
     proc = run_script("reproduce_bounds.py")
     assert proc.returncode == 0, proc.stderr
-    assert "slopes <= 12" in proc.stdout
-
+    lines = proc.stdout.splitlines()
+    assert lines[1].endswith("p = 11  slopes <= 12")
+    assert lines[2].endswith("p = 23  slopes <= 24")
+    # the lemma is checked at the first regime's prime
+    assert "reduction to F_11 P^1 injective: True" in lines
 
 
 def test_code_lines_counts_each_module(tmp_path):

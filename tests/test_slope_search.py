@@ -491,13 +491,12 @@ def _edge_thresholds(length: float) -> list[float]:
             for t in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))]
 
 
-def test_thresholds_at_a_slope_length_match_marked_box_scan():
-    # A threshold at a slope's computed length L puts the slope on the edge
-    # of the scanned disc but for its widening; at L (1 - rho) and
-    # L (1 + rho), one ulp either side, it is on the edge of _entry's
-    # inclusion and of its boundary flag.  The row intervals must still reach
-    # it, on markings skewed by up to 10^6 (scanned in their reduced basis
-    # past |k| = 3000) and on shapes scaled by 2^300 and 2^-300.
+def _edge_cases():
+    """The scan's edge cases, as (k, sign, scale, n), shape, slope, its
+    length L and the n-th threshold of ``_edge_thresholds(L)``: a slope
+    among the longest at threshold 4 of a reduced shape, on markings skewed
+    by sign * k for k up to 10^6, and on shapes scaled by 2^scale for scale
+    0, 300 and -300."""
     rng = random.Random(1617)
     for k in (0, 1, 10, 1000, 3000, 10**5, 10**6):
         for sign in (1, -1):
@@ -505,16 +504,27 @@ def test_thresholds_at_a_slope_length_match_marked_box_scan():
             entries = enumerate_short_slopes(shape, 4.0).entries
             scale = rng.choice((0, 300, -300))
             shape = rescaled(shape, scale)
-            basis, reach = ((MARKING, 1.0 + AMBIGUOUS_REL) if k <= 3000
-                            else (slope_search._reduced_basis(shape)[2:], 2.0))
             for e in rng.sample(entries[-6:], min(2, len(entries))):
                 length = math.ldexp(e.length, scale)
                 for n, threshold in enumerate(_edge_thresholds(length)):
-                    report = enumerate_short_slopes(shape, threshold)
-                    got = [(x.slope, x.length, x.boundary) for x in report.entries]
-                    assert got == box_scan(shape, threshold, basis, reach), (k, sign, scale, n)
-                    if n < 3:
-                        assert (e.slope, length, True) in got
+                    yield (k, sign, scale, n), shape, e.slope, length, threshold
+
+
+def test_thresholds_at_a_slope_length_match_marked_box_scan():
+    # A threshold at a slope's computed length L puts the slope on the edge
+    # of the scanned disc but for its widening; at L (1 - rho) and
+    # L (1 + rho), one ulp either side, it is on the edge of _entry's
+    # inclusion and of its boundary flag.  The row intervals must still reach
+    # it, on markings skewed by up to 10^6 (scanned in their reduced basis
+    # past |k| = 3000) and on shapes scaled by 2^300 and 2^-300.
+    for where, shape, slope, length, threshold in _edge_cases():
+        basis, reach = ((MARKING, 1.0 + AMBIGUOUS_REL) if where[0] <= 3000
+                        else (slope_search._reduced_basis(shape)[2:], 2.0))
+        report = enumerate_short_slopes(shape, threshold)
+        got = [(x.slope, x.length, x.boundary) for x in report.entries]
+        assert got == box_scan(shape, threshold, basis, reach), where
+        if where[3] < 3:
+            assert (slope, length, True) in got
 
 
 def sheared(rng: random.Random, shape: CuspShape) -> CuspShape:
@@ -605,6 +615,45 @@ def test_rounding_delta_bounded_by_the_degeneracy_test():
             # 2 / sin theta, up to the rounding of w itself (a relative delta/4)
             assert ratio * sin_exact <= 2.0 * (1.0 + delta)
             assert delta <= 2.0 ** -7
+
+
+def test_scan_rounding_within_the_docstring_bounds():
+    # The module docstring's bounds, checked on the scan's edge cases in
+    # exact arithmetic on the computed u and v (in the scan's 2^e units):
+    # each kept slope's |P| is at most R (1 - 5 delta), and on every scanned
+    # row the computed c is within 2.31 eps R/|u| of the exact c, the
+    # computed d within 4.81 eps R^2 of the exact d, and |u|^2 h^2 of the
+    # computed h within 7.31 eps R^2 of the exact d.
+    eps = Fraction(sys.float_info.epsilon)
+    for where, shape, _slope, _length, threshold in _edge_cases():
+        # the scan's own arithmetic (enumerate_short_slopes)
+        u, v, U, V = slope_search._reduced_basis(shape)
+        assert U[0] * V[1] - U[1] * V[0] == 1
+        delta = max(_deltas(shape))
+        e = -math.frexp(math.hypot(*u))[1]
+        (ux, uy), (vx, vy) = ((math.ldexp(x, e), math.ldexp(y, e)) for x, y in (u, v))
+        uu = ux * ux + uy * uy
+        shift = -(ux * vx + uy * vy) / uu
+        rise2 = (ux * vy - uy * vx) ** 2 / uu
+        r2 = (math.ldexp(threshold, e) * (1.0 + LENGTH_RTOL) * (1.0 + 8.0 * delta)) ** 2
+        # the same quantities, exact
+        (UX, UY), (VX, VY) = ((Fraction(x), Fraction(y)) for x, y in ((ux, uy), (vx, vy)))
+        UU, R2 = UX * UX + UY * UY, Fraction(r2)
+        SHIFT = -(UX * VX + UY * VY) / UU
+        RISE2 = (UX * VY - UY * VX) ** 2 / UU
+        for s in enumerate_short_slopes(shape, threshold).slopes:
+            # (a, b) = i U + j V with det(U, V) = 1
+            i, j = s.a * V[1] - s.b * V[0], U[0] * s.b - U[1] * s.a
+            P2 = (i * UX + j * VX) ** 2 + (i * UY + j * VY) ** 2
+            assert P2 <= R2 * (1 - 5 * Fraction(delta)) ** 2, (where, s)
+        j = 1
+        while (d := r2 - j * j * rise2) >= 0.0:
+            c, h = j * shift, math.sqrt(d / uu)
+            exact_d = R2 - j * j * RISE2
+            assert (Fraction(c) - j * SHIFT) ** 2 * UU <= (Fraction("2.31") * eps) ** 2 * R2, where
+            assert abs(Fraction(d) - exact_d) <= Fraction("4.81") * eps * R2, where
+            assert abs(UU * Fraction(h) ** 2 - exact_d) <= Fraction("7.31") * eps * R2, where
+            j += 1
 
 
 # ------------------------------------------------------------ scale invariance

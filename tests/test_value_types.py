@@ -11,6 +11,7 @@ slots.  Only ``Slope`` is ordered.
 from __future__ import annotations
 
 import copy
+import inspect
 import math
 import pickle
 
@@ -196,6 +197,18 @@ def test_positional_keyword_and_defaults(case):
         cls(*args, None)  # one argument too many
     with pytest.raises(TypeError):
         cls(*args[:required], unknown_field=1)
+
+
+def test_signature_lists_the_fields(case):
+    # help() and editors show each field as a named parameter, in order, with
+    # the defaults of the trailing ones
+    cls, fields, defaults, _args, _other = case
+    params = inspect.signature(cls).parameters
+    assert tuple(params) == fields
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params.values())
+    assert {f: p.default for f, p in params.items() if p.default is not p.empty} == defaults
+    assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
+    assert cls.__init__.__module__ == cls.__module__
 
 
 def test_repr(case):
