@@ -103,6 +103,11 @@ MUTANTS = (
            (SLOPES + "::test_packed_max_one_above_the_last_row",)),
     Mutant("trial_division_finds_no_prime", "bound_calculus.py",
            "return n == p", "return False", (PRIMES,)),
+    Mutant("trial_division_decides_to_47_squared", "bound_calculus.py",
+           "43 * 43", "47 * 47", (PRIMES + "::test_is_prime_at_the_end_of_trial_division",)),
+    Mutant("miller_rabin_without_the_last_base", "bound_calculus.py",
+           "for a in _MR_BASES:", "for a in _MR_BASES[:-1]:",
+           (PRIMES + "::test_is_prime_large_values",)),
     Mutant("miller_rabin_one_square_short", "bound_calculus.py",
            "for _ in range(r - 1):", "for _ in range(r - 2):", (PRIMES,)),
     Mutant("modulus_accepts_composites", "bound_calculus.py",
@@ -112,6 +117,9 @@ MUTANTS = (
     Mutant("flag_from_the_point_not_the_low_corner", "bound_calculus.py",
            "_floor_ratio(l_lo, el, a_hi, ea)", "_floor_ratio(l_hi - 2, el, a_hi - 2, ea)",
            (CEILING,)),
+    Mutant("json_result_printed_as_text", "cli.py",
+           '_pkg.cusp_file._write_text("-", _pkg.cusp_file.json_text(data))',
+           'print(*lines, sep="\\n")', ("tests/test_cli.py",)),
     Mutant("positive_accepts_zero", "cusp_geometry.py",
            "if not x > 0.0:", "if not x >= 0.0:", (INPUTS,)),
     Mutant("count_accepts_one_below_least", "cusp_geometry.py",

@@ -14,9 +14,11 @@ floor(L'^2 / A') over the closed box of such reals, taken at its corner
 ``floor_guard_hit`` says that the box straddles an integer: the floor at the
 opposite corner is smaller.  ``project_to_fp`` sends (a, b) to the residue
 pair (1, b/a mod p), or (0, 1) when p | a; two primitive slopes share a pair
-exactly when p divides ad - bc.  ``is_prime`` is deterministic Miller-Rabin,
-a domain error past its exact range, so ``BoundQuery`` refuses L and A whose
-next prime would lie past that range.  It also refuses a subnormal area
+exactly when p divides ad - bc.  ``is_prime`` is trial division by the primes
+up to 41, which decides below 43^2 = 1849, and from there deterministic
+Miller-Rabin to those thirteen bases, exact below psi_13 (about 3.3e24) and a
+domain error from there on, so ``BoundQuery`` refuses L and A whose next
+prime would lie past that range.  It also refuses a subnormal area
 floor, whose few significant bits would silently change the bound.
 """
 
@@ -35,18 +37,12 @@ CAO_MEYERHOFF_AREA = 3.35
 ADAMS_AREA = math.sqrt(3.0)
 
 # Deterministic Miller-Rabin: an odd n > 1 that is a strong probable prime to
-# the first k prime bases is prime when n < psi_k (OEIS A014233).  The last
-# value, about 3.3e24, is psi_13 (Sorenson-Webster, "Strong pseudoprimes to
-# twelve prime bases", Math. Comp. 2017); the first twelve bases alone stop
-# at psi_12, about 3.2e23.
+# the first k prime bases is prime when n < psi_k (OEIS A014233).  The bases
+# are the thirteen primes up to 41, and the limit is psi_13, about 3.3e24
+# (Sorenson-Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp.
+# 2017).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_PSI = (
-    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
-    341550071728321, 341550071728321, 3825123056546413051,
-    3825123056546413051, 3825123056546413051, 318665857834031151167461,
-    3317044064679887385961981,
-)
-_MR_LIMIT = _MR_PSI[-1]
+_MR_LIMIT = 3317044064679887385961981
 # The largest prime below _MR_LIMIT: a crossing ceiling from it on has no
 # next prime that is_prime decides.
 _LAST_PRIME = 3317044064679887385961813
@@ -112,9 +108,10 @@ def bound_to_dict(bound: BoundReport) -> dict:
 
 def is_prime(n: int) -> bool:
     """Trial division by the thirteen Miller-Rabin bases, which are the
-    primes up to 41; then deterministic Miller-Rabin to those bases, stopping
-    after the first k once n < psi_k.  Exact below about 3.3e24; larger n
-    raise ``ValueError``."""
+    primes up to 41.  Below 43^2 = 1849 that decides: a composite there has
+    a prime factor of at most 41.  From 1849 on, Miller-Rabin to all
+    thirteen bases decides, exactly below psi_13 (``_MR_LIMIT``, about
+    3.3e24); larger n raise ``ValueError``."""
     if n >= _MR_LIMIT:
         raise ValueError(f"primality of {_shown(n)} is only decided below {_MR_LIMIT}")
     if n < 2:
@@ -122,10 +119,12 @@ def is_prime(n: int) -> bool:
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
+    if n < 43 * 43:
+        return True
     d, r = n - 1, 0
     while d % 2 == 0:
         d, r = d // 2, r + 1
-    for a, psi in zip(_MR_BASES, _MR_PSI):
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x != 1 and x != n - 1:
             for _ in range(r - 1):
@@ -134,8 +133,6 @@ def is_prime(n: int) -> bool:
                     break
             else:
                 return False
-        if n < psi:
-            break
     return True
 
 

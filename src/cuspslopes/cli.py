@@ -6,6 +6,9 @@ calculus, lattice diagrams and full analysis reports.  Output is
 deterministic (timestamps only with --stamp); exit codes are 0 on success,
 1 on domain errors, 2 on usage errors.  When the reader of standard output
 goes away (``| head``), a command stops quietly with exit code 1.
+``bound``, ``lemma-verify``, ``audit`` and ``horodisk`` compute their result
+once and print it through one ``_emit``: one line of JSON under ``--json``,
+else their text lines.
 
 The module imports only ``argparse``, ``math``, ``os``, ``sys`` and the
 package; each subcommand reaches its modules through the package namespace
@@ -76,8 +79,14 @@ def _load_named_shape(args):
     return _pkg.cusp_file.find_shape(shapes, args.name)
 
 
-def _print_json(data) -> None:
-    _pkg.cusp_file._write_text("-", _pkg.cusp_file.json_text(data))
+def _emit(args, data, *lines) -> int:
+    """Print a command's result, ``data`` as one line of JSON under
+    ``--json`` and else the text ``lines``, and give the exit status 0."""
+    if args.json:
+        _pkg.cusp_file._write_text("-", _pkg.cusp_file.json_text(data))
+    else:
+        print(*lines, sep="\n")
+    return 0
 
 
 def _write_report(shape, threshold: float, out: str = "-", **options):
@@ -106,39 +115,35 @@ def _cmd_slopes(args) -> int:
 def _cmd_bound(args) -> int:
     query = _pkg.bound_calculus.BoundQuery(args.length, args.area)
     report = _pkg.bound_calculus.slope_count_bound(query)
-    if args.json:
-        _print_json(_pkg.bound_calculus.bound_to_dict(report))
-        return 0
     # the exact L^2/A rounded once: L**2 overflows for some accepted queries
     (n, d), (m, e) = query.length_threshold.as_integer_ratio(), query.area_floor.as_integer_ratio()
-    print(f"L^2/A = {n * n * e / (d * d * m):.12g}")
-    print(f"Δ ≤ {report.delta_max}, p = {report.prime}, slopes ≤ {report.count_bound}")
-    return 0
+    return _emit(args, _pkg.bound_calculus.bound_to_dict(report),
+                 f"L^2/A = {n * n * e / (d * d * m):.12g}",
+                 f"Δ ≤ {report.delta_max}, p = {report.prime}, slopes ≤ {report.count_bound}")
 
 
 def _cmd_lemma_verify(args) -> int:
     shape = _load_named_shape(args)
     report = _pkg.report_io.build_analysis_report(shape, args.threshold, prime=args.prime)
     count, verdict = len(report.entries), report.lemma
-    if args.json:
-        _print_json(
-            {
-                "shape": shape.name,
-                "threshold": args.threshold,
-                "slope_count": count,
-                "max_delta": report.max_delta,
-                **_pkg.bound_calculus.lemma_to_dict(verdict),
-            }
-        )
-        return 0
-    print(f"# cusp {shape.name}: {count} slopes of length <= {args.threshold:.12g}")
-    print(f"# max pairwise intersection {report.max_delta}, prime {verdict.prime}")
     if verdict.injective:
-        print(f"injective: all {count} slopes map to distinct points of F_{verdict.prime}P^1")
+        outcome = f"injective: all {count} slopes map to distinct points of F_{verdict.prime}P^1"
     else:
         s1, s2 = verdict.collision
-        print(f"collision: {s1} and {s2} coincide mod {verdict.prime} (delta = {verdict.delta})")
-    return 0
+        outcome = f"collision: {s1} and {s2} coincide mod {verdict.prime} (delta = {verdict.delta})"
+    return _emit(
+        args,
+        {
+            "shape": shape.name,
+            "threshold": args.threshold,
+            "slope_count": count,
+            "max_delta": report.max_delta,
+            **_pkg.bound_calculus.lemma_to_dict(verdict),
+        },
+        f"# cusp {shape.name}: {count} slopes of length <= {args.threshold:.12g}",
+        f"# max pairwise intersection {report.max_delta}, prime {verdict.prime}",
+        outcome,
+    )
 
 
 def _cmd_audit(args) -> int:
@@ -147,31 +152,29 @@ def _cmd_audit(args) -> int:
     audit = _pkg.surface_audit.SurfaceAudit(surface, args.lengths)
     verdict = _pkg.surface_audit.check_cusp_length_inequality(audit)
     chi = _pkg.surface_audit.euler_characteristic(surface)
-    if args.json:
-        _print_json(
-            {
-                "surface": {
-                    "genus": surface.genus,
-                    "punctures": surface.punctures,
-                    "boundary_circles": surface.boundary_circles,
-                },
-                "euler_characteristic": chi,
-                "lengths": list(args.lengths),
-                "total_length": verdict.lhs,
-                "budget": verdict.rhs,
-                "passed": verdict.passed,
-                "slack": verdict.slack,
-                "sharp": verdict.sharp,
-            }
-        )
-        return 0
     outcome = "pass" if verdict.passed else "fail"
     if verdict.sharp:
         outcome += " (sharp)"
-    print(f"chi = {chi}, budget 6|chi| = {verdict.rhs:.12g}")
-    print(f"total slope length = {verdict.lhs:.12g}")
-    print(f"{outcome}: slack = {verdict.slack:.12g}")
-    return 0
+    return _emit(
+        args,
+        {
+            "surface": {
+                "genus": surface.genus,
+                "punctures": surface.punctures,
+                "boundary_circles": surface.boundary_circles,
+            },
+            "euler_characteristic": chi,
+            "lengths": list(args.lengths),
+            "total_length": verdict.lhs,
+            "budget": verdict.rhs,
+            "passed": verdict.passed,
+            "slack": verdict.slack,
+            "sharp": verdict.sharp,
+        },
+        f"chi = {chi}, budget 6|chi| = {verdict.rhs:.12g}",
+        f"total slope length = {verdict.lhs:.12g}",
+        f"{outcome}: slack = {verdict.slack:.12g}",
+    )
 
 
 def _cmd_horodisk(args) -> int:
@@ -179,39 +182,33 @@ def _cmd_horodisk(args) -> int:
         ratio = _pkg.halfplane_geometry.extremal_ratio()
         pair = _pkg.halfplane_geometry.HorodiskPair(1.0, ratio)
         separation = _pkg.halfplane_geometry.tangency_separation(pair)
-        if args.json:
-            _print_json({"extremal_ratio": ratio, "tangency_separation": separation})
-        else:
-            print(f"extremal radius ratio R/r = {ratio:.12g}")
-            print(f"tangency separation at that ratio = {separation:.12g}")
+        return _emit(args, {"extremal_ratio": ratio, "tangency_separation": separation},
+                     f"extremal radius ratio R/r = {ratio:.12g}",
+                     f"tangency separation at that ratio = {separation:.12g}")
     elif args.separation is not None:
         r, big_r = args.separation
         pair = _pkg.halfplane_geometry.HorodiskPair(r, big_r)
         check = _pkg.halfplane_geometry.mutually_tangent(pair)
         sep = _pkg.halfplane_geometry.tangency_separation(pair)
-        if args.json:
-            _print_json(
-                {
-                    "r": r,
-                    "R": big_r,
-                    "separation": sep,
-                    "mutually_tangent": check.tangent,
-                    "residual": check.residual,
-                }
-            )
-        else:
-            print(f"tangency separation ln(R/r) = {sep:.12g}")
-            touch = "yes" if check.tangent else "no"
-            print(f"mutually tangent: {touch} (residual {check.residual:.12g})")
+        touch = "yes" if check.tangent else "no"
+        return _emit(
+            args,
+            {
+                "r": r,
+                "R": big_r,
+                "separation": sep,
+                "mutually_tangent": check.tangent,
+                "residual": check.residual,
+            },
+            f"tangency separation ln(R/r) = {sep:.12g}",
+            f"mutually tangent: {touch} (residual {check.residual:.12g})",
+        )
     else:
         eps, length = args.wrapping
         query = _pkg.halfplane_geometry.WrappingQuery(eps, length)
         bound = _pkg.halfplane_geometry.wrapping_bound(query)
-        if args.json:
-            _print_json({"epsilon": eps, "loop_length": length, "wrapping_bound": bound})
-        else:
-            print(f"wrapping number bound = {bound:.12g}")
-    return 0
+        return _emit(args, {"epsilon": eps, "loop_length": length, "wrapping_bound": bound},
+                     f"wrapping number bound = {bound:.12g}")
 
 
 def _cmd_diagram(args) -> int:

@@ -8,21 +8,11 @@ packed rows with each distinct entry converted to decimal once, and
 ``report_to_json`` joins it into the rest of the report.  A file that is not
 UTF-8 or not JSON is a ``ReportFormatError``.
 
-Loading a report follows one rule, ``_verdict``: the report is rebuilt from
-its inputs (the slope records, threshold, area floor and lemma prime,
-checked as they are read by ``_inputs``), and the data must be what the
-writer makes of it.  The stored Delta matrix must be, character for
-character, the writer's text of the rebuilt matrix; the top-level keys must
-be the written ones (``_REPORT_KEYS``, the one list the writer also uses);
-and ``max_delta``, ``bound`` and ``lemma`` must equal the rebuilt report's
-in JSON type.  Whether a record is listed at all, and its boundary flag,
-are derived from its length and the threshold by the enumeration's own
-decision (``slope_search._entry``); v1 does not store the cusp basis, so the
-lengths and the slope list themselves cannot be re-derived.  The writer's
-text of an n x n matrix (n >= 1) has at least 2n^2 + 2n + 1 characters, so
-a shorter one is refused before the matrix is computed, and loading work
-stays bounded by the size of the input.  A message is made only when a
-check fails.
+Loading a report follows one rule, ``_verdict``, whose docstring spells it
+out: the inputs (the slope records, threshold, area floor and lemma prime)
+are checked as they are read, the report is rebuilt from them, and the data
+must be what the writer makes of it.  v1 does not store the cusp basis, so
+the lengths and the slope list themselves cannot be re-derived.
 
 The two ways in differ only in where the matrix text comes from.
 ``report_from_dict`` encodes the parsed ``delta_matrix`` with the writer's
@@ -199,30 +189,38 @@ def _same(x, y) -> bool:
     return x == y
 
 
-def _inputs(data: dict, matrix_length: int) -> tuple:
-    """The checked inputs of a report's data: ``(shape_name, threshold,
-    entries, query, prime, tool_version, timestamp)``, the arguments of
-    ``_analysis`` but the Delta matrix and ``max_delta``.
+def _verdict(data: dict, text: str, start: int, end: int) -> AnalysisReport:
+    """The report that ``data``, with ``text[start:end]`` as its stored Delta
+    matrix, determines, or the ``ReportFormatError`` that refuses it: the one
+    rule of both ``report_from_dict`` and ``load_report``.  The caller has
+    checked the header (``_check_header``).  A message is made only when a
+    check fails.
 
-    The inputs are the slope records, which must be exactly the written ones
-    (keys ``a, b, length, boundary``; ``a`` and ``b`` ints with gcd 1 in
-    canonical sign, checked here, so each slope is built by the trusted
-    ``_slope``) and strictly increasing in the enumeration's order,
-    ``threshold``, ``bound.area_floor`` and ``lemma.prime`` (``_modulus``).
-    The threshold, lengths and area floor must be positive (``_positive``).
-    Each record's entry is made by the enumeration's ``_entry`` from its
-    length and the threshold, so a slope past the threshold, or a
-    ``boundary`` flag other than the one ``_entry`` derives, is refused; the
-    length itself cannot be re-derived without the cusp basis, which v1 does
-    not store.  ``shape_name`` and ``tool_version`` must be strings and
-    ``timestamp`` a string or null; they are taken as they are.
+    The inputs are checked as they are read.  The slope records must be
+    exactly the written ones (keys ``a, b, length, boundary``; ``a`` and
+    ``b`` ints with gcd 1 in canonical sign, so each slope is built by the
+    trusted ``_slope``) and strictly increasing in the enumeration's order.
+    ``threshold``, the lengths and ``bound.area_floor`` must be positive
+    (``_positive``), and ``lemma.prime`` a prime (``_modulus``).  Whether a
+    record is listed at all, and its boundary flag, are the enumeration's own
+    decision (``slope_search._entry``) from its length and the threshold;
+    the length itself cannot be re-derived without the cusp basis.
+    ``shape_name`` and ``tool_version`` must be strings and ``timestamp`` a
+    string or null; they are taken as they are.
 
     The writer's text of an n x n matrix, n >= 1, has at least 2n^2 + 2n + 1
     characters: each row is ``[``, n numerals of at least one digit, n - 1
     ``,`` and ``]`` (2n + 1), and the matrix is ``[``, n rows, n - 1 ``,``
-    and ``]``.  So a stored matrix of fewer than that many characters
-    (``matrix_length``) is refused here, before the matrix is computed: the
-    work done stays bounded by the size of the input.
+    and ``]``.  So a shorter stored matrix is refused before the matrix is
+    computed: the work done stays bounded by the size of the input.
+
+    Then the report is rebuilt from the inputs, and the data must match it:
+    the stored matrix must be, character for character, the writer's text of
+    the rebuilt one (``_matrix_pieces``, compared in place, so the value of
+    ``data["delta_matrix"]`` is not read); the top-level keys must be
+    ``_REPORT_KEYS``, the one list the writer also uses; and ``max_delta``,
+    ``bound`` and ``lemma`` must equal the rebuilt report's in JSON type
+    (``_same``), section by section.
     """
     threshold = _positive(data.get("threshold"), "threshold", ReportFormatError)
 
@@ -271,27 +269,7 @@ def _inputs(data: dict, matrix_length: int) -> tuple:
             raise ReportFormatError(f"{key} must be a string, got {_shown(data.get(key))}")
 
     n = len(entries)
-    _require(matrix_length >= 2 * n * n + 2 * n + 1, _MATRIX_MISMATCH)
-    return (data["shape_name"], threshold, tuple(entries), query, prime, data["tool_version"],
-            data.get("timestamp"))
-
-
-def _verdict(data: dict, text: str, start: int, end: int) -> AnalysisReport:
-    """The report that ``data``, with ``text[start:end]`` as its stored Delta
-    matrix, determines, or the ``ReportFormatError`` that refuses it; the one
-    verdict of both ``report_from_dict`` and ``load_report``.  The caller has
-    checked the header (``_check_header``).
-
-    The inputs are checked (``_inputs``), the report is rebuilt from them,
-    and the data must match it: the stored matrix must be exactly the
-    writer's text of the rebuilt one (``_matrix_pieces``, compared in
-    place), the top-level keys must be ``_REPORT_KEYS``, and ``max_delta``,
-    ``bound`` and ``lemma`` must equal the rebuilt report's in JSON type
-    (``_same``), section by section.  The value of ``data["delta_matrix"]``
-    is not read.
-    """
-    shape_name, threshold, entries, query, prime, tool_version, timestamp = _inputs(
-        data, end - start)
+    _require(end - start >= 2 * n * n + 2 * n + 1, _MATRIX_MISMATCH)
     try:
         delta_matrix, max_delta = crossing_data([e.slope for e in entries])
     except OverflowError as e:
@@ -301,8 +279,8 @@ def _verdict(data: dict, text: str, start: int, end: int) -> AnalysisReport:
         _require(text.startswith(piece, pos, end), _MATRIX_MISMATCH)
         pos += len(piece)
     _require(pos == end, _MATRIX_MISMATCH)
-    report = _analysis(shape_name, threshold, entries, delta_matrix, max_delta, query, prime,
-                       tool_version, timestamp)
+    report = _analysis(data["shape_name"], threshold, tuple(entries), delta_matrix, max_delta,
+                       query, prime, data["tool_version"], data.get("timestamp"))
     if data.keys() != _REPORT_KEY_SET:
         raise ReportFormatError(
             f"top-level keys {_shown(list(data))} are not {list(_REPORT_KEYS)}"

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from cuspslopes import bound_calculus
 from cuspslopes.bound_calculus import (
     _LAST_PRIME,
-    _MR_PSI,
     ADAMS_AREA,
     CAO_MEYERHOFF_AREA,
     BoundQuery,
@@ -27,6 +26,15 @@ from cuspslopes.bound_calculus import (
 )
 from cuspslopes.cusp_geometry import Slope, area, intersection_number
 from cuspslopes.slope_search import enumerate_short_slopes
+
+# psi_k, the least odd composite that is a strong probable prime to the first
+# k prime bases, for k = 1 .. 13 (OEIS A014233); psi_13 is is_prime's limit.
+PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051,
+    3825123056546413051, 3825123056546413051, 318665857834031151167461,
+    3317044064679887385961981,
+)
 
 from conftest import random_shape, random_slope
 
@@ -123,7 +131,7 @@ def test_query_rejects_unresolvable_ratio():
 
 def test_last_prime_is_the_last_in_range():
     assert is_prime(_LAST_PRIME)
-    assert not any(is_prime(n) for n in range(_LAST_PRIME + 1, _MR_PSI[-1]))
+    assert not any(is_prime(n) for n in range(_LAST_PRIME + 1, PSI[-1]))
 
 
 # ---------------------------------------------------------------- primes
@@ -157,9 +165,18 @@ def test_is_prime_matches_sieve():
     assert [k for k in range(n + 1) if is_prime(k)] == primes_below(n + 1)
 
 
+def test_is_prime_at_the_end_of_trial_division():
+    # below 43^2 trial division by the primes up to 41 decides; from there
+    # Miller-Rabin does, and 2047 = 23 * 89 is psi_1
+    assert not any(is_prime(n) for n in (41 * 43, 43 * 43, 43 * 47, PSI[0]))
+    assert is_prime(1847) and is_prime(1861)
+    n = 2 * 10**5
+    assert [k for k in range(n + 1) if is_prime(k)] == primes_below(n + 1)
+
+
 def test_is_prime_large_values():
     # each psi_k is a strong pseudoprime to the first k prime bases
-    assert not any(is_prime(psi) for psi in _MR_PSI[:-1])
+    assert not any(is_prime(psi) for psi in PSI[:-1])
     assert all(is_prime(p) for p in (2**31 - 1, 2**61 - 1, 1000000000000037))
     assert not is_prime((2**31 - 1) * 1000000000000037)
     assert not is_prime(1000003 * 1000000000000037)
@@ -176,9 +193,9 @@ def test_is_prime_matches_trial_division_on_40_bit_inputs():
 
 
 def test_is_prime_domain_limit():
-    assert not is_prime(_MR_PSI[-1] - 1)  # even
+    assert not is_prime(PSI[-1] - 1)  # even
     with pytest.raises(ValueError, match="only decided below"):
-        is_prime(_MR_PSI[-1])
+        is_prime(PSI[-1])
     with pytest.raises(ValueError, match="only decided below"):
         is_prime(2**89 - 1)
 

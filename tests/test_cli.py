@@ -309,6 +309,57 @@ def test_horodisk_past_the_float_range_is_domain_error(capsys, json_flag, option
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+# ---------------------------------------------------------------- result bytes
+
+# The exact standard output of each command that prints one computed result:
+# its text, then its --json line.
+RESULTS = [
+    ("bound", ("bound",),
+     "L^2/A = 10.7462686567\nΔ ≤ 10, p = 11, slopes ≤ 12\n",
+     '{"length_threshold":6.0,"area_floor":3.35,"delta_max":10,"prime":11,"count_bound":12,'
+     '"floor_guard_hit":false}\n'),
+    ("lemma_injective", ("lemma-verify", "--cusp", HEX2, "--name", "hex2"),
+     "# cusp hex2: 12 slopes of length <= 6\n# max pairwise intersection 8, prime 11\n"
+     "injective: all 12 slopes map to distinct points of F_11P^1\n",
+     '{"shape":"hex2","threshold":6.0,"slope_count":12,"max_delta":8,"prime":11,'
+     '"injective":true,"collision":null,"delta":null}\n'),
+    ("lemma_collision", ("lemma-verify", "--cusp", HEX2, "--name", "hex2", "--prime", "5"),
+     "# cusp hex2: 12 slopes of length <= 6\n# max pairwise intersection 8, prime 5\n"
+     "collision: (-3,2) and (-2,3) coincide mod 5 (delta = 5)\n",
+     '{"shape":"hex2","threshold":6.0,"slope_count":12,"max_delta":8,"prime":5,'
+     '"injective":false,"collision":[[-3,2],[-2,3]],"delta":5}\n'),
+    ("audit_pass", ("audit", "--surface", "1,1,0", "--lengths", "6"),
+     "chi = -1, budget 6|chi| = 6\ntotal slope length = 6\npass (sharp): slack = 0\n",
+     '{"surface":{"genus":1,"punctures":1,"boundary_circles":0},"euler_characteristic":-1,'
+     '"lengths":[6.0],"total_length":6.0,"budget":6.0,"passed":true,"slack":0.0,'
+     '"sharp":true}\n'),
+    ("audit_fail", ("audit", "--surface", "1,1,0", "--lengths", "6.5"),
+     "chi = -1, budget 6|chi| = 6\ntotal slope length = 6.5\nfail: slack = -0.5\n",
+     '{"surface":{"genus":1,"punctures":1,"boundary_circles":0},"euler_characteristic":-1,'
+     '"lengths":[6.5],"total_length":6.5,"budget":6.0,"passed":false,"slack":-0.5,'
+     '"sharp":false}\n'),
+    ("horodisk_ratio", ("horodisk", "--ratio"),
+     "extremal radius ratio R/r = 5.82842712475\n"
+     "tangency separation at that ratio = 1.76274717404\n",
+     '{"extremal_ratio":5.82842712474619,"tangency_separation":1.762747174039086}\n'),
+    ("horodisk_separation", ("horodisk", "--separation", "1", "2.718281828459045"),
+     "tangency separation ln(R/r) = 1\nmutually tangent: no (residual 7.92063487182)\n",
+     '{"r":1.0,"R":2.718281828459045,"separation":1.0,"mutually_tangent":false,'
+     '"residual":7.920634871823621}\n'),
+    ("horodisk_wrapping", ("horodisk", "--wrapping", "6", "1"),
+     "wrapping number bound = 1.13459265711\n",
+     '{"epsilon":6.0,"loop_length":1.0,"wrapping_bound":1.1345926571065112}\n'),
+]
+
+
+@pytest.mark.parametrize("json_flag", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("argv, text, json_line", [r[1:] for r in RESULTS],
+                         ids=[r[0] for r in RESULTS])
+def test_result_bytes(capsys, argv, text, json_line, json_flag):
+    code, out, err = run_cli(capsys, *argv, *["--json"] * json_flag)
+    assert (code, out, err) == (0, json_line if json_flag else text, "")
+
+
 # ---------------------------------------------------------------- diagram
 
 
