@@ -149,6 +149,16 @@ MUTANTS = (
            (TAMPERS,)),
     Mutant("report_boundary_flag_unchecked", "report_io.py",
            'if rec["boundary"] is not entry.boundary:', "if False:", (TAMPERS,)),
+    # each of the next three lets an exception that is not a ReportFormatError
+    # escape the loader
+    Mutant("report_slope_record_not_an_object", "report_io.py",
+           "if not isinstance(rec, dict):", "if False:", (TAMPERS + "[slope_not_object]",)),
+    Mutant("report_bound_refusal_unwrapped", "report_io.py",
+           'raise ReportFormatError(f"bound: {e}") from None', "raise",
+           (TAMPERS + "[subnormal_area_floor]", TAMPERS + "[threshold_past_the_last_prime]")),
+    Mutant("report_matrix_type_error_escapes", "report_io.py",
+           "except (TypeError, ValueError, RecursionError):", "except (ValueError, RecursionError):",
+           (REPORTS + "::test_matrix_entry_that_cannot_be_encoded_rejected[object]",)),
 )
 
 

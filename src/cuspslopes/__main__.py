@@ -1,6 +1,5 @@
 """Allow `python -m cuspslopes`."""
 
-from .cli import main
-import sys
+from .cli import entry
 
-sys.exit(main())
+entry()

@@ -8,7 +8,10 @@ deterministic (timestamps only with --stamp); exit codes are 0 on success,
 goes away (``| head``), a command stops quietly with exit code 1.
 ``bound``, ``lemma-verify``, ``audit`` and ``horodisk`` compute their result
 once and print it through one ``_emit``: one line of JSON under ``--json``,
-else their text lines.
+else their text lines.  ``slopes --json``, ``diagram`` and ``report`` write a
+document through one ``_write``, which names the file and what it holds in
+one ``wrote …`` line when the document did not go to standard output.  Every
+subcommand ends in one of the two.
 
 The module imports only ``argparse``, ``math``, ``os``, ``sys`` and the
 package; each subcommand reaches its modules through the package namespace
@@ -89,19 +92,21 @@ def _emit(args, data, *lines) -> int:
     return 0
 
 
-def _write_report(shape, threshold: float, out: str = "-", **options):
-    """Build the analysis report of ``shape`` and write it to ``out`` ('-' is
-    standard output); ``slopes --json`` is ``report`` with its defaults."""
-    report = _pkg.report_io.build_analysis_report(shape, threshold, **options)
-    _pkg.report_io.save_report(report, out)
-    return report
+def _write(out: str, text: str, summary: str) -> int:
+    """Write a command's document ``text`` to ``out`` ('-' is standard
+    output), print ``wrote {out}: {summary}`` when it went to a file, and
+    give the exit status 0."""
+    _pkg.cusp_file._write_text(out, text)
+    if out != "-":
+        print(f"wrote {out}: {summary}")
+    return 0
 
 
 def _cmd_slopes(args) -> int:
     shape = _load_named_shape(args)
-    if args.json:
-        _write_report(shape, args.threshold)
-        return 0
+    if args.json:  # the document that `report` writes with its defaults
+        report = _pkg.report_io.build_analysis_report(shape, args.threshold)
+        return _write("-", _pkg.report_io.report_to_json(report), "")
     report = _pkg.slope_search.enumerate_short_slopes(shape, args.threshold)
     print(f"# cusp {shape.name}  threshold {args.threshold:.12g}  "
           f"area {_pkg.cusp_geometry.area(shape):.12g}")
@@ -222,10 +227,8 @@ def _cmd_diagram(args) -> int:
         width=args.width,
         height=args.height,
     )
-    _pkg.cusp_file._write_text(args.out, _pkg.diagram.emit_lattice_svg(spec))
-    if args.out != "-":
-        print(f"wrote {args.out}: {len(report)} slopes, {2 * len(report)} highlighted markers")
-    return 0
+    return _write(args.out, _pkg.diagram.emit_lattice_svg(spec),
+                  f"{len(report)} slopes, {2 * len(report)} highlighted markers")
 
 
 def _cmd_report(args) -> int:
@@ -235,12 +238,10 @@ def _cmd_report(args) -> int:
         from datetime import datetime, timezone
 
         stamp = datetime.now(timezone.utc).isoformat()
-    out = args.out or "-"
-    report = _write_report(shape, args.threshold, out, area_floor=args.area, prime=args.prime,
-                           timestamp=stamp)
-    if out != "-":
-        print(f"wrote {out}: {len(report.entries)} slopes, count bound {report.bound.count_bound}")
-    return 0
+    report = _pkg.report_io.build_analysis_report(shape, args.threshold, area_floor=args.area,
+                                                  prime=args.prime, timestamp=stamp)
+    return _write(args.out or "-", _pkg.report_io.report_to_json(report),
+                  f"{len(report.entries)} slopes, count bound {report.bound.count_bound}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -342,8 +343,4 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
-
-
-if __name__ == "__main__":
     sys.exit(main())

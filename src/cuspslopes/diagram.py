@@ -71,9 +71,6 @@ class CanvasTransform(_Value):
     def to_canvas(self, wx: float, wy: float) -> tuple[float, float]:
         return self.cx + self.scale * wx, self.cy - self.scale * wy
 
-    def to_world(self, px: float, py: float) -> tuple[float, float]:
-        return (px - self.cx) / self.scale, (self.cy - py) / self.scale
-
 
 def _lattice_points(u: Vec2, v: Vec2, coefficients) -> Iterator[Vec2]:
     """The points i*u + j*v for i, j in coefficients, i in the outer loop."""

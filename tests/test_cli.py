@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import importlib
+import io
 import json
 import math
 import os
@@ -135,6 +137,15 @@ def test_bound_json_is_the_stdlib_compact_json(capsys):
     assert out == json.dumps(expected, separators=(",", ":"), allow_nan=False) + "\n"
 
 
+def test_bound_json_to_a_text_only_stdout():
+    # a stdout with no byte buffer, as in-process callers redirect it
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["bound", "--json"])
+    assert code == 0
+    assert out.getvalue() == json_text(bound_to_dict(slope_count_bound(BoundQuery(6.0, 3.35))))
+
+
 def test_bound_defaults(capsys):
     code, out, _ = run_cli(capsys, "bound")
     assert code == 0
@@ -253,6 +264,20 @@ def test_audit_overflow_is_domain_error(capsys):
 def test_audit_bad_surface_is_usage_error(capsys):
     code, _, _ = run_cli(capsys, "audit", "--surface", "1,1", "--lengths", "6")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "surface, lengths, message",
+    [
+        ("1,x,0", "6", "argument --surface: surface fields must be integers: '1,x,0'"),
+        ("1,1,0", "6,x", "argument --lengths: lengths must be comma-separated numbers: '6,x'"),
+    ],
+    ids=["surface_field", "length"],
+)
+def test_audit_unparsable_number_is_usage_error(capsys, surface, lengths, message):
+    code, out, err = run_cli(capsys, "audit", "--surface", surface, "--lengths", lengths)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"cuspslopes audit: error: {message}\n")
 
 
 def test_audit_inapplicable_surface_is_domain_error(capsys):
@@ -572,6 +597,18 @@ def test_malformed_cusp_file_is_one_error_line(capsys, tmp_path, content):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_skipped_cusp_record_is_a_warning(capsys, tmp_path):
+    path = tmp_path / "cusps.json"
+    path.write_text(json_text({"format": "cusp-file", "version": "v1", "cusps": [
+        {"name": "bad", "meridian": [1.0, 0.0], "longitude": [2.0, 0.0]},
+        {"name": "hex2", "meridian": [2.0, 0.0], "longitude": [1.0, math.sqrt(3.0)]},
+    ]}))
+    code, out, err = run_cli(capsys, "slopes", "--cusp", str(path), "--name", "hex2")
+    assert code == 0
+    assert out == run_cli(capsys, "slopes", "--cusp", HEX2, "--name", "hex2")[1]
+    assert err == "warning: skipped record 0 ('bad'): cusp basis is degenerate (det = 0.0)\n"
+
+
 def test_cusp_file_on_stdin_is_held_to_utf8():
     # a Latin-1 name is refused on standard input as it is in a file given
     # by path, whatever encoding the interpreter gives its stdin
@@ -663,14 +700,26 @@ def test_console_script_target_prints_the_version(capsys, monkeypatch):
     assert capsys.readouterr().out == f"cuspslopes {version}\n"
 
 
-def test_module_entry_point():
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["bound", "--length", "6", "--area", "3.35"], 0),
+        (["nope"], 2),
+        (["bound", "--length", "-1"], 1),
+    ],
+    ids=["bound", "unknown_subcommand", "domain_error"],
+)
+def test_module_entry_point(argv, code):
     proc = subprocess.run(
-        [sys.executable, "-m", "cuspslopes", "bound", "--length", "6", "--area", "3.35"],
+        [sys.executable, "-m", "cuspslopes", *argv],
         capture_output=True,
         text=True,
     )
-    assert proc.returncode == 0
-    assert "slopes ≤ 12" in proc.stdout
+    assert proc.returncode == code
+    if code == 0:
+        assert "slopes ≤ 12" in proc.stdout
+    if code == 1:  # a domain error is one line
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 # ---------------------------------------------------------------- README transcript

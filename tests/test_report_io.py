@@ -388,6 +388,11 @@ TAMPERS = [
     ("threshold_past_float_range", _edit("threshold", to=lambda _: 10**400),
      "threshold is an integer past the float range"),
     ("negative_area_floor", _edit("bound", "area_floor", to=lambda _: -1.0), "bound"),
+    # values that pass their own checks and that BoundQuery refuses
+    ("subnormal_area_floor", _edit("bound", "area_floor", to=lambda _: 5e-324),
+     r"bound: area floor must be at least 2\.2250738585072014e-308"),
+    ("threshold_past_the_last_prime", _edit("threshold", to=lambda _: 1e13),
+     "bound: the count bound .* needs a prime past"),
     ("lemma_delta", _edit("lemma", "delta", to=lambda _: 11), "lemma"),
     ("lemma_collision", _edit("lemma", "collision", to=lambda _: [[1, 0], [0, 1]]), "lemma"),
     ("floor_guard_hit", _edit("bound", "floor_guard_hit", to=lambda v: not v), "bound"),
@@ -398,6 +403,7 @@ TAMPERS = [
         "slopes",
     ),
     ("slope_extra_key", _edit("slopes", 0, to=lambda r: {**r, "note": "x"}), "slopes"),
+    ("slope_not_object", _edit("slopes", 0, to=lambda _: 1), "slope records must be objects"),
     ("duplicate_slope", _repeat_first_slope, "slopes"),
     # equal neighbours: the order test must be strict
     ("adjacent_duplicate_slope", lambda d: _repeat_first_slope(d, 1), "slopes"),
@@ -1026,6 +1032,16 @@ def test_json_text_one_line_and_finite_only():
         json_text({"x": math.nan})
     with pytest.raises(ValueError):
         json_text([math.inf])
+
+
+@pytest.mark.parametrize("entry", [math.nan, object()], ids=["nan", "object"])
+def test_matrix_entry_that_cannot_be_encoded_rejected(hex2_report, entry):
+    # only a dict can hold these: json_text refuses both, so no file does
+    data = report_to_dict(hex2_report)
+    data["delta_matrix"][0][1] = entry
+    with pytest.raises(ReportFormatError,
+                       match="'delta_matrix' is not the rebuilt report's matrix of integers"):
+        report_from_dict(data)
 
 
 def test_version_mismatch_is_explicit(hex2_report):

@@ -20,7 +20,7 @@ import pytest
 from cuspslopes import __version__
 from cuspslopes.bound_calculus import BoundQuery, BoundReport, LemmaVerdict
 from cuspslopes.cusp_file import RecordError
-from cuspslopes.cusp_geometry import CuspShape, Slope
+from cuspslopes.cusp_geometry import CuspShape, Slope, _Value
 from cuspslopes.diagram import CanvasTransform, DiagramSpec
 from cuspslopes.halfplane_geometry import HorodiskPair, TangencyCheck, WrappingQuery
 from cuspslopes.report_io import AnalysisReport, build_analysis_report
@@ -209,6 +209,14 @@ def test_signature_lists_the_fields(case):
     assert {f: p.default for f, p in params.items() if p.default is not p.empty} == defaults
     assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
     assert cls.__init__.__module__ == cls.__module__
+
+
+def test_field_name_must_be_an_identifier():
+    # each field becomes a parameter of the built __init__
+    with pytest.raises(TypeError, match="Bad field name 'a b' is not an identifier"):
+        class Bad(_Value):
+            __slots__ = ()
+            _fields = ("a b",)
 
 
 def test_repr(case):
